@@ -8,9 +8,10 @@ the two-start experiment).  Every run echoes its resolved config and
 refuses to reuse an existing output directory, so a run directory is a
 complete, diffable record.
 
-Exit codes: 0 success, 2 config error, 3 non-convergence, 4 audit
-failure, 1 internal error.  Heavy imports happen after the `--threads`
-cap is exported so BLAS pools honor it.
+Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
+value-solve stall included), 4 audit failure, 1 internal error.  Heavy
+imports happen after the `--threads` cap is exported so BLAS pools honor
+it.
 """
 
 import argparse
@@ -94,7 +95,14 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     from .models import MODEL_NAMES
 
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError("[%s] %s: key given more than once (line %d)"
+                          % (exc.section, exc.option, exc.lineno))
+    except configparser.Error as exc:
+        raise ConfigError("%s: %s" % (path, exc))
+    if not found:
         raise ConfigError("config file not found or unreadable: %s" % path)
 
     model = _parse(cp, "problem", "model", str)
@@ -180,7 +188,10 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("[run] out: required (or pass --out)")
     uniqueness = _parse(cp, "run", "uniqueness", _bool, default=True)
 
-    solver = SolverConfig(horizon=horizon, seed=seed, **num)
+    try:
+        solver = SolverConfig(horizon=horizon, seed=seed, **num)
+    except ValueError as exc:  # the message leads with the offending key
+        raise ConfigError("[numerics] %s" % exc)
     if model is not None:
         # preset problems own their horizon; the config echoes it resolved
         from .models import make_model
@@ -366,7 +377,7 @@ def _audit_rows(audit):
 def cmd_solve_mfg(cfg, cp):
     """Damped fixed point; artifacts: iteration trace, final value field and
     measure path, moment audit, and a summary of the certificate."""
-    from .mfg import fixed_point_iterate
+    from .mfg import ValueSolveStalled, fixed_point_iterate
     from .measures import path_to_dir
 
     if cfg.model is None:
@@ -374,11 +385,18 @@ def cmd_solve_mfg(cfg, cp):
     prob = cfg.problem()
     d = _make_run_dir(cfg, cp)
 
-    sol = fixed_point_iterate(prob, cfg.solver)
-    _write_csv(d / "iterations.csv",
-               ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
-               [[r.index, _fmt(r.rho_change), _fmt(r.psi_residual),
-                 "%.3f" % r.wallclock] for r in sol.iterations])
+    def write_iterations(records):
+        _write_csv(d / "iterations.csv",
+                   ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
+                   [[r.index, _fmt(r.rho_change), _fmt(r.psi_residual),
+                     "%.3f" % r.wallclock] for r in records])
+
+    try:
+        sol = fixed_point_iterate(prob, cfg.solver)
+    except ValueSolveStalled as exc:
+        write_iterations(exc.iterations)  # the outer iterations that did finish
+        raise
+    write_iterations(sol.iterations)
     sol.v.to_dir(d / "v")
     path_to_dir(sol.m, d / "m")
     _write_csv(d / "audit.csv",
@@ -507,6 +525,7 @@ def main(argv=None):
             return EXIT_CONFIG
         for var in _THREAD_VARS:  # must precede the numpy import
             os.environ[var] = str(args.threads)
+    from .mfg import ValueSolveStalled
     try:
         cfg, cp = parse_run_config(args.config, args.command,
                                    seed_override=args.seed,
@@ -515,6 +534,9 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except ValueSolveStalled as exc:
+        print("%s: no convergence: %s" % (args.command, exc), file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except Exception as exc:  # noqa: BLE001 - the contract maps crashes to 1
         import traceback
         traceback.print_exc()

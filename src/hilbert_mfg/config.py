@@ -29,17 +29,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("horizon and dt must be positive")
-        for name in ("picard_tol", "fp_tol"):
+        # each message starts with the one field it is about
+        for name in ("horizon", "dt", "picard_tol", "fp_tol"):
             if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+                raise ValueError("%s: must be positive" % name)
         if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.particles < 1 or self.grid_points < 2 or self.quad_nodes < 1:
-            raise ValueError("particles >= 1, grid_points >= 2, quad_nodes >= 1 required")
-        if self.tau_nodes < 2:
-            raise ValueError("tau_nodes >= 2 required")
+            raise ValueError("damping: must lie in (0, 1]")
+        for name, least in (("particles", 1), ("grid_points", 2),
+                            ("quad_nodes", 1), ("tau_nodes", 2)):
+            if getattr(self, name) < least:
+                raise ValueError("%s: must be >= %d" % (name, least))
 
     @property
     def n_steps(self):

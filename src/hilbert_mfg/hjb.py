@@ -278,12 +278,9 @@ def zero_hamiltonian(n_modes, label="zero"):
     )
 
 
-def _mild_sweep(kernel, terminal, integrand_at, times, axes, tau_nodes):
-    """One evaluation of the mild right-hand side on the full grid.
-
-    integrand_at(s) must return a batch field x -> H(...) or be None for
-    the pure semigroup term.
-    """
+def _terminal_sweep(kernel, terminal, times, axes):
+    """R_{T-t} G and D R_{T-t} G on the full grid: the semigroup term of
+    the mild right-hand side, which no Picard iterate changes."""
     T = times[-1]
     J = len(times) - 1
     shape = tuple(len(a) for a in axes)
@@ -291,26 +288,41 @@ def _mild_sweep(kernel, terminal, integrand_at, times, axes, tau_nodes):
     pts = _tensor_points(axes)
     values = np.empty((J + 1,) + shape)
     grads = np.empty((J,) + shape + (n,))
-    for j in range(J + 1):
-        horizon = T - times[j]
-        v = kernel.apply_Rt(terminal, horizon, pts)
-        g = kernel.gradient_DRt(terminal, horizon, pts) if j < J else None
-        if integrand_at is not None and horizon > 0:
-            taus = np.linspace(0.0, np.sqrt(horizon), tau_nodes)
-            v_int = np.zeros((tau_nodes, len(pts)))
-            g_int = np.zeros((tau_nodes, len(pts), n))
-            for i in range(1, tau_nodes):
-                tau = taus[i]
-                fld = integrand_at(times[j] + tau * tau)
-                v_int[i] = 2.0 * tau * kernel.apply_Rt(fld, tau * tau, pts)
-                if j < J:
-                    g_int[i] = 2.0 * tau * kernel.gradient_DRt(fld, tau * tau, pts)
-            v = v - np.trapezoid(v_int, x=taus, axis=0)
-            if j < J:
-                g = g - np.trapezoid(g_int, x=taus, axis=0)
+    for j in range(J):
+        v, g = kernel.apply_with_gradient(terminal, T - times[j], pts)
         values[j] = v.reshape(shape)
-        if j < J:
-            grads[j] = g.reshape(shape + (n,))
+        grads[j] = g.reshape(shape + (n,))
+    values[J] = kernel.apply_Rt(terminal, 0.0, pts).reshape(shape)
+    return values, grads
+
+
+def _mild_sweep(kernel, base, integrand_at, times, axes, tau_nodes):
+    """One evaluation of the mild right-hand side on the full grid.
+
+    base is the (values, grads) pair of _terminal_sweep, computed once per
+    solve and shared by every sweep; this subtracts the time integral of
+    R_{s-t} H and D R_{s-t} H, with integrand_at(s) returning the batch
+    field x -> H(...).  Each (t_j, tau) node evaluates that field once
+    for both the value and the gradient.
+    """
+    T = times[-1]
+    J = len(times) - 1
+    shape = tuple(len(a) for a in axes)
+    n = len(axes)
+    pts = _tensor_points(axes)
+    values, grads = base[0].copy(), base[1].copy()
+    for j in range(J):
+        taus = np.linspace(0.0, np.sqrt(T - times[j]), tau_nodes)
+        v_int = np.zeros((tau_nodes, len(pts)))
+        g_int = np.zeros((tau_nodes, len(pts), n))
+        for i in range(1, tau_nodes):
+            tau = taus[i]
+            fld = integrand_at(times[j] + tau * tau)
+            v, g = kernel.apply_with_gradient(fld, tau * tau, pts)
+            v_int[i] = 2.0 * tau * v
+            g_int[i] = 2.0 * tau * g
+        values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
+        grads[j] -= np.trapezoid(g_int, x=taus, axis=0).reshape(shape + (n,))
     return values, grads
 
 
@@ -321,8 +333,11 @@ def solve_kolmogorov(f, phi, spec, config, m0=None, box=None):
     L = default_box(spec, m0, config.box_scale) if box is None else float(box)
     axes = grid_axes(L, spec.N, config.grid_points)
     times = config.mesh()
-    integrand_at = None if f is None else (lambda s: (lambda X: np.asarray(f(s, X), dtype=float)))
-    values, grads = _mild_sweep(kernel, phi, integrand_at, times, axes, config.tau_nodes)
+    values, grads = _terminal_sweep(kernel, phi, times, axes)
+    if f is not None:
+        integrand_at = lambda s: (lambda X: np.asarray(f(s, X), dtype=float))
+        values, grads = _mild_sweep(kernel, (values, grads), integrand_at, times, axes,
+                                    config.tau_nodes)
     return GridValueField(times=times, axes=axes, values=values, grads=grads, status="direct")
 
 
@@ -359,8 +374,8 @@ def solve_hjb_mild(H, G, m, spec, config, box=None):
     mT = m.at_time(times[-1])
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
-    values, grads = _mild_sweep(kernel, terminal, None, times, axes, config.tau_nodes)
-    current = GridValueField(times=times, axes=axes, values=values, grads=grads)
+    base = _terminal_sweep(kernel, terminal, times, axes)
+    current = GridValueField(times=times, axes=axes, values=base[0], grads=base[1])
     history = []
     status = "max-iterations"
     for _ in range(config.picard_max):
@@ -370,7 +385,7 @@ def solve_hjb_mild(H, G, m, spec, config, box=None):
             mu = m.at_time(s)
             return lambda X: H.value(X, prev.grad_at(s, X), mu)
 
-        values, grads = _mild_sweep(kernel, terminal, integrand_at, times, axes, config.tau_nodes)
+        values, grads = _mild_sweep(kernel, base, integrand_at, times, axes, config.tau_nodes)
         current = GridValueField(times=times, axes=axes, values=values, grads=grads)
         history.append(_weighted_change(times, current.grads, prev.grads))
         if history[-1] < config.picard_tol:

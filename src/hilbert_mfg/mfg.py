@@ -111,17 +111,33 @@ def drift_from_gradient(v, hamiltonian, m):
     return DriftField(fn=fn, bound=float(hamiltonian.bound_Hp), label="feedback")
 
 
-def _psi_with_value(problem, m, config, fp_seed):
+class ValueSolveStalled(RuntimeError):
+    """The inner value solve exhausted its Picard budget.  `iterations`
+    holds the outer iteration records completed before the stall."""
+
+    def __init__(self, message, iterations=()):
+        super().__init__(message)
+        self.iterations = tuple(iterations)
+
+
+def _best_response_value(problem, m, config, records=()):
+    """The value field against m, required to have converged; records are
+    the outer iterations done so far, handed on if the solve stalls."""
     v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m,
                        problem.spectrum, config)
     if v.status != "converged":
-        raise RuntimeError(
+        raise ValueSolveStalled(
             "inner value solve stalled (weighted changes: %s)"
-            % ", ".join("%.3g" % h for h in v.history)
+            % ", ".join("%.3g" % h for h in v.history),
+            iterations=records,
         )
+    return v
+
+
+def _transport(problem, v, m, config, fp_seed):
+    """m0 carried forward under the feedback drift read off v."""
     w = drift_from_gradient(v, problem.hamiltonian, m)
-    out = propagate(w, problem.m0, problem.spectrum, config.with_(seed=fp_seed))
-    return out, v
+    return propagate(w, problem.m0, problem.spectrum, config.with_(seed=fp_seed))
 
 
 def psi_map(problem, m, config, fp_seed=None):
@@ -129,8 +145,7 @@ def psi_map(problem, m, config, fp_seed=None):
     the feedback drift.  Deterministic given (config, fp_seed)."""
     _check_config(problem, config)
     seed = config.seed if fp_seed is None else fp_seed
-    path, _ = _psi_with_value(problem, m, config, seed)
-    return path
+    return _transport(problem, _best_response_value(problem, m, config), m, config, seed)
 
 
 def _distance(a, b, config, seed):
@@ -146,9 +161,12 @@ def fixed_point_iterate(problem, config, initial=None):
     iterations in a row (a single sub-tolerance step can be a noise
     fluke while the undamped residual still carries signal), otherwise
     "max-iterations" with the full diagnostic history; either way the
-    value field is re-solved against the final law path, the fixed-point
-    residual is certified by repeat best responses with fresh seeds, and
-    the moment audit runs on the final path.
+    value field is solved once against the final law path, and that one
+    solve is both the returned value field and the value behind the three
+    repeat best responses (fresh transport seeds) that certify the
+    fixed-point residual; the moment audit runs on the final path.  A
+    stalled inner value solve raises ValueSolveStalled carrying the
+    iteration records completed so far.
     """
     _check_config(problem, config)
     seed = int(config.seed)
@@ -169,8 +187,8 @@ def fixed_point_iterate(problem, config, initial=None):
     quiet = 0
     for j in range(1, config.fp_max + 1):
         t0 = time.perf_counter()
-        psi_j, _ = _psi_with_value(problem, m, config,
-                                   rng.derive_seed(seed, _TAG_ITER, j))
+        v = _best_response_value(problem, m, config, records)
+        psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
         psi_res = _distance(psi_j, m, config, rng.derive_seed(seed, _TAG_DIST, j, 0))
         m_next = mixture_paths(m, psi_j, 1.0 - theta,
                                seed=rng.derive_seed(seed, _TAG_MIX, j))
@@ -192,12 +210,10 @@ def fixed_point_iterate(problem, config, initial=None):
             status = "converged"
             break
 
-    v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m,
-                       problem.spectrum, config)
+    v = _best_response_value(problem, m, config, records)
     repeats = []
     for r in range(3):
-        psi_r, _ = _psi_with_value(problem, m, config,
-                                   rng.derive_seed(seed, _TAG_CERT, r))
+        psi_r = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
         repeats.append(_distance(psi_r, m, config,
                                  rng.derive_seed(seed, _TAG_DIST, 0, r)))
     psi_residual = float(np.mean(repeats))

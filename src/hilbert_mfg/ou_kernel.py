@@ -78,14 +78,6 @@ class OUKernel:
         self.rule = rule if rule is not None else QuadratureRule()
         self.last_tail_mass = 0.0
 
-    def _images(self, t, pts):
-        """Quadrature images e^{tA} x + sd * z for a (G, N) batch."""
-        Z, W = self.rule.tensor(self.spec.N)
-        mean = pts * semigroup_factors(self.spec, t)
-        sd = np.sqrt(covariance_diag(self.spec, t))
-        images = mean[:, None, :] + sd[None, None, :] * Z[None, :, :]
-        return images, Z, W, sd
-
     def _log_tail(self, phi, t, pts, sd):
         box = getattr(phi, "box", None)
         if box is None or np.all(sd == 0):
@@ -100,6 +92,20 @@ class OUKernel:
         if mass > 0:
             logger.debug("R_t tail mass outside box at t=%.5g: %.3e", t, mass)
 
+    def _quadrature(self, phi, t, pts):
+        """(R_t phi, D R_t phi) on a (G, N) batch from one evaluation of phi
+        at the quadrature images e^{tA} x + sd * z; the value and the
+        gradient are two reductions of the same (G, Q) table."""
+        if t <= 0:
+            raise ValueError("gradient representation is singular at t = 0; differentiate phi directly")
+        Z, W = self.rule.tensor(self.spec.N)
+        decay = semigroup_factors(self.spec, t)
+        sd = np.sqrt(covariance_diag(self.spec, t))
+        images = (pts * decay)[:, None, :] + sd[None, None, :] * Z[None, :, :]
+        self._log_tail(phi, t, pts, sd)
+        vals = np.asarray(phi(images), dtype=float)
+        return vals @ W, np.einsum("gq,q,qk->gk", vals, W, Z) * (decay / sd)
+
     def apply_Rt(self, phi, t, x):
         """[R_t phi](x) for x of shape (..., N); t = 0 returns phi(x)."""
         if t < 0:
@@ -108,26 +114,23 @@ class OUKernel:
         if t == 0.0:
             vals = np.asarray(phi(pts), dtype=float)
         else:
-            images, _, W, sd = self._images(t, pts)
-            self._log_tail(phi, t, pts, sd)
-            vals = np.asarray(phi(images), dtype=float) @ W
+            vals, _ = self._quadrature(phi, t, pts)
         if lead is True:
             return float(vals[0])
         return vals.reshape(lead)
 
     def gradient_DRt(self, phi, t, x):
         """[D R_t phi](x), shape (..., N); the representation needs t > 0."""
-        if t <= 0:
-            raise ValueError("gradient representation is singular at t = 0; differentiate phi directly")
+        return self.apply_with_gradient(phi, t, x)[1]
+
+    def apply_with_gradient(self, phi, t, x):
+        """([R_t phi](x), [D R_t phi](x)) for t > 0, bit for bit what
+        apply_Rt and gradient_DRt return, from one evaluation of phi."""
         pts, lead = _as_points(x, self.spec.N)
-        images, Z, W, sd = self._images(t, pts)
-        self._log_tail(phi, t, pts, sd)
-        vals = np.asarray(phi(images), dtype=float)
-        lam_weight = semigroup_factors(self.spec, t) / np.sqrt(covariance_diag(self.spec, t))
-        grad = np.einsum("gq,q,qk->gk", vals, W, Z) * lam_weight
+        vals, grad = self._quadrature(phi, t, pts)
         if lead is True:
-            return grad[0]
-        return grad.reshape(lead + (self.spec.N,))
+            return float(vals[0]), grad[0]
+        return vals.reshape(lead), grad.reshape(lead + (self.spec.N,))
 
     def as_field(self, phi, t):
         """R_t phi as a ScalarField (for composition and tests)."""

@@ -10,6 +10,7 @@ import pytest
 from hilbert_mfg.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     main,
     parse_run_config,
@@ -246,3 +247,36 @@ def test_parse_run_config_roundtrip(tmp_path):
     assert cfg.solver.fp_tol == pytest.approx(4e-2)
     assert cfg.solver.seed == 9
     assert cp.get("numerics", "grid_points") == "32"
+
+
+def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):
+    bad = MFG_INI.replace("fp_tol = 4e-2", "fp_tol = 4e-2\npicard_max = 1")
+    out = tmp_path / "r"
+    code = main(["solve-mfg", "--config", write_ini(tmp_path, bad), "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "stalled" in err and "internal error" not in err
+    assert (out / "config.echo").exists()
+    head = open(out / "iterations.csv").readline().strip()
+    assert head == "iteration,rho_inf_change,psi_residual,wallclock"
+
+
+@pytest.mark.parametrize("key, text", [("damping", "damping = 1.5"),
+                                       ("grid_points", "grid_points = 1")])
+def test_out_of_range_numerics_exit_2_naming_the_key(tmp_path, capsys, key, text):
+    bad = FP_INI.replace("dt = 0.1", "dt = 0.1\n" + text)
+    code = main(["solve-fp", "--config", write_ini(tmp_path, bad),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "numerics" in err and "internal error" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_duplicated_numerics_key_exits_2_naming_the_key(tmp_path, capsys):
+    bad = FP_INI.replace("dt = 0.1", "dt = 0.1\ndt = 0.2")
+    code = main(["solve-fp", "--config", write_ini(tmp_path, bad),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dt" in err and "numerics" in err and "internal error" not in err

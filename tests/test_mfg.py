@@ -234,3 +234,51 @@ def test_initial_path_must_live_on_config_mesh():
     start = propagate(DriftField.zero(1), prob.m0, prob.spectrum, other)
     with pytest.raises(ValueError):
         fixed_point_iterate(prob, CFG, initial=start)
+
+
+SMALL = CFG.with_(particles=1000, grid_points=16, tau_nodes=9, fp_max=3)
+
+
+def test_one_value_solve_per_law_path(monkeypatch):
+    # one solve per outer iteration plus one against the final path, which
+    # serves the returned field and all three certificate repeats
+    import hilbert_mfg.mfg as mfg_mod
+    from hilbert_mfg.hjb import solve_hjb_mild
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve_hjb_mild(*args, **kwargs)
+
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", counted)
+    prob = make_model("cap1d_monotone")
+    sol = fixed_point_iterate(prob, SMALL)
+    assert len(calls) == len(sol.iterations) + 1
+    assert calls[-1] is sol.m
+    fresh = solve_hjb_mild(prob.hamiltonian, prob.terminal, sol.m,
+                           prob.spectrum, SMALL)
+    assert np.array_equal(sol.v.values, fresh.values)
+    assert np.array_equal(sol.v.grads, fresh.grads)
+    assert sol.v.history == fresh.history
+
+
+def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
+    import hilbert_mfg.mfg as mfg_mod
+    from hilbert_mfg.hjb import solve_hjb_mild
+    from hilbert_mfg.mfg import ValueSolveStalled
+
+    calls = []
+
+    def stall_second(*args, **kwargs):
+        calls.append(None)
+        v = solve_hjb_mild(*args, **kwargs)
+        if len(calls) == 2:
+            v.status = "max-iterations"
+        return v
+
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_second)
+    with pytest.raises(ValueSolveStalled, match="stalled") as info:
+        fixed_point_iterate(make_model("cap1d_monotone"), SMALL)
+    assert isinstance(info.value, RuntimeError)
+    assert [r.index for r in info.value.iterations] == [1]

@@ -170,3 +170,37 @@ def test_tail_mass_logged_for_boxed_fields():
     k2 = kernel_1d()
     k2.apply_Rt(lambda y: y[..., 0], 1.0, np.array([0.0]))
     assert k2.last_tail_mass == 0.0
+
+
+def test_value_and_gradient_share_one_evaluation_bit_for_bit():
+    # on a 2-mode grid the shared evaluation equals both single reductions
+    # and the plain quadrature formulas exactly, from one call of the field
+    from hilbert_mfg.spectrum import covariance_diag, semigroup_factors
+
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.5))
+    k = OUKernel(spec, QuadratureRule(8))
+    axis = np.linspace(-3.0, 3.0, 9)
+    pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    calls = []
+
+    def phi(y):
+        calls.append(y.shape)
+        return np.tanh(y[..., 0] - 0.3 * y[..., 1]) + 0.2 * y[..., 1] ** 2
+
+    Z, W = k.rule.tensor(2)
+    for t in (0.01, 0.2, 1.0, 3.0):
+        calls.clear()
+        vals, grads = k.apply_with_gradient(phi, t, pts)
+        assert len(calls) == 1
+        assert np.array_equal(vals, k.apply_Rt(phi, t, pts))
+        assert np.array_equal(grads, k.gradient_DRt(phi, t, pts))
+        sd = np.sqrt(covariance_diag(spec, t))
+        table = phi((pts * semigroup_factors(spec, t))[:, None, :] + sd * Z[None, :, :])
+        assert np.array_equal(vals, table @ W)
+        lam_weight = semigroup_factors(spec, t) / np.sqrt(covariance_diag(spec, t))
+        assert np.array_equal(grads, np.einsum("gq,q,qk->gk", table, W, Z) * lam_weight)
+    v1, g1 = k.apply_with_gradient(phi, 0.5, pts[7])
+    assert v1 == k.apply_Rt(phi, 0.5, pts[7])
+    assert np.array_equal(g1, k.gradient_DRt(phi, 0.5, pts[7]))
+    with pytest.raises(ValueError):
+        k.apply_with_gradient(phi, 0.0, pts)
