@@ -12,148 +12,67 @@ compactness-set membership, weak-form residuals, Lasry-Lions monotonicity,
 and two-start uniqueness probes.
 """
 
-from .config import SolverConfig
-from .fp_particles import (
-    DriftField,
-    FourierTestFunction,
-    bootstrap_stderr,
-    propagate,
-    residual_audit_cases,
-    weak_form_residual,
-    weak_residual_profile,
-)
-from .hjb import (
-    GeneralHamiltonian,
-    GridValueField,
-    SeparatedHamiltonian,
-    default_box,
-    hjb_residual,
-    solve_hjb_mild,
-    solve_kolmogorov,
-    weighted_gradient_change,
-    zero_hamiltonian,
-)
-from .measures import (
-    Dirac,
-    MeasurePath,
-    ParticleMeasure,
-    ProductGaussian,
-    check_Qm0_membership,
-    mixture_paths,
-    path_from_dir,
-    path_modulus,
-    path_sup_distance,
-    path_to_dir,
-    wasserstein1,
-    wasserstein1_sliced,
-)
-from .mfg import (
-    MFGProblem,
-    MFGSolution,
-    calibrate_c0,
-    drift_from_gradient,
-    fixed_point_iterate,
-    membership_report,
-    mode_bounds,
-    moment_bound_audit,
-    psi_map,
-    uniqueness_experiment,
-)
-from .models import (
-    MODEL_NAMES,
-    CappedControlHamiltonian,
-    ConvolutionCoupling,
-    F1Coupling,
-    F2Coupling,
-    QuadraticCost,
-    assumption_check,
-    coupling_value,
-    default_pair_sampler,
-    eval_DH1,
-    eval_H1,
-    make_convolution_coupling,
-    make_model,
-    monotonicity_check,
-)
-from .ou_kernel import OUKernel, QuadratureRule
-from .rng import derive_seed, generator, normal_stream, uniform_stream
-from .spectrum import (
-    SpectrumSpec,
-    alpha_beta,
-    covariance_diag,
-    covariance_qk,
-    semigroup_factors,
-    stationary_variances,
-    validate_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SolverConfig",
-    "DriftField",
-    "FourierTestFunction",
-    "bootstrap_stderr",
-    "propagate",
-    "residual_audit_cases",
-    "weak_form_residual",
-    "weak_residual_profile",
-    "GeneralHamiltonian",
-    "GridValueField",
-    "SeparatedHamiltonian",
-    "default_box",
-    "hjb_residual",
-    "solve_hjb_mild",
-    "solve_kolmogorov",
-    "weighted_gradient_change",
-    "zero_hamiltonian",
-    "Dirac",
-    "MeasurePath",
-    "ParticleMeasure",
-    "ProductGaussian",
-    "check_Qm0_membership",
-    "mixture_paths",
-    "path_from_dir",
-    "path_modulus",
-    "path_sup_distance",
-    "path_to_dir",
-    "wasserstein1",
-    "wasserstein1_sliced",
-    "MFGProblem",
-    "MFGSolution",
-    "calibrate_c0",
-    "drift_from_gradient",
-    "fixed_point_iterate",
-    "membership_report",
-    "mode_bounds",
-    "moment_bound_audit",
-    "psi_map",
-    "uniqueness_experiment",
-    "MODEL_NAMES",
-    "CappedControlHamiltonian",
-    "ConvolutionCoupling",
-    "F1Coupling",
-    "F2Coupling",
-    "QuadraticCost",
-    "assumption_check",
-    "coupling_value",
-    "default_pair_sampler",
-    "eval_DH1",
-    "eval_H1",
-    "make_convolution_coupling",
-    "make_model",
-    "monotonicity_check",
-    "OUKernel",
-    "QuadratureRule",
-    "derive_seed",
-    "generator",
-    "normal_stream",
-    "uniform_stream",
-    "SpectrumSpec",
-    "alpha_beta",
-    "covariance_diag",
-    "covariance_qk",
-    "semigroup_factors",
-    "stationary_variances",
-    "validate_spectrum",
-]
+# Public names by defining submodule.  They resolve on first attribute
+# access (PEP 562), so importing the package, or `hilbert_mfg.cli` through
+# it, loads no numpy: the CLI's --threads cap must be exported first.
+_EXPORTS = {
+    "config": (
+        "SolverConfig",
+    ),
+    "fp_particles": (
+        "DriftField", "FourierTestFunction", "bootstrap_stderr", "propagate",
+        "residual_audit_cases", "weak_form_residual", "weak_residual_profile",
+    ),
+    "hjb": (
+        "GeneralHamiltonian", "GridValueField", "SeparatedHamiltonian",
+        "default_box", "hjb_residual", "solve_hjb_mild", "solve_kolmogorov",
+        "weighted_gradient_change", "zero_hamiltonian",
+    ),
+    "measures": (
+        "Dirac", "MeasurePath", "ParticleMeasure", "ProductGaussian",
+        "check_Qm0_membership", "mixture_paths", "path_from_dir",
+        "path_modulus", "path_sup_distance", "path_to_dir", "wasserstein1",
+        "wasserstein1_sliced",
+    ),
+    "mfg": (
+        "MFGProblem", "MFGSolution", "calibrate_c0", "drift_from_gradient",
+        "fixed_point_iterate", "membership_report", "mode_bounds",
+        "moment_bound_audit", "psi_map", "uniqueness_experiment",
+    ),
+    "models": (
+        "MODEL_NAMES", "CappedControlHamiltonian", "ConvolutionCoupling",
+        "F1Coupling", "F2Coupling", "QuadraticCost", "assumption_check",
+        "coupling_value", "default_pair_sampler", "eval_DH1", "eval_H1",
+        "make_convolution_coupling", "make_model", "monotonicity_check",
+    ),
+    "ou_kernel": (
+        "OUKernel", "QuadratureRule",
+    ),
+    "rng": (
+        "derive_seed", "generator", "normal_stream", "uniform_stream",
+    ),
+    "spectrum": (
+        "SpectrumSpec", "alpha_beta", "covariance_diag", "covariance_qk",
+        "semigroup_factors", "stationary_variances", "validate_spectrum",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

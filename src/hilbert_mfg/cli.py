@@ -128,6 +128,10 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
             raise ConfigError("[problem] eigenvalues: at most 3 modes supported")
         if any(lam >= 0 for lam in eigenvalues):
             raise ConfigError("[problem] eigenvalues: all must be negative")
+        if any(b > a for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise ConfigError("[problem] eigenvalues: must be non-increasing "
+                              "(lambda_1 >= lambda_2 >= ...), got %s"
+                              % " ".join("%g" % lam for lam in eigenvalues))
 
     m0_kind = _parse(cp, "problem", "m0", str, default="dirac")
     if m0_kind not in ("dirac", "gaussian"):
@@ -411,6 +415,7 @@ def cmd_solve_mfg(cfg, cp):
         ["certificate_budget", _fmt(budget)],
         ["certified", "yes" if sol.psi_residual < budget else "no"],
         ["audit", "pass" if sol.audit.ok else "FAIL"],
+        ["w1_method", sol.w1_method],
     ])
     if sol.status != "converged":
         print("solve-mfg: no convergence in %d iterations" % len(sol.iterations),

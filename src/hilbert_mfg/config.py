@@ -24,7 +24,7 @@ class SolverConfig:
     fp_tol: float = 1e-2        # rho_inf change stopping threshold for the fixed point
     fp_max: int = 50
     damping: float = 0.5        # theta of the damped iteration
-    exact_w1_budget: int = 512  # assignment solver cap; sliced surrogate beyond
+    exact_w1_budget: int = 512  # N >= 2 assignment cap, sliced beyond; N = 1 sorts
     sliced_projections: int = 64
     seed: int = 0
 

@@ -2,11 +2,13 @@
 functionals, and the compactness-set membership audits.
 
 Measures are equal-weight particle clouds on the first N mode coordinates.
-Exact W1 between equal-count clouds is the linear assignment problem with
-Euclidean ground cost; beyond the configured budget a sliced surrogate
-(average of 1-D sorted-coupling distances over random unit directions) is
-used and the choice is reported.  All randomized surrogates are
-deterministic functions of their seed.
+Path distances resolve W1 through one dispatcher.  On one mode the sorted
+coupling is optimal, so W1 is exact for any particle count at the cost of
+a sort.  On N >= 2 modes exact W1 between equal-count clouds is the linear
+assignment problem with Euclidean ground cost; beyond the configured budget
+a sliced surrogate (average of 1-D sorted-coupling distances over random
+unit directions) is used.  The choice is reported either way.  All
+randomized surrogates are deterministic functions of their seed.
 """
 
 import math
@@ -343,14 +345,22 @@ def check_Qm0_membership(mu, bounds, c_hat):
 
 
 def _pair_distance(mu, nu, exact_budget, projections, seed):
+    """The one W1 dispatcher: the sorted coupling on one mode, exact
+    assignment within the budget on N >= 2 modes, the sliced surrogate
+    beyond it.  Returns (distance, "exact" | "sliced")."""
+    _require_compatible(mu, nu)
+    if mu.N == 1:
+        mu, nu = _common_size(mu, nu, seed)
+        return _sorted_w1_1d(mu.points[:, 0], nu.points[:, 0]), "exact"
     if max(mu.M, nu.M) <= exact_budget:
         return wasserstein1(mu, nu, seed=seed), "exact"
     return wasserstein1_sliced(mu, nu, projections=projections, seed=seed), "sliced"
 
 
 def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0, detail=False):
-    """sup over mesh points of d_1(m1(t), m2(t)); the sliced surrogate is
-    substituted beyond the exact-solver budget and named in the detail."""
+    """sup over mesh points of d_1(m1(t), m2(t)); on N >= 2 modes the sliced
+    surrogate is substituted beyond the exact-solver budget and named in the
+    detail."""
     if len(m1.times) != len(m2.times) or not np.allclose(m1.times, m2.times):
         raise ValueError("paths live on different meshes")
     best, method = 0.0, "exact"

@@ -91,6 +91,7 @@ class MFGSolution:
     psi_residual: float
     psi_residual_stderr: float
     audit: object
+    w1_method: str  # "exact" or "sliced": how the certificate distances were taken
 
     @property
     def converged(self):
@@ -148,9 +149,10 @@ def psi_map(problem, m, config, fp_seed=None):
     return _transport(problem, _best_response_value(problem, m, config), m, config, seed)
 
 
-def _distance(a, b, config, seed):
+def _distance(a, b, config, seed, detail=False):
     return path_sup_distance(a, b, exact_budget=config.exact_w1_budget,
-                             projections=config.sliced_projections, seed=seed)
+                             projections=config.sliced_projections, seed=seed,
+                             detail=detail)
 
 
 def fixed_point_iterate(problem, config, initial=None):
@@ -214,14 +216,15 @@ def fixed_point_iterate(problem, config, initial=None):
     repeats = []
     for r in range(3):
         psi_r = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
-        repeats.append(_distance(psi_r, m, config,
-                                 rng.derive_seed(seed, _TAG_DIST, 0, r)))
+        d, w1_method = _distance(psi_r, m, config,
+                                 rng.derive_seed(seed, _TAG_DIST, 0, r), detail=True)
+        repeats.append(d)
     psi_residual = float(np.mean(repeats))
     psi_stderr = float(np.std(repeats) / math.sqrt(len(repeats)))
     audit = moment_bound_audit(problem, m, config)
     return MFGSolution(v=v, m=m, status=status, iterations=tuple(records),
                        psi_residual=psi_residual, psi_residual_stderr=psi_stderr,
-                       audit=audit)
+                       audit=audit, w1_method=w1_method)
 
 
 def mode_bounds(problem):

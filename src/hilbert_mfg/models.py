@@ -298,7 +298,6 @@ class AssumptionReport:
     lip_p_declared: float
     lip_mu_worst: float
     lip_mu_declared: float
-    hp_lip_worst: float
 
     @property
     def hp_ok(self):
@@ -326,21 +325,18 @@ def assumption_check(hamiltonian, n_modes, trials=200, seed=0):
     hp_worst = 0.0
     lip_p_worst = 0.0
     lip_mu_worst = 0.0
-    hp_lip_worst = 0.0
     for i in range(trials):
         x = g.uniform(-3.0, 3.0, (1, n_modes))
         p = g.uniform(-3.0, 3.0, (1, n_modes))
         q = g.uniform(-3.0, 3.0, (1, n_modes))
         mu1, mu2 = sampler(rng.derive_seed(seed, _TAG_CHECK, i))
-        hp1 = np.asarray(hamiltonian.grad_p(x, p, mu1), dtype=float)[0]
-        hp2 = np.asarray(hamiltonian.grad_p(x, q, mu1), dtype=float)[0]
-        hp_worst = max(hp_worst, float(np.linalg.norm(hp1)))
+        hp = np.asarray(hamiltonian.grad_p(x, p, mu1), dtype=float)[0]
+        hp_worst = max(hp_worst, float(np.linalg.norm(hp)))
         dp = float(np.linalg.norm(p - q))
         if dp > 1e-9:
             v1 = float(hamiltonian.value(x, p, mu1)[0])
             v2 = float(hamiltonian.value(x, q, mu1)[0])
             lip_p_worst = max(lip_p_worst, abs(v1 - v2) / dp)
-            hp_lip_worst = max(hp_lip_worst, float(np.linalg.norm(hp1 - hp2)) / dp)
         d1 = wasserstein1(mu1, mu2)
         if d1 > 1e-9:
             w1 = float(hamiltonian.value(x, p, mu1)[0])
@@ -353,7 +349,6 @@ def assumption_check(hamiltonian, n_modes, trials=200, seed=0):
         lip_p_declared=getattr(hamiltonian, "lip_p", None),
         lip_mu_worst=lip_mu_worst,
         lip_mu_declared=getattr(hamiltonian, "lip_mu", None),
-        hp_lip_worst=hp_lip_worst,
     )
 
 

@@ -1,12 +1,16 @@
 """Config parsing, subcommand pipelines, exit codes, artifact layout."""
 
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hilbert_mfg
 from hilbert_mfg.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -280,3 +284,58 @@ def test_duplicated_numerics_key_exits_2_naming_the_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "dt" in err and "numerics" in err and "internal error" not in err
+
+
+TINY_MFG_INI = """
+[problem]
+model = %s
+
+[numerics]
+dt = 0.5
+particles = 600
+grid_points = 8
+quad_nodes = 3
+tau_nodes = 3
+fp_max = 2
+
+[run]
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("model, method", [("cap1d_monotone", "exact"),
+                                           ("cap2d_f2", "sliced")])
+def test_summary_names_the_w1_method(tmp_path, model, method):
+    # 600 particles exceed the assignment budget: one mode still sorts exactly
+    out = tmp_path / "r"
+    code = main(["solve-mfg", "--config", write_ini(tmp_path, TINY_MFG_INI % model),
+                 "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_AUDIT)
+    rows = read_rows(out / "summary.csv")
+    assert rows[-1] == {"key": "w1_method", "value": method}
+
+
+def test_increasing_spectrum_exits_2_but_a_failed_trace_condition_runs(tmp_path, capsys):
+    bad = FP_INI.replace("eigenvalues = -1.0", "eigenvalues = -4.0 -1.0")
+    code = main(["solve-fp", "--config", write_ini(tmp_path, bad),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[problem] eigenvalues" in err and "non-increasing" in err
+    assert not (tmp_path / "r").exists()
+    # p (1 - delta) = 1 fails the trace condition; that is reported, not refused
+    ok = FP_INI.replace("eigenvalues = -1.0",
+                        "eigenvalues = -1.0 -4.0\nfamily = power 1.0 2.0\ndelta = 0.5")
+    ok = ok.replace("m0_mean = 0.0", "m0_mean = 0.0 0.0").replace("20000", "2000")
+    assert main(["solve-fp", "--config", write_ini(tmp_path, ok),
+                 "--out", str(tmp_path / "ok")]) == EXIT_OK
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads is exported inside main(); numpy must not be loaded before it
+    src = str(Path(hilbert_mfg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hilbert_mfg.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -3,6 +3,9 @@ functionals, pooling mixtures, and CSV round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import rng
 from hilbert_mfg.measures import (
@@ -243,7 +246,42 @@ def test_path_sup_distance_names_method():
     _, method = path_sup_distance(small, small, detail=True)
     assert method == "exact"
     _, method = path_sup_distance(big, big, exact_budget=512, detail=True)
+    assert method == "exact"  # one mode: the sorted coupling at any count
+    big2 = MeasurePath(times=times, measures=[cloud(gen, 600, 2), cloud(gen, 600, 2)])
+    _, method = path_sup_distance(big2, big2, exact_budget=512, detail=True)
     assert method == "sliced"
+
+
+# coordinates mix a continuum with a few repeated values, so clouds tie
+_COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.5, 0.0, 0.25, 2.0]))
+
+
+@st.composite
+def one_mode_clouds(draw):
+    """Three 1-D clouds of at most 200 points whose counts share a factor,
+    so unequal counts meet by exact lcm replication."""
+    base = draw(st.integers(1, 50))
+    return [ParticleMeasure(draw(arrays(np.float64, (base * draw(st.integers(1, 4)), 1),
+                                        elements=_COORDS)))
+            for _ in range(3)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(clouds=one_mode_clouds(), budget=st.sampled_from([1, 512]))
+def test_one_mode_path_distances_match_assignment(clouds, budget):
+    a, b, c = clouds
+    oracle = {(0, 1): wasserstein1(a, b), (0, 2): wasserstein1(a, c),
+              (1, 2): wasserstein1(b, c)}
+    first = MeasurePath(times=np.array([0.0, 1.0]), measures=[a, b])
+    second = MeasurePath(times=np.array([0.0, 1.0]), measures=[b, c])
+    sup, method = path_sup_distance(first, second, exact_budget=budget, detail=True)
+    assert method == "exact"
+    assert sup == pytest.approx(max(oracle[0, 1], oracle[1, 2]), abs=1e-12)
+    table = path_modulus(MeasurePath(times=np.array([0.0, 0.5, 1.0]), measures=clouds),
+                         exact_budget=budget)
+    assert table.method == "exact"
+    np.testing.assert_allclose(table.dists, [oracle[0, 1], oracle[0, 2], oracle[1, 2]],
+                               rtol=0, atol=1e-12)
 
 
 def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17):
