@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .tables import FLOAT_FMT
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
@@ -28,7 +30,6 @@ EXIT_AUDIT = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-_FMT = "%.17g"
 
 
 class ConfigError(Exception):
@@ -271,7 +272,7 @@ def _write_csv(path, header, rows):
 
 
 def _fmt(x):
-    return _FMT % float(x)
+    return FLOAT_FMT % float(x)
 
 
 def cmd_solve_hjb(cfg, cp):

@@ -19,22 +19,29 @@ singular at the terminal time, and every consumer (drift assembly, norms)
 uses the weighted quantity (T-t)^{1/2} Dv, with the final transport step
 reading the last available slice.
 
+Between nodes the field is read by multilinear interpolation in space and
+linear interpolation in time.  Each coordinate is clipped to the box first,
+so a point outside it reads the nearest face.  One call finds each point's
+grid cell and hat weights once and shares them across both time slices and
+every gradient component.  The corner sum follows the order of operations of
+scipy.interpolate.interpn (its compiled kernel for two modes, its generic
+one otherwise), so a read equals interpn on the clipped points bit for bit.
+
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
 sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import interpn
 
 from .ou_kernel import OUKernel, QuadratureRule
 from .spectrum import stationary_variances
-
-_FMT = "%.17g"
+from .tables import FLOAT_FMT, write_table
 
 
 def default_box(spec, m0=None, scale=6.0):
@@ -56,9 +63,53 @@ def _tensor_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _interp_scalar(axes, table, pts):
-    q = np.stack([np.clip(pts[:, k], ax[0], ax[-1]) for k, ax in enumerate(axes)], axis=-1)
-    return interpn(axes, table, q, method="linear")
+def _stencil(axes, pts):
+    """Corners of the grid cell holding each point of pts (P, N), after
+    clipping every coordinate to its axis: a list of (flat node index,
+    factors) pairs, one per corner in itertools.product order.  A corner
+    contributes value * factors[0] * factors[1] * ... to the sum.
+
+    For N = 2 the factors are the per-mode hat weights, applied one at a
+    time as interpn's compiled 2-D kernel does; for every other N they are
+    the single product 1. * w_0 * w_1 * ... that its generic kernel builds.
+    """
+    strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]])[::-1]
+    lower, pairs = 0, []
+    for ax, stride, x in zip(axes, strides, pts.T):
+        x = np.clip(x, ax[0], ax[-1])
+        # the interval ax[i] <= x < ax[i+1] (the last one closed), i.e.
+        # the count of interior nodes at or below the clipped x
+        i = np.searchsorted(ax[1:-1], x, side="right")
+        lo = ax[i]
+        y = (x - lo) / (ax[i + 1] - lo)
+        lower = lower + i * stride
+        pairs.append(((0, 1 - y), (stride, y)))
+    corners = []
+    for corner in itertools.product(*pairs):
+        offsets, weights = zip(*corner)
+        if len(axes) != 2:
+            weight = 1.
+            for w in weights:
+                weight = weight * w
+            weights = (weight,)
+        corners.append((lower + sum(offsets), weights))
+    return corners
+
+
+def _interp(stencil, table):
+    """Multilinear interpolation of a (*grid, C) table at the stencil's
+    points, shape (P, C); each column is summed from 0. corner by corner,
+    as interpn sums."""
+    columns = []
+    for col in np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T):
+        acc = 0.
+        for flat, weights in stencil:
+            term = np.take(col, flat)
+            for w in weights:
+                term = term * w
+            acc = acc + term
+        columns.append(acc)
+    return np.stack(columns, axis=-1)
 
 
 @dataclass
@@ -115,6 +166,8 @@ class GridValueField:
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.n_modes:
             raise ValueError("points have %d modes, field has %d" % (X.shape[-1], self.n_modes))
+        if np.isnan(X).any():
+            raise ValueError("points contain NaN")
         lead = X.shape[:-1]
         return X.reshape(-1, self.n_modes), lead
 
@@ -128,32 +181,25 @@ class GridValueField:
     def value_at(self, t, X):
         pts, lead = self._flat(X)
         j, w = self._bracket(t)
-        lo = _interp_scalar(self.axes, self.values[j], pts)
+        stencil = _stencil(self.axes, pts)
+        out = _interp(stencil, self.values[j][..., None])
         if w > 1e-12:
-            hi = _interp_scalar(self.axes, self.values[j + 1], pts)
-            lo = (1.0 - w) * lo + w * hi
-        return lo.reshape(lead) if lead else float(lo[0])
+            out = (1.0 - w) * out + w * _interp(stencil, self.values[j + 1][..., None])
+        return out[:, 0].reshape(lead) if lead else float(out[0, 0])
 
     def grad_at(self, t, X):
         """Dv at time t; beyond the last stored slice the terminal-layer
         convention applies and the last slice is returned."""
         pts, lead = self._flat(X)
         j, w = self._bracket(t)
+        stencil = _stencil(self.axes, pts)
         last = len(self.grads) - 1
-
-        def slice_at(i):
-            g = self.grads[i]
-            return np.stack(
-                [_interp_scalar(self.axes, g[..., k], pts) for k in range(self.n_modes)],
-                axis=-1,
-            )
-
         if j >= last:
-            out = slice_at(last)
+            out = _interp(stencil, self.grads[last])
         else:
-            out = slice_at(j)
+            out = _interp(stencil, self.grads[j])
             if w > 1e-12:
-                out = (1.0 - w) * out + w * slice_at(j + 1)
+                out = (1.0 - w) * out + w * _interp(stencil, self.grads[j + 1])
         return out.reshape(lead + (self.n_modes,)) if lead else out[0]
 
     def to_dir(self, path, extra=None):
@@ -162,18 +208,12 @@ class GridValueField:
         (diagnostics computed by the caller) append to the metadata."""
         d = Path(path)
         d.mkdir(parents=True, exist_ok=True)
-        np.savetxt(d / "times.csv", self.times, fmt=_FMT, header="t", comments="")
+        write_table(d / "times.csv", "t", self.times)
         lengths = {len(a) for a in self.axes}
         if len(lengths) != 1:
             raise ValueError("serialization requires equal per-mode resolutions")
-        np.savetxt(
-            d / "axes.csv",
-            np.stack(self.axes, axis=-1),
-            fmt=_FMT,
-            delimiter=",",
-            header=",".join("mode_%d" % (k + 1) for k in range(self.n_modes)),
-            comments="",
-        )
+        write_table(d / "axes.csv", ",".join("mode_%d" % (k + 1) for k in range(self.n_modes)),
+                    np.stack(self.axes, axis=-1))
         pts = _tensor_points(self.axes)
         coord_names = ["x_%d" % (k + 1) for k in range(self.n_modes)]
         grad_names = ["dv_%d" % (k + 1) for k in range(self.n_modes)]
@@ -183,23 +223,16 @@ class GridValueField:
             if j < len(self.grads):
                 cols.append(self.grads[j].reshape(-1, self.n_modes))
                 names += grad_names
-            np.savetxt(
-                d / ("v_%04d.csv" % j),
-                np.hstack(cols),
-                fmt=_FMT,
-                delimiter=",",
-                header=",".join(names),
-                comments="",
-            )
+            write_table(d / ("v_%04d.csv" % j), ",".join(names), np.hstack(cols))
         with open(d / "metadata.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["key", "value"])
             w.writerow(["status", self.status])
-            w.writerow(["sup_norm", _FMT % self.sup_norm])
-            w.writerow(["weighted_gradient_norm", _FMT % self.weighted_gradient_norm])
-            w.writerow(["history", "|".join(_FMT % h for h in self.history)])
+            w.writerow(["sup_norm", FLOAT_FMT % self.sup_norm])
+            w.writerow(["weighted_gradient_norm", FLOAT_FMT % self.weighted_gradient_norm])
+            w.writerow(["history", "|".join(FLOAT_FMT % h for h in self.history)])
             for key, value in (extra or {}).items():
-                w.writerow([key, _FMT % value if isinstance(value, float) else str(value)])
+                w.writerow([key, FLOAT_FMT % value if isinstance(value, float) else str(value)])
 
     @classmethod
     def from_dir(cls, path):

@@ -20,6 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import rng
+from .tables import write_table
 
 # Resampling cap when reconciling unequal particle counts to a common size.
 _COMMON_SIZE_CAP = 4096
@@ -277,14 +278,6 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     return float(np.mean(np.abs(pa - pb)))
 
 
-def mode_second_moment(mu, k):
-    return mu.mode_second_moment(k)
-
-
-def norm_fourth_moment(mu):
-    return mu.norm_fourth_moment()
-
-
 # ---------------------------------------------------------------------------
 # Membership audits
 
@@ -447,13 +440,8 @@ def mixture_paths(path_a, path_b, lam, seed=0):
 # CSV serialization
 
 
-def _float_fmt():
-    return "%.17g"
-
-
 def measure_to_csv(mu, path):
-    header = ",".join("mode_%d" % (k + 1) for k in range(mu.N))
-    np.savetxt(path, mu.points, fmt=_float_fmt(), delimiter=",", header=header, comments="")
+    write_table(path, ",".join("mode_%d" % (k + 1) for k in range(mu.N)), mu.points)
 
 
 def measure_from_csv(path):
@@ -463,14 +451,7 @@ def measure_from_csv(path):
 
 def path_to_dir(path_obj, dirpath):
     os.makedirs(dirpath, exist_ok=True)
-    np.savetxt(
-        os.path.join(dirpath, "times.csv"),
-        path_obj.times[:, None],
-        fmt=_float_fmt(),
-        delimiter=",",
-        header="t",
-        comments="",
-    )
+    write_table(os.path.join(dirpath, "times.csv"), "t", path_obj.times)
     for j, mu in enumerate(path_obj.measures):
         measure_to_csv(mu, os.path.join(dirpath, "m_%04d.csv" % j))
 

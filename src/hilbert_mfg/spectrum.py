@@ -103,14 +103,6 @@ def validate_spectrum(spec):
     return ValidationReport(ok=not violations, violations=violations, trace_condition=trace)
 
 
-def semigroup_factor(spec, k, t):
-    """e^{lambda_k t} for 1-based mode k, t >= 0."""
-    i = spec.require_mode(k)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(np.exp(spec.eigenvalues[i] * t))
-
-
 def covariance_qk(spec, k, t):
     """OU covariance q_k(t) = (1 - e^{2 lambda_k t}) / (2 |lambda_k|).
 

@@ -7,15 +7,27 @@ values, and the defining integral identity re-evaluated with a finer
 quadrature.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import interpn
 
+import hilbert_mfg
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import DriftField, propagate
 from hilbert_mfg.hjb import (
     GeneralHamiltonian,
     GridValueField,
     SeparatedHamiltonian,
+    _interp,
+    _stencil,
     default_box,
     hjb_residual,
     solve_hjb_mild,
@@ -282,3 +294,80 @@ def test_separated_hamiltonian_composes_h0_minus_coupling():
     want = P[:, 0] ** 2 / (1 + P[:, 0] ** 2) - np.tanh(X[:, 0]) * 1.0
     assert np.allclose(sep.value(X, P, mu), want, atol=1e-14)
     assert sep.grad_p(X, P, mu).shape == (2, 1)
+
+
+@st.composite
+def grid_tables(draw):
+    """A (*grid, C) table on a tensor grid of 1 to 3 modes with unequal
+    per-mode resolutions, and points off the box, on nodes and on the
+    upper and lower edges."""
+    n = draw(st.integers(1, 3))
+    axes = tuple(np.linspace(-draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)),
+                             draw(st.integers(2, 6))) for _ in range(n))
+    shape = tuple(len(ax) for ax in axes) + (draw(st.integers(1, 3)),)
+    table = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, 1e-300]))))
+    free = draw(arrays(np.float64, (draw(st.integers(1, 8)), n), elements=st.floats(-5.0, 5.0)))
+    nodes = [[ax[min(i, len(ax) - 1)] for ax in axes] for i in range(max(shape[:-1]))]
+    edges = [[ax[-1] for ax in axes], [ax[0] for ax in axes]]
+    return axes, table, np.vstack([free, nodes, edges])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=grid_tables())
+def test_interpolation_kernel_is_interpn_bit_for_bit(case):
+    axes, table, pts = case
+    clipped = np.stack([np.clip(pts[:, k], ax[0], ax[-1]) for k, ax in enumerate(axes)], -1)
+    want = np.stack([interpn(axes, table[..., c], clipped, method="linear")
+                     for c in range(table.shape[-1])], axis=-1)
+    got = _interp(_stencil(axes, pts), table)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_field_reads_match_the_per_slice_interpn_formula():
+    """value_at and grad_at between slices, on a slice and past the last
+    gradient slice equal one interpn call per slice and component, mixed
+    in time as (1 - w) lo + w hi."""
+    gen = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, 5)
+    axes = (np.linspace(-2.0, 2.0, 7), np.linspace(-1.5, 1.5, 5))
+    field = GridValueField(times=times, axes=axes, values=gen.normal(size=(5, 7, 5)),
+                           grads=gen.normal(size=(4, 7, 5, 2)))
+    X = gen.uniform(-3.0, 3.0, size=(3, 4, 2))
+    pts = X.reshape(-1, 2)
+    clipped = np.stack([np.clip(pts[:, k], ax[0], ax[-1]) for k, ax in enumerate(axes)], -1)
+
+    def old(table):
+        if table.ndim == 2:
+            return interpn(axes, table, clipped, method="linear")
+        return np.stack([interpn(axes, table[..., k], clipped, method="linear")
+                         for k in range(2)], axis=-1)
+
+    for t in (0.0, 0.1, 0.5, 0.6, 0.8, 0.9, 1.0):
+        j = min(int(t / 0.25), 3)
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        v = old(field.values[j])
+        if w > 1e-12:
+            v = (1.0 - w) * v + w * old(field.values[j + 1])
+        assert np.array_equal(field.value_at(t, X), v.reshape(3, 4))
+        if j >= 3:
+            g = old(field.grads[3])
+        else:
+            g = old(field.grads[j])
+            if w > 1e-12:
+                g = (1.0 - w) * g + w * old(field.grads[j + 1])
+        assert np.array_equal(field.grad_at(t, X), g.reshape(3, 4, 2))
+        assert field.value_at(t, X[0, 0]) == v[0]
+        assert np.array_equal(field.grad_at(t, X[0, 0]), g[0])
+    with pytest.raises(ValueError, match="NaN"):
+        field.grad_at(0.3, np.array([0.0, np.nan]))
+
+
+def test_importing_the_value_solver_loads_no_scipy_interpolate():
+    src = str(Path(hilbert_mfg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hilbert_mfg.hjb; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

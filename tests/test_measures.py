@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import rng
+from hilbert_mfg.tables import write_table
 from hilbert_mfg.measures import (
     Dirac,
     Empirical,
@@ -19,8 +20,6 @@ from hilbert_mfg.measures import (
     measure_to_csv,
     mixture_measures,
     mixture_paths,
-    mode_second_moment,
-    norm_fourth_moment,
     path_from_dir,
     path_modulus,
     path_sup_distance,
@@ -130,20 +129,20 @@ def test_sliced_equals_sorted_w1_in_1d():
 
 def test_moments_trivial_cases():
     delta0 = ParticleMeasure([[0.0, 0.0]])
-    assert mode_second_moment(delta0, 1) == 0.0
-    assert norm_fourth_moment(delta0) == 0.0
+    assert delta0.mode_second_moment(1) == 0.0
+    assert delta0.norm_fourth_moment() == 0.0
     two = ParticleMeasure([[1.0], [-1.0]])
-    assert mode_second_moment(two, 1) == 1.0
-    assert norm_fourth_moment(two) == 1.0
+    assert two.mode_second_moment(1) == 1.0
+    assert two.norm_fourth_moment() == 1.0
     with pytest.raises(IndexError):
-        mode_second_moment(two, 2)
+        two.mode_second_moment(2)
 
 
 def test_moments_gaussian_sample():
     m0 = ProductGaussian(mean=[0.0], var=[1.0])
     M = 100_000
     mu = ParticleMeasure(m0.sample(M, seed=314))
-    assert mode_second_moment(mu, 1) == pytest.approx(1.0, abs=3.0 * np.sqrt(2.0 / M))
+    assert mu.mode_second_moment(1) == pytest.approx(1.0, abs=3.0 * np.sqrt(2.0 / M))
 
 
 def test_product_gaussian_fourth_moment_closed_form():
@@ -388,6 +387,20 @@ def test_measure_csv_roundtrip(tmp_path):
     assert header == "mode_1,mode_2,mode_3"
     back = measure_from_csv(f)
     assert np.array_equal(back.points, mu.points)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([0.1, -0.0, 1e-300, 1e300, -2.5]),
+    np.array([[1.0, -0.0, 1e-300]]),
+    np.array([[1e300, -1e-300], [0.1, 1.0 / 3.0], [-0.0, 2.0 ** -1074]]),
+    np.random.default_rng(3).standard_normal((40, 3)),
+], ids=["1d", "one-row", "extremes", "random"])
+def test_write_table_bytes_equal_savetxt(tmp_path, table):
+    header = ",".join("c%d" % k for k in range(1 if table.ndim == 1 else table.shape[1]))
+    write_table(tmp_path / "fast.csv", header, table)
+    np.savetxt(tmp_path / "slow.csv", table, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_path_dir_roundtrip(tmp_path):

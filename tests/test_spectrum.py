@@ -10,7 +10,6 @@ from hilbert_mfg.spectrum import (
     alpha_beta,
     covariance_diag,
     covariance_qk,
-    semigroup_factor,
     semigroup_factors,
     validate_spectrum,
 )
@@ -51,24 +50,24 @@ def test_raw_list_trace_not_declared():
 
 def test_semigroup_factor_values():
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0))
-    assert semigroup_factor(spec, 1, 0.0) == 1.0
-    assert semigroup_factor(spec, 1, 1.0) == pytest.approx(0.36787944117144233, rel=1e-12)
-    assert semigroup_factor(spec, 2, 0.5) == pytest.approx(0.36787944117144233, rel=1e-12)
+    assert np.array_equal(semigroup_factors(spec, 0.0), [1.0, 1.0])
+    assert semigroup_factors(spec, 1.0)[0] == pytest.approx(0.36787944117144233, rel=1e-12)
+    assert semigroup_factors(spec, 0.5)[1] == pytest.approx(0.36787944117144233, rel=1e-12)
 
 
 def test_semigroup_law():
     spec = SpectrumSpec(eigenvalues=(-0.7, -2.3))
     for s, t in [(0.1, 0.2), (1.0, 2.5), (0.0, 3.0)]:
-        for k in (1, 2):
-            assert semigroup_factor(spec, k, s + t) == pytest.approx(
-                semigroup_factor(spec, k, s) * semigroup_factor(spec, k, t), rel=1e-14
-            )
+        np.testing.assert_allclose(
+            semigroup_factors(spec, s + t),
+            semigroup_factors(spec, s) * semigroup_factors(spec, t), rtol=1e-14, atol=0
+        )
 
 
 def test_mode_index_out_of_range():
     spec = SpectrumSpec(eigenvalues=(-1.0,))
     with pytest.raises(IndexError):
-        semigroup_factor(spec, 2, 1.0)
+        covariance_qk(spec, 2, 1.0)
     with pytest.raises(IndexError):
         covariance_qk(spec, 0, 1.0)
 
@@ -114,7 +113,5 @@ def test_alpha_beta():
 def test_vectorized_forms_match_scalar_ops():
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.5))
     t = 0.37
-    assert np.allclose(
-        semigroup_factors(spec, t), [semigroup_factor(spec, k, t) for k in (1, 2, 3)]
-    )
+    assert np.allclose(semigroup_factors(spec, t), np.exp(np.array([-1.0, -2.0, -3.5]) * t))
     assert np.allclose(covariance_diag(spec, t), [covariance_qk(spec, k, t) for k in (1, 2, 3)])
