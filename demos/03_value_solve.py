@@ -10,7 +10,6 @@ import numpy as np
 
 from hilbert_mfg import (
     MeasurePath,
-    ParticleMeasure,
     SolverConfig,
     SpectrumSpec,
     covariance_qk,
@@ -41,8 +40,7 @@ print("Kolmogorov solve, max error vs closed form at t=0.4:",
 # point mass so this file stays a pure HJB demo.
 problem = make_model("cap1d_monotone")
 times = np.arange(0.0, 1.0 + 1e-12, config.dt)
-flow = MeasurePath(times, [ParticleMeasure(np.array([[0.3 * np.exp(-t)]]))
-                           for t in times])
+flow = MeasurePath(times, [[[0.3 * np.exp(-t)]] for t in times])
 
 v = solve_hjb_mild(problem.hamiltonian, problem.terminal, flow, spec, config)
 print("Picard status:", v.status, "after", len(v.history), "sweeps")

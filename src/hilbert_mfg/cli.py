@@ -275,13 +275,30 @@ def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
+def _saved_path(source, spec, mesh):
+    """solve-hjb's saved measure path, loaded and checked against the mesh
+    and the spectrum before any run directory exists."""
+    import numpy as np
+    from .measures import path_from_dir
+    try:
+        m = path_from_dir(source)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("[problem] measure_source: cannot read %s: %s" % (source, exc))
+    if len(m.times) != len(mesh) or not np.allclose(m.times, mesh):
+        raise ConfigError("[problem] measure_source: %s is not on the config mesh "
+                          "(%d times from 0 to %g)" % (source, len(mesh), mesh[-1]))
+    if m.N != spec.N:
+        raise ConfigError("[problem] measure_source: %s has %d modes, the spectrum %d"
+                          % (source, m.N, spec.N))
+    return m
+
+
 def cmd_solve_hjb(cfg, cp):
     """Mild value solve against a frozen measure path; artifacts: the value
     field directory (residual in its metadata) and the sweep history."""
     import numpy as np
     from .fp_particles import DriftField, propagate
     from .hjb import default_box, hjb_residual, solve_hjb_mild, zero_hamiltonian
-    from .measures import path_from_dir
 
     if cfg.hamiltonian == "model":
         prob = cfg.problem()
@@ -296,7 +313,7 @@ def cmd_solve_hjb(cfg, cp):
     if cfg.measure_source == "zero-drift":
         m = propagate(DriftField.zero(spec.N), m0, spec, cfg.solver)
     else:
-        m = path_from_dir(cfg.measure_source)
+        m = _saved_path(cfg.measure_source, spec, cfg.solver.mesh())
 
     d = _make_run_dir(cfg, cp)
     v = solve_hjb_mild(ham, terminal, m, spec, cfg.solver)
@@ -326,7 +343,7 @@ def cmd_solve_fp(cfg, cp):
     import numpy as np
     from .fp_particles import (FourierTestFunction, bootstrap_stderr, propagate,
                                weak_residual_profile)
-    from .measures import path_to_dir
+    from .measures import moments, path_to_dir
     from .spectrum import covariance_qk
 
     spec = _spectrum_from(cfg) if cfg.model is None else cfg.problem().spectrum
@@ -337,14 +354,10 @@ def cmd_solve_fp(cfg, cp):
     m = propagate(w, m0, spec, cfg.solver)
     path_to_dir(m, d / "m")
 
-    rows = []
-    for j, t in enumerate(m.times):
-        mu = m.measures[j]
-        for k in range(1, spec.N + 1):
-            xsq = mu.points[:, k - 1] ** 2
-            stderr3 = 3.0 * float(np.std(xsq) / np.sqrt(mu.M))
-            rows.append([_fmt(t), k, _fmt(mu.mode_second_moment(k)),
-                         _fmt(covariance_qk(spec, k, t)), _fmt(stderr3)])
+    mom = moments(m.points)
+    rows = [[_fmt(t), k + 1, _fmt(mom.second[j, k]), _fmt(covariance_qk(spec, k + 1, t)),
+             _fmt(3.0 * float(mom.second_stderr[j, k]))]
+            for j, t in enumerate(m.times) for k in range(spec.N)]
     _write_csv(d / "moments.csv",
                ["time", "mode", "second_moment", "ou_variance", "stderr3"], rows)
 

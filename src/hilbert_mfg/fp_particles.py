@@ -19,6 +19,10 @@ reserved for the initial sample; step j reads M*N normals from the
 4-aligned block 1+j ordered particle-major, mode-minor, so the draw for
 (particle i, step j, mode k) is a pure function of (seed, i, j, k).
 
+propagate writes the whole path into one preallocated (J+1, M, N) array,
+each step straight into its time slice, and returns it as a read-only
+MeasurePath: row i of every slice is particle i's trajectory.
+
 weak_form_residual audits the defining weak identity of the law path
 directly: for test functions phi in the Fourier class,
 
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .measures import Dirac, MeasurePath, ParticleMeasure, ProductGaussian
+from .measures import Dirac, MeasurePath, ProductGaussian
 from .spectrum import SpectrumSpec, covariance_diag, semigroup_factors
 
 _TAG_BOOTSTRAP = 0xB5
@@ -133,20 +137,22 @@ def propagate(w, m0, spec, config):
     if m0.n_modes != N:
         raise ValueError("initial law has %d modes, spectrum has %d" % (m0.n_modes, N))
     seed = int(config.seed)
-    X = np.asarray(m0.sample(M, seed), dtype=float)
+    points = np.empty((len(mesh), M, N))
+    points[0] = m0.sample(M, seed)
     block = rng.aligned(M * N)
-    measures = [ParticleMeasure(X.copy())]
     for j in range(len(mesh) - 1):
         t, h = mesh[j], mesh[j + 1] - mesh[j]
         growth = semigroup_factors(spec, h)
         drift_factor = (1.0 - growth) / np.abs(spec.lam)
         sd = np.sqrt(covariance_diag(spec, h))
         zeta = rng.normal_stream(seed, block * (1 + j), block)[: M * N].reshape(M, N)
-        X = growth * X + w(t, X) * drift_factor + sd * zeta
-        if not np.all(np.isfinite(X)):
+        X, nxt = points[j], points[j + 1]
+        np.multiply(growth, X, out=nxt)
+        nxt += w(t, X) * drift_factor
+        nxt += sd * zeta
+        if not np.all(np.isfinite(nxt)):
             raise FloatingPointError("non-finite coordinate produced at step %d" % j)
-        measures.append(ParticleMeasure(X.copy()))
-    return MeasurePath(times=mesh, measures=measures)
+    return MeasurePath(times=mesh, points=points)
 
 
 def _mesh_index(path, t):
@@ -160,18 +166,17 @@ def weak_residual_profile(path, w, phi, t, spec):
     """Per-particle contributions R_i to the weak-form residual at time t.
 
     The residual is mean(R_i); the spread of the R_i feeds the bootstrap
-    error bar.  Requires the path to carry per-particle trajectories (equal
-    M at every mesh point, which propagate guarantees).
+    error bar.  Reads particle i's trajectory as row i of every mesh time,
+    which is what propagate writes.
     """
     jt = _mesh_index(path, t)
     times = path.times[: jt + 1]
-    X_end = path.measures[jt].points
-    X_0 = path.measures[0].points
-    boundary = phi.value(t, X_end) - phi.value(0.0, X_0)
+    X_0 = path.points[0]
+    boundary = phi.value(t, path.points[jt]) - phi.value(0.0, X_0)
     integrand = np.empty((X_0.shape[0], jt + 1))
     for j in range(jt + 1):
         s = path.times[j]
-        X = path.measures[j].points
+        X = path.points[j]
         integrand[:, j] = (
             phi.dt(s, X)
             + phi.l0(spec, s, X)

@@ -2,6 +2,11 @@
 functionals, and the compactness-set membership audits.
 
 Measures are equal-weight particle clouds on the first N mode coordinates.
+A law path is one read-only (J+1, M, N) array over the time mesh, with one
+particle count for the whole path; its per-time measures are views into
+that array.  Every moment audit reads one routine, `moments`, which takes
+any (..., M, N) stack of clouds.
+
 Path distances resolve W1 through one dispatcher.  On one mode the sorted
 coupling is optimal, so W1 is exact for any particle count at the cost of
 a sort.  On N >= 2 modes exact W1 between equal-count clouds is the linear
@@ -35,7 +40,8 @@ _TAG_PAIRS = 0x9A
 
 @dataclass
 class ParticleMeasure:
-    """Equal-weight cloud of M points on N mode coordinates."""
+    """Equal-weight cloud of M points on N mode coordinates.  A read-only
+    array (a time slice of a MeasurePath) is shared, a writable one copied."""
 
     points: np.ndarray
 
@@ -45,8 +51,9 @@ class ParticleMeasure:
             raise ValueError("empty measure")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinate in measure")
-        pts = pts.copy()
-        pts.flags.writeable = False
+        if pts.flags.writeable:
+            pts = pts.copy()
+            pts.flags.writeable = False
         self.points = pts
 
     @property
@@ -61,51 +68,84 @@ class ParticleMeasure:
         """(1/M) sum_i <x_i, e_k>^2 for 1-based mode k."""
         if not 1 <= k <= self.N:
             raise IndexError("mode index %d out of range 1..%d" % (k, self.N))
-        return float(np.mean(self.points[:, k - 1] ** 2))
+        return float(moments(self.points).second[k - 1])
 
     def norm_fourth_moment(self):
         """(1/M) sum_i |x_i|^4."""
-        return float(np.mean(np.sum(self.points ** 2, axis=1) ** 2))
-
-    def second_moments(self):
-        return np.mean(self.points ** 2, axis=0)
-
-    def mean(self):
-        return np.mean(self.points, axis=0)
+        return float(moments(self.points).fourth)
 
 
 @dataclass
 class MeasurePath:
-    """Time-indexed path of particle measures on a shared mesh over [0, T]."""
+    """Law path on a mesh over [0, T]: one read-only (J+1, M, N) array of
+    particle positions, the same M particles at every mesh time.
+
+    A C-contiguous float array is taken without a copy and marked read-only;
+    `measures` holds one ParticleMeasure view per mesh time, checked once
+    here, so `at_time` neither copies nor checks.
+    """
 
     times: np.ndarray
-    measures: list
+    points: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.measures):
-            raise ValueError("times and measures must align")
+        t = np.array(self.times, dtype=float)
+        pts = np.ascontiguousarray(self.points, dtype=float)
+        if pts.ndim != 3 or t.ndim != 1 or len(t) != len(pts):
+            raise ValueError("points must be a (J+1, M, N) array aligned with the times")
         if len(t) < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
-        n_modes = {m.N for m in self.measures}
-        if len(n_modes) != 1:
-            raise ValueError("all measures on a path must share the mode count")
-        self.times = t
+        t.flags.writeable = False
+        pts.flags.writeable = False
+        self.times, self.points = t, pts
+        self.measures = tuple(ParticleMeasure(x) for x in pts)
+
+    @property
+    def M(self):
+        return self.points.shape[1]
 
     @property
     def N(self):
-        return self.measures[0].N
-
-    @property
-    def horizon(self):
-        return float(self.times[-1])
+        return self.points.shape[2]
 
     def at_time(self, t):
         """Measure at the mesh point nearest to t."""
         return self.measures[int(np.argmin(np.abs(self.times - t)))]
 
-    def __len__(self):
-        return len(self.measures)
+
+@dataclass(frozen=True)
+class Moments:
+    """Moments of the clouds in an (..., M, N) array: per cloud and mode the
+    mean of x_k^2, per cloud the mean of |x|^4, each with the standard
+    error std / sqrt(M)."""
+
+    second: np.ndarray          # (..., N)
+    second_stderr: np.ndarray   # (..., N)
+    fourth: np.ndarray          # (...)
+    fourth_stderr: np.ndarray   # (...)
+
+
+def moments(points):
+    """The one moment routine every audit reads.
+
+    Each mean and std reduces a contiguous particle axis, so every entry
+    equals the 1-D formula on one cloud and one mode, `(x[:, k]**2).mean()`
+    and `.std() / sqrt(M)`, bit for bit (a strided reduction over the
+    particle axis sums in another order).  Clouds are reduced one at a
+    time, which keeps the temporaries at the size of one cloud.
+    """
+    pts = np.asarray(points, dtype=float)
+    lead, (M, N) = pts.shape[:-2], pts.shape[-2:]
+    root_m = math.sqrt(M)
+    second, second_stderr = np.empty(lead + (N,)), np.empty(lead + (N,))
+    fourth, fourth_stderr = np.empty(lead), np.empty(lead)
+    for i in np.ndindex(lead):
+        sq = np.square(pts[i].T, order="C")  # (N, M)
+        second[i], second_stderr[i] = sq.mean(axis=-1), sq.std(axis=-1) / root_m
+        norm4 = sq.sum(axis=0) ** 2  # modes summed in order, as np.sum(x**2, axis=-1)
+        fourth[i], fourth_stderr[i] = norm4.mean(), norm4.std() / root_m
+    return Moments(second=second, second_stderr=second_stderr,
+                   fourth=fourth, fourth_stderr=fourth_stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -180,43 +220,6 @@ class ProductGaussian:
         n = M * self.n_modes
         z = rng.normal_stream(seed, 0, rng.aligned(n))[:n].reshape(M, self.n_modes)
         return self.mean + np.sqrt(self.var) * z
-
-
-@dataclass
-class Empirical:
-    """Initial law given by a sample; moments are the sample moments."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("empty initial sample")
-        self.points = pts
-
-    @property
-    def n_modes(self):
-        return self.points.shape[1]
-
-    exact = False
-
-    def mode_second_moment(self, k):
-        if not 1 <= k <= self.n_modes:
-            raise IndexError("mode index %d out of range 1..%d" % (k, self.n_modes))
-        return float(np.mean(self.points[:, k - 1] ** 2))
-
-    def norm_fourth_moment(self):
-        return float(np.mean(np.sum(self.points ** 2, axis=1) ** 2))
-
-    def sample(self, M, seed):
-        if M < 1:
-            raise ValueError("empty sample requested")
-        M = int(M)
-        if M == len(self.points):
-            return self.points.copy()
-        u = rng.uniform_stream(seed, 0, rng.aligned(M))[:M]
-        idx = np.minimum((u * len(self.points)).astype(int), len(self.points) - 1)
-        return self.points[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +315,15 @@ def check_Qm0_membership(mu, bounds, c_hat):
     if len(bounds) < mu.N:
         raise ValueError("need a bound for each of the %d modes" % mu.N)
     bounds = bounds[: mu.N]
-    sq = mu.points ** 2
-    observed = sq.mean(axis=0)
-    stderr = sq.std(axis=0) / math.sqrt(mu.M)
-    norm4 = np.sum(sq, axis=1) ** 2
-    f_obs = float(norm4.mean())
-    f_err = float(norm4.std()) / math.sqrt(mu.M)
+    mom = moments(mu.points)
+    f_obs, f_err = float(mom.fourth), float(mom.fourth_stderr)
     return MembershipReport(
         modes=np.arange(1, mu.N + 1),
-        observed=observed,
-        stderr=stderr,
+        observed=mom.second,
+        stderr=mom.second_stderr,
         bound=bounds,
-        raw_pass=observed <= bounds,
-        slack_pass=observed <= bounds + 3.0 * stderr,
+        raw_pass=mom.second <= bounds,
+        slack_pass=mom.second <= bounds + 3.0 * mom.second_stderr,
         fourth_observed=f_obs,
         fourth_stderr=f_err,
         fourth_bound=float(c_hat),
@@ -410,30 +409,17 @@ def _pool_indices(M, lam, seed):
     return perm_a[:k], perm_b[: M - k]
 
 
-def mixture_measures(mu_a, mu_b, lam, seed=0):
-    """lam*mu_a + (1-lam)*mu_b realized by pooling ceil(lam*M) particles from
-    mu_a and the rest from mu_b, chosen by seeded shuffle."""
-    _require_compatible(mu_a, mu_b)
-    if mu_a.M != mu_b.M:
-        raise ValueError("pooling requires equal particle counts")
-    ia, ib = _pool_indices(mu_a.M, lam, seed)
-    return ParticleMeasure(np.vstack([mu_a.points[ia], mu_b.points[ib]]))
-
-
 def mixture_paths(path_a, path_b, lam, seed=0):
     """Poolwise mixture of two paths; one index selection is reused across
     all mesh times so pooled trajectories stay time-coherent."""
     if not np.allclose(path_a.times, path_b.times):
         raise ValueError("paths live on different meshes")
-    M = path_a.measures[0].M
-    if M != path_b.measures[0].M:
+    M = path_a.M
+    if M != path_b.M:
         raise ValueError("pooling requires equal particle counts")
     ia, ib = _pool_indices(M, lam, seed)
-    measures = [
-        ParticleMeasure(np.vstack([a.points[ia], b.points[ib]]))
-        for a, b in zip(path_a.measures, path_b.measures)
-    ]
-    return MeasurePath(times=path_a.times.copy(), measures=measures)
+    points = np.concatenate([path_a.points[:, ia], path_b.points[:, ib]], axis=1)
+    return MeasurePath(times=path_a.times, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +444,8 @@ def path_to_dir(path_obj, dirpath):
 
 def path_from_dir(dirpath):
     times = np.loadtxt(os.path.join(dirpath, "times.csv"), delimiter=",", skiprows=1, ndmin=1)
-    measures = [
-        measure_from_csv(os.path.join(dirpath, "m_%04d.csv" % j)) for j in range(len(times))
-    ]
-    return MeasurePath(times=times, measures=measures)
+    clouds = [measure_from_csv(os.path.join(dirpath, "m_%04d.csv" % j)).points
+              for j in range(len(times))]
+    if len({c.shape for c in clouds}) > 1:
+        raise ValueError("particle or mode count varies over time")
+    return MeasurePath(times=times, points=np.stack(clouds))

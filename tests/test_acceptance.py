@@ -212,8 +212,7 @@ def test_criterion_07_hjb_picard_convergence():
 
     def dirac_flow(cfg):
         ts = cfg.mesh()
-        return MeasurePath(times=ts, measures=[
-            ParticleMeasure([[0.3 * np.exp(-t)]]) for t in ts])
+        return MeasurePath(times=ts, points=[[[0.3 * np.exp(-t)]] for t in ts])
 
     base = SolverConfig(dt=0.1, grid_points=48, quad_nodes=16, tau_nodes=17,
                         picard_tol=1e-5)

@@ -339,3 +339,35 @@ def test_importing_the_cli_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def write_saved_path(d, times, clouds):
+    """A measure_source directory in the layout path_to_dir writes."""
+    d.mkdir()
+    np.savetxt(d / "times.csv", times, fmt="%.17g", header="t", comments="")
+    for j, cloud in enumerate(clouds):
+        header = ",".join("mode_%d" % (k + 1) for k in range(cloud.shape[1]))
+        np.savetxt(d / ("m_%04d.csv" % j), cloud, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+
+
+@pytest.mark.parametrize("case", ["missing", "mesh", "modes", "counts", "valid"])
+def test_measure_source_is_checked_before_the_run_directory(tmp_path, capsys, case):
+    # HJB_INI: one mode, dt 0.1 on [0, 1]
+    times = np.linspace(0.0, 1.0, 6 if case == "mesh" else 11)
+    clouds = [np.full((5, 2 if case == "modes" else 1), 0.1 * j) for j in range(len(times))]
+    if case == "counts":
+        clouds[3] = np.zeros((6, 1))
+    src = tmp_path / "saved"
+    if case != "missing":
+        write_saved_path(src, times, clouds)
+    ini = HJB_INI.replace("m0_mean = 0.0", "m0_mean = 0.0\nmeasure_source = %s" % src)
+    out = tmp_path / "r"
+    code = main(["solve-hjb", "--config", write_ini(tmp_path, ini), "--out", str(out)])
+    if case == "valid":
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[problem] measure_source" in err and "internal error" not in err
+    assert not out.exists()

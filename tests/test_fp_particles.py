@@ -208,6 +208,21 @@ def test_propagate_is_deterministic():
         assert np.array_equal(ma.points, mb.points)
 
 
+def test_propagate_returns_one_read_only_array_that_at_time_views():
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0))
+    cfg = SolverConfig(horizon=0.5, dt=0.1, particles=30, seed=3)
+    path = propagate(DriftField.constant([0.3, -0.2]),
+                     ProductGaussian(mean=[0.1, 0.0], var=[0.2, 0.1]), spec, cfg)
+    assert path.points.shape == (6, 30, 2)
+    with pytest.raises(ValueError):
+        path.points[1, 0, 0] = 0.0
+    mu = path.at_time(0.3)
+    assert np.shares_memory(mu.points, path.points)
+    assert np.array_equal(mu.points, path.points[3])
+    with pytest.raises(ValueError):
+        mu.points[0, 0] = 0.0
+
+
 def test_drift_bound_violation_is_fatal():
     w = DriftField(fn=lambda t, X: np.full_like(X, 2.0), bound=1.0)
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=10, seed=0)

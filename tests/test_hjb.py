@@ -69,8 +69,7 @@ def ou_path(cfg, seed=0):
 
 def dirac_flow(cfg):
     ts = cfg.mesh()
-    return MeasurePath(times=ts,
-                       measures=[ParticleMeasure([[0.3 * np.exp(-t)]]) for t in ts])
+    return MeasurePath(times=ts, points=[[[0.3 * np.exp(-t)]] for t in ts])
 
 
 def test_kolmogorov_constants_are_invariant():
@@ -226,8 +225,7 @@ def test_data_continuity_in_the_measure_path():
     eps_list = (0.1, 0.05, 0.025)
     deltas = []
     for eps in eps_list:
-        shifted = MeasurePath(times=path.times,
-                              measures=[ParticleMeasure(m.points + eps) for m in path.measures])
+        shifted = MeasurePath(times=path.times, points=path.points + eps)
         veps = solve_hjb_mild(H, cos_terminal, shifted, SPEC1, cfg)
         deltas.append(weighted_gradient_change(veps, base))
     es = np.asarray(eps_list)

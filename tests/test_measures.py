@@ -11,14 +11,12 @@ from hilbert_mfg import rng
 from hilbert_mfg.tables import write_table
 from hilbert_mfg.measures import (
     Dirac,
-    Empirical,
     MeasurePath,
     ParticleMeasure,
     ProductGaussian,
     check_Qm0_membership,
     measure_from_csv,
     measure_to_csv,
-    mixture_measures,
     mixture_paths,
     path_from_dir,
     path_modulus,
@@ -26,11 +24,18 @@ from hilbert_mfg.measures import (
     path_to_dir,
     wasserstein1,
     wasserstein1_sliced,
+    _pool_indices,
 )
 
 
 def cloud(gen, M, N, scale=1.0, shift=0.0):
     return ParticleMeasure(shift + scale * gen.standard_normal((M, N)))
+
+
+def stacked(times, clouds):
+    """The path through the given clouds of one particle count."""
+    return MeasurePath(times=np.asarray(times, dtype=float),
+                       points=np.stack([c.points for c in clouds]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def test_dirac_and_empirical_moments():
     d = Dirac([1.0, 2.0])
     assert d.mode_second_moment(2) == 4.0
     assert d.norm_fourth_moment() == 25.0
-    e = Empirical([[1.0, 0.0], [0.0, 2.0]])
+    e = ParticleMeasure([[1.0, 0.0], [0.0, 2.0]])
     assert e.mode_second_moment(1) == 0.5
     assert e.norm_fourth_moment() == pytest.approx((1.0 + 16.0) / 2.0)
 
@@ -167,11 +172,8 @@ def test_initial_law_sampling_deterministic():
     m0 = ProductGaussian(mean=[0.1], var=[0.4])
     assert np.array_equal(m0.sample(100, seed=5), m0.sample(100, seed=5))
     assert not np.array_equal(m0.sample(100, seed=5), m0.sample(100, seed=6))
-    e = Empirical(np.arange(10, dtype=float)[:, None])
-    assert np.array_equal(e.sample(10, seed=1), e.points)
-    resampled = e.sample(7, seed=1)
-    assert resampled.shape == (7, 1)
-    assert np.array_equal(resampled, e.sample(7, seed=1))
+    d = Dirac([1.0, -2.0])
+    assert np.array_equal(d.sample(7, seed=1), np.tile([1.0, -2.0], (7, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +216,8 @@ def test_membership_monotone_in_bounds():
 
 
 def dirac_path(times, positions):
-    return MeasurePath(
-        times=np.asarray(times, dtype=float),
-        measures=[ParticleMeasure([[float(p)]]) for p in positions],
-    )
+    return MeasurePath(times=np.asarray(times, dtype=float),
+                       points=np.asarray(positions, dtype=float)[:, None, None])
 
 
 def test_path_sup_distance_trivial_and_dirac():
@@ -240,13 +240,13 @@ def test_path_sup_distance_mesh_mismatch():
 def test_path_sup_distance_names_method():
     gen = np.random.default_rng(4)
     times = np.array([0.0, 1.0])
-    small = MeasurePath(times=times, measures=[cloud(gen, 32, 1), cloud(gen, 32, 1)])
-    big = MeasurePath(times=times, measures=[cloud(gen, 600, 1), cloud(gen, 600, 1)])
+    small = stacked(times, [cloud(gen, 32, 1), cloud(gen, 32, 1)])
+    big = stacked(times, [cloud(gen, 600, 1), cloud(gen, 600, 1)])
     _, method = path_sup_distance(small, small, detail=True)
     assert method == "exact"
     _, method = path_sup_distance(big, big, exact_budget=512, detail=True)
     assert method == "exact"  # one mode: the sorted coupling at any count
-    big2 = MeasurePath(times=times, measures=[cloud(gen, 600, 2), cloud(gen, 600, 2)])
+    big2 = stacked(times, [cloud(gen, 600, 2), cloud(gen, 600, 2)])
     _, method = path_sup_distance(big2, big2, exact_budget=512, detail=True)
     assert method == "sliced"
 
@@ -256,31 +256,30 @@ _COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.5, 0.0, 0.25, 2.
 
 
 @st.composite
-def one_mode_clouds(draw):
-    """Three 1-D clouds of at most 200 points whose counts share a factor,
-    so unequal counts meet by exact lcm replication."""
+def one_mode_paths(draw):
+    """Two 1-D paths over three mesh times, at most 200 points per cloud;
+    each path has one particle count, the two counts share a factor, so
+    unequal counts meet by exact lcm replication."""
     base = draw(st.integers(1, 50))
-    return [ParticleMeasure(draw(arrays(np.float64, (base * draw(st.integers(1, 4)), 1),
-                                        elements=_COORDS)))
-            for _ in range(3)]
+    return [draw(arrays(np.float64, (3, base * draw(st.integers(1, 4)), 1),
+                        elements=_COORDS))
+            for _ in range(2)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(clouds=one_mode_clouds(), budget=st.sampled_from([1, 512]))
-def test_one_mode_path_distances_match_assignment(clouds, budget):
-    a, b, c = clouds
-    oracle = {(0, 1): wasserstein1(a, b), (0, 2): wasserstein1(a, c),
-              (1, 2): wasserstein1(b, c)}
-    first = MeasurePath(times=np.array([0.0, 1.0]), measures=[a, b])
-    second = MeasurePath(times=np.array([0.0, 1.0]), measures=[b, c])
+@given(paths=one_mode_paths(), budget=st.sampled_from([1, 512]))
+def test_one_mode_path_distances_match_assignment(paths, budget):
+    times = np.array([0.0, 0.5, 1.0])
+    first, second = (MeasurePath(times=times, points=p) for p in paths)
+    a, b = first.measures, second.measures
     sup, method = path_sup_distance(first, second, exact_budget=budget, detail=True)
     assert method == "exact"
-    assert sup == pytest.approx(max(oracle[0, 1], oracle[1, 2]), abs=1e-12)
-    table = path_modulus(MeasurePath(times=np.array([0.0, 0.5, 1.0]), measures=clouds),
-                         exact_budget=budget)
+    assert sup == pytest.approx(max(wasserstein1(x, y) for x, y in zip(a, b)), abs=1e-12)
+    table = path_modulus(first, exact_budget=budget)
     assert table.method == "exact"
-    np.testing.assert_allclose(table.dists, [oracle[0, 1], oracle[0, 2], oracle[1, 2]],
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        table.dists, [wasserstein1(a[0], a[1]), wasserstein1(a[0], a[2]),
+                      wasserstein1(a[1], a[2])], rtol=0, atol=1e-12)
 
 
 def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17):
@@ -294,21 +293,19 @@ def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17):
         x = np.exp(lam * h) * x + np.sqrt(q) * gen.standard_normal((M, 1))
         slices.append(x.copy())
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return MeasurePath(times=times, measures=[ParticleMeasure(s) for s in slices])
+    return MeasurePath(times=times, points=np.stack(slices))
 
 
 def test_path_modulus_constant_and_ou():
-    const = MeasurePath(
-        times=np.linspace(0.0, 1.0, 6),
-        measures=[ParticleMeasure([[1.0], [2.0]])] * 6,
-    )
+    const = MeasurePath(times=np.linspace(0.0, 1.0, 6),
+                        points=np.broadcast_to([[1.0], [2.0]], (6, 2, 1)))
     table = path_modulus(const)
     assert np.all(table.dists == 0.0) and table.constant == 0.0
 
     # OU path: envelope constant finite and stable when the mesh is refined
     # (the coarse mesh is a sub-mesh of the fine one, so pairs are nested).
     fine = ou_trajectory_path(40)
-    coarse = MeasurePath(times=fine.times[::2], measures=fine.measures[::2])
+    coarse = MeasurePath(times=fine.times[::2], points=fine.points[::2])
     c_coarse = path_modulus(coarse, max_pairs=2000).constant
     c_fine = path_modulus(fine, max_pairs=2000).constant
     assert np.isfinite(c_fine)
@@ -332,10 +329,11 @@ def test_path_modulus_jump_blows_up():
 def test_mixture_counts_and_determinism():
     gen = np.random.default_rng(6)
     a, b = cloud(gen, 10, 1, shift=10.0), cloud(gen, 10, 1, shift=-10.0)
-    mix = mixture_measures(a, b, lam=0.25, seed=9)
+    pa, pb = stacked([0.0], [a]), stacked([0.0], [b])
+    mix = mixture_paths(pa, pb, lam=0.25, seed=9).measures[0]
     assert mix.M == 10
     assert int(np.sum(mix.points > 0)) == 3  # ceil(0.25 * 10)
-    assert np.array_equal(mix.points, mixture_measures(a, b, lam=0.25, seed=9).points)
+    assert np.array_equal(mix.points, mixture_paths(pa, pb, lam=0.25, seed=9).points[0])
 
 
 def test_mixture_convexity_estimate():
@@ -358,7 +356,9 @@ def test_mixture_convexity_estimate():
         rhs = lam * wasserstein1(mu1, nu1) + (1.0 - lam) * wasserstein1(mu2, nu2)
         assert lhs <= rhs + 1e-9
         # the iteration's subsampled pooling deviates only at noise level; report it
-        sub = wasserstein1(mixture_measures(mu1, mu2, lam, seed=1), mixture_measures(nu1, nu2, lam, seed=2))
+        sub = wasserstein1(
+            mixture_paths(stacked([0.0], [mu1]), stacked([0.0], [mu2]), lam, seed=1).measures[0],
+            mixture_paths(stacked([0.0], [nu1]), stacked([0.0], [nu2]), lam, seed=2).measures[0])
         print("pooling: exact mixture lhs=%.4f rhs=%.4f subsampled=%.4f" % (lhs, rhs, sub))
 
 
@@ -366,12 +366,25 @@ def test_mixture_paths_time_coherent():
     times = np.linspace(0.0, 1.0, 4)
     gen = np.random.default_rng(12)
     base_a, base_b = gen.standard_normal((8, 1)), 5.0 + gen.standard_normal((8, 1))
-    pa = MeasurePath(times=times, measures=[ParticleMeasure(base_a + t) for t in times])
-    pb = MeasurePath(times=times, measures=[ParticleMeasure(base_b + t) for t in times])
+    pa = MeasurePath(times=times, points=[base_a + t for t in times])
+    pb = MeasurePath(times=times, points=[base_b + t for t in times])
     mix = mixture_paths(pa, pb, lam=0.5, seed=3)
     # same index selection at every time: slice differences are the constant time shift
     d01 = mix.measures[1].points - mix.measures[0].points
     assert np.allclose(d01, times[1] - times[0])
+
+
+def test_mixture_paths_equal_the_per_time_vstack():
+    gen = np.random.default_rng(8)
+    times = np.linspace(0.0, 1.0, 5)
+    for M, N, lam in ((1, 1, 0.5), (7, 2, 0.3), (40, 3, 0.75), (12, 1, 1.0)):
+        pa = MeasurePath(times=times, points=gen.standard_normal((5, M, N)))
+        pb = MeasurePath(times=times, points=gen.standard_normal((5, M, N)))
+        mix = mixture_paths(pa, pb, lam, seed=M)
+        ia, ib = _pool_indices(M, lam, seed=M)
+        for j in range(len(times)):
+            assert np.array_equal(mix.points[j],
+                                  np.vstack([pa.points[j][ia], pb.points[j][ib]]))
 
 
 # ---------------------------------------------------------------------------

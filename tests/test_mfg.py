@@ -4,8 +4,13 @@ These run at reduced particle counts and coarse meshes; the shipped-scale
 tolerances live in the acceptance suite.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import rng
 from hilbert_mfg.config import SolverConfig
@@ -14,8 +19,9 @@ from hilbert_mfg.hjb import GeneralHamiltonian
 from hilbert_mfg.measures import (
     Dirac,
     MeasurePath,
-    ParticleMeasure,
     ProductGaussian,
+    check_Qm0_membership,
+    moments,
     path_modulus,
     path_sup_distance,
 )
@@ -99,13 +105,57 @@ def test_moment_audit_flags_hand_built_violation():
     a1 = mode_bounds(prob)[0]
     g = rng.generator(77, 0)
     times = CFG.mesh()
-    bad = MeasurePath(times=times, measures=tuple(
-        ParticleMeasure(np.sqrt(10.0 * a1) * g.standard_normal((500, 1)))
-        for _ in times))
+    bad = MeasurePath(times=times, points=np.stack([
+        np.sqrt(10.0 * a1) * g.standard_normal((500, 1)) for _ in times]))
     rep = moment_bound_audit(prob, bad, CFG)
     assert not rep.ok
     assert not rep.rows[0].passed
     assert rep.rows[0].observed > 10.0 * a1 * 0.5
+
+
+@st.composite
+def moment_paths(draw):
+    """(J, M, N) paths with 2..4 mesh times, 1..64 particles (one often),
+    1..3 modes, and zero or repeated coordinates."""
+    shape = (draw(st.integers(2, 4)), draw(st.one_of(st.just(1), st.integers(1, 64))),
+             draw(st.integers(1, 3)))
+    coords = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.5, -2.0]))
+    return draw(arrays(np.float64, shape, elements=coords))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(points=moment_paths())
+def test_moment_routine_and_audits_equal_the_per_time_per_mode_loop(points):
+    J, M, N = points.shape
+    path = MeasurePath(times=np.linspace(0.0, 1.0, J), points=points)
+    prob = MFGProblem(spectrum=SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:N]),
+                      hamiltonian=GeneralHamiltonian(
+                          value_fn=lambda X, P, mu: np.linalg.norm(P, axis=-1),
+                          grad_p_fn=lambda X, P, mu: np.ones_like(P),
+                          bound_Hp=1.0, label="unit-grad"),
+                      terminal=lambda X, mu: 0.0 * X[..., 0],
+                      m0=Dirac([0.0] * N), horizon=1.0)
+    cfg = SolverConfig(horizon=1.0, dt=0.5, particles=16, seed=4)
+    mom = moments(path.points)
+    rep = moment_bound_audit(prob, path, cfg)
+    # the oracle: one cloud and one mode at a time, as the audits used to loop
+    worst = [(-np.inf, 0.0)] * (N + 1)
+    for j, mu in enumerate(path.measures):
+        cols = [mu.points[:, k] ** 2 for k in range(N)] + [np.sum(mu.points ** 2, axis=1) ** 2]
+        for k, col in enumerate(cols):
+            obs, err = float(col.mean()), float(col.std() / math.sqrt(M))
+            got = ((mom.second[j, k], mom.second_stderr[j, k]) if k < N
+                   else (mom.fourth[j], mom.fourth_stderr[j]))
+            assert got == (obs, err)
+            if obs > worst[k][0]:
+                worst[k] = (obs, err)
+        member = check_Qm0_membership(mu, bounds=[1.0] * N, c_hat=1.0)
+        assert np.array_equal(member.observed, mom.second[j])
+        assert np.array_equal(member.stderr, mom.second_stderr[j])
+        assert (member.fourth_observed, member.fourth_stderr) == (mom.fourth[j],
+                                                                   mom.fourth_stderr[j])
+    assert [(r.observed, r.stderr) for r in rep.rows if r.sampled] == worst[:N]
+    assert (rep.fourth_observed, rep.fourth_stderr) == worst[N]
 
 
 def test_moment_audit_tail_rows_use_spectrum_family():
