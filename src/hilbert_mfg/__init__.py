@@ -44,10 +44,10 @@ _EXPORTS = {
         "moment_bound_audit", "psi_map", "uniqueness_experiment",
     ),
     "models": (
-        "MODEL_NAMES", "CappedControlHamiltonian", "ConvolutionCoupling",
-        "F1Coupling", "F2Coupling", "QuadraticCost", "assumption_check",
-        "coupling_value", "default_pair_sampler", "eval_DH1", "eval_H1",
-        "make_convolution_coupling", "make_model", "monotonicity_check",
+        "MODEL_NAMES", "CappedControlHamiltonian", "F1Coupling",
+        "F2Coupling", "QuadraticCost", "assumption_check", "coupling_value",
+        "default_pair_sampler", "eval_DH1", "eval_H1", "make_model",
+        "monotonicity_check",
     ),
     "ou_kernel": (
         "OUKernel", "QuadratureRule",

@@ -278,13 +278,13 @@ def _fmt(x):
 def _saved_path(source, spec, mesh):
     """solve-hjb's saved measure path, loaded and checked against the mesh
     and the spectrum before any run directory exists."""
-    import numpy as np
+    from .config import same_mesh
     from .measures import path_from_dir
     try:
         m = path_from_dir(source)
     except (OSError, ValueError) as exc:
         raise ConfigError("[problem] measure_source: cannot read %s: %s" % (source, exc))
-    if len(m.times) != len(mesh) or not np.allclose(m.times, mesh):
+    if not same_mesh(m.times, mesh):
         raise ConfigError("[problem] measure_source: %s is not on the config mesh "
                           "(%d times from 0 to %g)" % (source, len(mesh), mesh[-1]))
     if m.N != spec.N:

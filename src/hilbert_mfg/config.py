@@ -50,3 +50,9 @@ class SolverConfig:
 
     def with_(self, **kw):
         return replace(self, **kw)
+
+
+def same_mesh(a, b):
+    """Whether two arrays of mesh times are one mesh: equal length, then
+    np.allclose (so meshes of different lengths never reach numpy)."""
+    return len(a) == len(b) and bool(np.allclose(a, b))

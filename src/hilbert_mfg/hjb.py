@@ -14,6 +14,13 @@ tau then converges at its usual rate.  At tau = 0 both integrands vanish
 quantity converging to the integrand's own spatial gradient), so the left
 endpoint contributes exactly zero.
 
+One ValueGrid holds the discretisation of a solve, built once from the
+spectrum and the config: the time mesh, the axes of the box [-L, L]^N with
+L = default_box(spec, None, box_scale), the tensor grid nodes, and the OU
+kernel at the config's quadrature.  Every sweep of the solve reads it;
+hjb_residual alone builds its own kernel, at twice the quadrature nodes, so
+that it stays an independent check.
+
 The gradient grid exists only for t < T: the smoothing representation is
 singular at the terminal time, and every consumer (drift assembly, norms)
 uses the weighted quantity (T-t)^{1/2} Dv, with the final transport step
@@ -39,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import same_mesh
 from .ou_kernel import OUKernel, QuadratureRule
 from .spectrum import stationary_variances
 from .tables import FLOAT_FMT, write_table
@@ -54,13 +62,34 @@ def default_box(spec, m0=None, scale=6.0):
     return float(scale * np.sqrt(np.max(alphas + betas)))
 
 
-def grid_axes(box, n_modes, resolution):
-    return tuple(np.linspace(-box, box, int(resolution)) for _ in range(n_modes))
-
-
 def _tensor_points(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+@dataclass(frozen=True)
+class ValueGrid:
+    """The discretisation of one value solve: mesh times (J+1,), per-mode
+    box axes, their tensor nodes (G^N, N) in C order, and the OU kernel."""
+
+    times: np.ndarray
+    axes: tuple
+    nodes: np.ndarray
+    kernel: OUKernel
+
+    @classmethod
+    def build(cls, spec, config):
+        box = default_box(spec, None, config.box_scale)
+        axes = tuple(np.linspace(-box, box, int(config.grid_points)) for _ in range(spec.N))
+        return cls(times=config.mesh(), axes=axes, nodes=_tensor_points(axes),
+                   kernel=OUKernel(spec, QuadratureRule(config.quad_nodes)))
+
+    @property
+    def shape(self):
+        return tuple(len(a) for a in self.axes)
+
+    def field(self, values, grads, **kw):
+        return GridValueField(times=self.times, axes=self.axes, values=values, grads=grads, **kw)
 
 
 def _stencil(axes, pts):
@@ -156,11 +185,7 @@ class GridValueField:
     @property
     def weighted_gradient_norm(self):
         """sup over t < T of (T-t)^{1/2} max |Dv(t, .)| on the grid."""
-        if len(self.grads) == 0:
-            return 0.0
-        w = np.sqrt(self.T - self.times[:-1])
-        per_slice = np.max(np.abs(self.grads).reshape(len(self.grads), -1), axis=1)
-        return float(np.max(w * per_slice))
+        return _weighted_sup(self.times, self.grads)
 
     def _flat(self, X):
         X = np.asarray(X, dtype=float)
@@ -311,25 +336,32 @@ def zero_hamiltonian(n_modes, label="zero"):
     )
 
 
-def _terminal_sweep(kernel, terminal, times, axes):
+def _weighted_sup(times, grads):
+    """sup over t < T of (T-t)^{1/2} max_grid |grads(t)|; 0 without slices."""
+    if len(grads) == 0:
+        return 0.0
+    w = np.sqrt(times[-1] - times[:-1])
+    per_slice = np.max(np.abs(grads).reshape(len(grads), -1), axis=1)
+    return float(np.max(w * per_slice))
+
+
+def _terminal_sweep(grid, terminal):
     """R_{T-t} G and D R_{T-t} G on the full grid: the semigroup term of
     the mild right-hand side, which no Picard iterate changes."""
+    times, shape, n = grid.times, grid.shape, len(grid.axes)
     T = times[-1]
     J = len(times) - 1
-    shape = tuple(len(a) for a in axes)
-    n = len(axes)
-    pts = _tensor_points(axes)
     values = np.empty((J + 1,) + shape)
     grads = np.empty((J,) + shape + (n,))
     for j in range(J):
-        v, g = kernel.apply_with_gradient(terminal, T - times[j], pts)
+        v, g = grid.kernel.apply_with_gradient(terminal, T - times[j], grid.nodes)
         values[j] = v.reshape(shape)
         grads[j] = g.reshape(shape + (n,))
-    values[J] = kernel.apply_Rt(terminal, 0.0, pts).reshape(shape)
+    values[J] = grid.kernel.apply_Rt(terminal, 0.0, grid.nodes).reshape(shape)
     return values, grads
 
 
-def _mild_sweep(kernel, base, integrand_at, times, axes, tau_nodes):
+def _mild_sweep(grid, base, integrand_at, tau_nodes):
     """One evaluation of the mild right-hand side on the full grid.
 
     base is the (values, grads) pair of _terminal_sweep, computed once per
@@ -338,11 +370,9 @@ def _mild_sweep(kernel, base, integrand_at, times, axes, tau_nodes):
     field x -> H(...).  Each (t_j, tau) node evaluates that field once
     for both the value and the gradient.
     """
+    times, shape, n, pts = grid.times, grid.shape, len(grid.axes), grid.nodes
     T = times[-1]
     J = len(times) - 1
-    shape = tuple(len(a) for a in axes)
-    n = len(axes)
-    pts = _tensor_points(axes)
     values, grads = base[0].copy(), base[1].copy()
     for j in range(J):
         taus = np.linspace(0.0, np.sqrt(T - times[j]), tau_nodes)
@@ -351,7 +381,7 @@ def _mild_sweep(kernel, base, integrand_at, times, axes, tau_nodes):
         for i in range(1, tau_nodes):
             tau = taus[i]
             fld = integrand_at(times[j] + tau * tau)
-            v, g = kernel.apply_with_gradient(fld, tau * tau, pts)
+            v, g = grid.kernel.apply_with_gradient(fld, tau * tau, pts)
             v_int[i] = 2.0 * tau * v
             g_int[i] = 2.0 * tau * g
         values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
@@ -359,37 +389,27 @@ def _mild_sweep(kernel, base, integrand_at, times, axes, tau_nodes):
     return values, grads
 
 
-def solve_kolmogorov(f, phi, spec, config, m0=None, box=None):
+def solve_kolmogorov(f, phi, spec, config):
     """Linear backward equation dv/dt + L0 v = f, v(T) = phi, in mild form
     v(t) = R_{T-t} phi - int_t^T R_{s-t} f(s) ds."""
-    kernel = OUKernel(spec, QuadratureRule(config.quad_nodes))
-    L = default_box(spec, m0, config.box_scale) if box is None else float(box)
-    axes = grid_axes(L, spec.N, config.grid_points)
-    times = config.mesh()
-    values, grads = _terminal_sweep(kernel, phi, times, axes)
+    grid = ValueGrid.build(spec, config)
+    values, grads = _terminal_sweep(grid, phi)
     if f is not None:
         integrand_at = lambda s: (lambda X: np.asarray(f(s, X), dtype=float))
-        values, grads = _mild_sweep(kernel, (values, grads), integrand_at, times, axes,
-                                    config.tau_nodes)
-    return GridValueField(times=times, axes=axes, values=values, grads=grads, status="direct")
-
-
-def _weighted_change(times, grads_new, grads_old):
-    w = np.sqrt(times[-1] - times[:-1])
-    diff = np.max(np.abs(grads_new - grads_old).reshape(len(grads_new), -1), axis=1)
-    return float(np.max(w * diff))
+        values, grads = _mild_sweep(grid, (values, grads), integrand_at, config.tau_nodes)
+    return grid.field(values, grads, status="direct")
 
 
 def weighted_gradient_change(a, b):
     """sup_t (T-t)^{1/2} max_grid |Da - Db| between two fields on the same
     mesh and grid; the metric both the Picard stop rule and the
     data-continuity audit use."""
-    if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
+    if not same_mesh(a.times, b.times):
         raise ValueError("fields live on different meshes")
-    return _weighted_change(a.times, a.grads, b.grads)
+    return _weighted_sup(a.times, a.grads - b.grads)
 
 
-def solve_hjb_mild(H, G, m, spec, config, box=None):
+def solve_hjb_mild(H, G, m, spec, config):
     """Nonlinear mild solve against a frozen measure path m.
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
@@ -398,17 +418,14 @@ def solve_hjb_mild(H, G, m, spec, config, box=None):
     change; a run that exhausts the iteration budget is returned with
     status "max-iterations" and the full change history.
     """
-    times = config.mesh()
-    if len(m.times) != len(times) or not np.allclose(m.times, times):
+    grid = ValueGrid.build(spec, config)
+    if not same_mesh(m.times, grid.times):
         raise ValueError("measure path mesh does not match the config mesh")
-    kernel = OUKernel(spec, QuadratureRule(config.quad_nodes))
-    L = default_box(spec, None, config.box_scale) if box is None else float(box)
-    axes = grid_axes(L, spec.N, config.grid_points)
-    mT = m.at_time(times[-1])
+    mT = m.at_time(grid.times[-1])
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
-    base = _terminal_sweep(kernel, terminal, times, axes)
-    current = GridValueField(times=times, axes=axes, values=base[0], grads=base[1])
+    base = _terminal_sweep(grid, terminal)
+    current = grid.field(*base)
     history = []
     status = "max-iterations"
     for _ in range(config.picard_max):
@@ -418,14 +435,12 @@ def solve_hjb_mild(H, G, m, spec, config, box=None):
             mu = m.at_time(s)
             return lambda X: H.value(X, prev.grad_at(s, X), mu)
 
-        values, grads = _mild_sweep(kernel, base, integrand_at, times, axes, config.tau_nodes)
-        current = GridValueField(times=times, axes=axes, values=values, grads=grads)
-        history.append(_weighted_change(times, current.grads, prev.grads))
+        current = grid.field(*_mild_sweep(grid, base, integrand_at, config.tau_nodes))
+        history.append(_weighted_sup(grid.times, current.grads - prev.grads))
         if history[-1] < config.picard_tol:
             status = "converged"
             break
-    return GridValueField(times=times, axes=axes, values=current.values,
-                          grads=current.grads, status=status, history=tuple(history))
+    return grid.field(current.values, current.grads, status=status, history=tuple(history))
 
 
 def hjb_residual(v, H, G, m, samples, spec, config):

@@ -25,6 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import rng
+from .config import same_mesh
 from .tables import write_table
 
 # Resampling cap when reconciling unequal particle counts to a common size.
@@ -353,7 +354,7 @@ def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0, detail=F
     """sup over mesh points of d_1(m1(t), m2(t)); on N >= 2 modes the sliced
     surrogate is substituted beyond the exact-solver budget and named in the
     detail."""
-    if len(m1.times) != len(m2.times) or not np.allclose(m1.times, m2.times):
+    if not same_mesh(m1.times, m2.times):
         raise ValueError("paths live on different meshes")
     best, method = 0.0, "exact"
     for a, b in zip(m1.measures, m2.measures):
@@ -412,7 +413,7 @@ def _pool_indices(M, lam, seed):
 def mixture_paths(path_a, path_b, lam, seed=0):
     """Poolwise mixture of two paths; one index selection is reused across
     all mesh times so pooled trajectories stay time-coherent."""
-    if not np.allclose(path_a.times, path_b.times):
+    if not same_mesh(path_a.times, path_b.times):
         raise ValueError("paths live on different meshes")
     M = path_a.M
     if M != path_b.M:

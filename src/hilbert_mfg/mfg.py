@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .config import same_mesh
 from .fp_particles import DriftField, propagate
 from .hjb import solve_hjb_mild
 from .measures import (
@@ -178,7 +179,7 @@ def fixed_point_iterate(problem, config, initial=None):
         m = propagate(DriftField.zero(N), problem.m0, problem.spectrum,
                       config.with_(seed=rng.derive_seed(seed, _TAG_INIT)))
     else:
-        if len(initial.times) != config.n_steps + 1 or not np.allclose(initial.times, config.mesh()):
+        if not same_mesh(initial.times, config.mesh()):
             raise ValueError("initial path does not live on the config mesh")
         m = initial
 

@@ -11,11 +11,9 @@ supremum sits at the interior stationary point, above it the cap binds.
 An optional bounded drift offset b0 enters the Hamiltonian linearly, so
 the full gradient is DH1(p) - b0(x) and stays bounded by R + |b0|.
 
-Couplings follow two patterns: rank-one products h(x) int h dmu (scalar
-and vector variants, whose monotonicity pairing collapses to the exact
-square |int h d(mu1 - mu2)|^2 even at the empirical level) and a
-convolution form int l(z, rho*mu(z)) rho(z - x) nu(dz) with every integral
-an empirical mean.
+Couplings are rank-one products h(x) int h dmu (scalar and vector
+variants), whose monotonicity pairing collapses to the exact square
+|int h d(mu1 - mu2)|^2 even at the empirical level.
 
 The checkers are samplers, not proofs: they report worst observed ratios
 against declared constants, and the monotonicity verdict is a minimum over
@@ -38,7 +36,6 @@ _TAG_PAIR = 0x2A
 _TAG_MONO = 0x2B
 _TAG_CHECK = 0x2C
 _TAG_BOOT = 0x2D
-_TAG_NU = 0x2E
 
 
 @dataclass(frozen=True)
@@ -182,36 +179,6 @@ class F2Coupling:
         return self.weight * float(gap @ gap)
 
 
-@dataclass
-class ConvolutionCoupling:
-    """F(x, mu) = int l(z, rho*mu(z)) rho(z - x) nu(dz) with nu an
-    empirical sample and rho*mu(z) = int rho(z - u) mu(du)."""
-
-    ell: object  # (z (..., N), r (...)) -> (...)
-    rho: object  # (z (..., N)) -> (...)
-    nu_points: np.ndarray
-    lip: float
-    bound: float
-    label: str = "convolution"
-
-    def __post_init__(self):
-        self.nu_points = np.atleast_2d(np.asarray(self.nu_points, dtype=float))
-        if self.nu_points.size == 0:
-            raise ValueError("the convolution coupling needs a nonempty nu sample")
-
-    def rho_conv(self, Z, mu):
-        diffs = Z[:, None, :] - mu.points[None, :, :]
-        return np.mean(np.asarray(self.rho(diffs), dtype=float), axis=-1)
-
-    def __call__(self, X, mu):
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, X.shape[-1])
-        z = self.nu_points
-        lz = np.asarray(self.ell(z, self.rho_conv(z, mu)), dtype=float)
-        w = np.asarray(self.rho(z[None, :, :] - flat[:, None, :]), dtype=float)
-        return (w @ lz / len(z)).reshape(X.shape[:-1])
-
-
 def coupling_value(coupling, x, mu):
     """Evaluate a coupling at a single point x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -350,17 +317,6 @@ def assumption_check(hamiltonian, n_modes, trials=200, seed=0):
         lip_mu_worst=lip_mu_worst,
         lip_mu_declared=getattr(hamiltonian, "lip_mu", None),
     )
-
-
-def make_convolution_coupling(n_modes, seed=0, nu_size=64):
-    """Shipped convolution example: Gaussian bump rho, l(z, r) = tanh(r)
-    (strictly increasing, Lipschitz), nu a seeded Gaussian sample."""
-    rho = lambda Z: np.exp(-0.5 * np.sum(np.square(Z), axis=-1))
-    ell = lambda z, r: np.tanh(r)
-    pts = rng.generator(seed, _TAG_NU).standard_normal((nu_size, n_modes))
-    # lip = L_ell * L_rho + ... ; both factors bounded by 1 and exp(-1/2)
-    lip = 2.0 * math.exp(-0.5)
-    return ConvolutionCoupling(ell=ell, rho=rho, nu_points=pts, lip=lip, bound=1.0)
 
 
 MODEL_NAMES = ("cap1d_monotone", "cap1d_antimonotone", "cap2d_f2")

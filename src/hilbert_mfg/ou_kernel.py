@@ -12,9 +12,10 @@ budgets for.
 Expectations are evaluated by tensor Gauss-Hermite quadrature over the
 modes: deterministic and spectrally accurate for smooth integrands (a
 Monte Carlo route exists only as a test oracle).  Fields are callables on
-(..., N)-shaped coordinate arrays; grid-backed fields expose a `box`
-attribute, in which case the Gaussian mass falling outside the box (where
-the field extrapolates as a constant) is logged as the bias scale.
+(..., N)-shaped coordinate arrays.  A field with a `box` attribute gets the
+Gaussian mass falling outside the box (where a grid field extrapolates as a
+constant) logged as the bias scale; no field the solvers build has one, so
+in a solve that mass is never computed and last_tail_mass stays 0.
 """
 
 import logging

@@ -341,6 +341,12 @@ def test_importing_the_cli_loads_no_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_every_public_name_resolves_through_the_lazy_getattr():
+    # a stale _EXPORTS entry would raise AttributeError here
+    for name in hilbert_mfg.__all__:
+        assert hilbert_mfg.__getattr__(name) is not None, name
+
+
 def write_saved_path(d, times, clouds):
     """A measure_source directory in the layout path_to_dir writes."""
     d.mkdir()

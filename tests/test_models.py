@@ -7,20 +7,17 @@ import pytest
 
 from hilbert_mfg import rng
 from hilbert_mfg.hjb import GeneralHamiltonian
-from hilbert_mfg.measures import ParticleMeasure, wasserstein1
+from hilbert_mfg.measures import ParticleMeasure
 from hilbert_mfg.models import (
     CappedControlHamiltonian,
-    ConvolutionCoupling,
     F1Coupling,
     F2Coupling,
     MODEL_NAMES,
     QuadraticCost,
     assumption_check,
     coupling_value,
-    default_pair_sampler,
     eval_DH1,
     eval_H1,
-    make_convolution_coupling,
     make_model,
     monotonicity_check,
 )
@@ -119,33 +116,6 @@ def test_f2_coupling_reduces_to_scalar_product():
     stat = np.tanh(mu.points).mean(axis=0)
     x = np.array([0.7, -0.1])
     assert coupling_value(c, x, mu) == pytest.approx(float(np.tanh(x) @ stat), abs=1e-14)
-
-
-def test_convolution_coupling_dirac_collapse():
-    # single nu atom at 0 and mu = delta_0: F(x) = l(0, rho(0)) rho(-x)
-    rho = lambda Z: np.exp(-0.5 * np.sum(np.square(Z), axis=-1))
-    conv = ConvolutionCoupling(ell=lambda z, r: np.tanh(r), rho=rho,
-                               nu_points=[[0.0]], lip=1.0, bound=1.0)
-    mu = ParticleMeasure(np.zeros((4, 1)))
-    for x in (0.0, 0.7, -1.3):
-        want = math.tanh(1.0) * math.exp(-0.5 * x * x)
-        assert coupling_value(conv, [x], mu) == pytest.approx(want, abs=1e-14)
-
-
-def test_convolution_lipschitz_in_measure():
-    conv = make_convolution_coupling(1, seed=3)
-    sampler = default_pair_sampler(1, M=48)
-    g = rng.generator(15, 0)
-    worst = 0.0
-    for i in range(60):
-        mu1, mu2 = sampler(rng.derive_seed(15, i))
-        d = wasserstein1(mu1, mu2)
-        if d < 1e-6:
-            continue
-        x = g.uniform(-2.0, 2.0, (1, 1))
-        gap = abs(float(conv(x, mu1)[0]) - float(conv(x, mu2)[0]))
-        worst = max(worst, gap / d)
-    assert worst <= conv.lip + 1e-9
 
 
 def test_monotonicity_constant_coupling_is_flat():
