@@ -1,11 +1,11 @@
 # Driving a full run through the command-line front end.
 #
 # Everything the library does is also reachable from a batch interface:
-# an INI config in, a run directory of CSV artifacts out, exit codes for
-# scripting.  Here we write a config, call the entry point in-process,
-# and read back the artifacts.  The same run from the same config and
-# seed is byte-identical apart from the wallclock column, which is what
-# makes run directories diffable across machines.
+# an INI config in, a run directory of CSV tables and a .npy law path out,
+# exit codes for scripting.  Here we write a config, call the entry point
+# in-process, and read back the artifacts.  The same run from the same
+# config and seed is byte-identical apart from the wallclock column, which
+# is what makes run directories diffable across machines.
 
 import csv
 import pathlib

@@ -1,4 +1,4 @@
-"""Batch driver: flat .ini run configs in, CSV diagnostics out.
+"""Batch driver: flat .ini configs in, CSV diagnostics and .npy law paths out.
 
 Four subcommands wire the library pipelines: `solve-hjb` (value field
 against a frozen measure path), `solve-fp` (particle transport plus weak
@@ -282,7 +282,7 @@ def _saved_path(source, spec, mesh):
     from .measures import path_from_dir
     try:
         m = path_from_dir(source)
-    except (OSError, ValueError) as exc:
+    except (OSError, EOFError, ValueError) as exc:  # EOFError: an empty points.npy
         raise ConfigError("[problem] measure_source: cannot read %s: %s" % (source, exc))
     if not same_mesh(m.times, mesh):
         raise ConfigError("[problem] measure_source: %s is not on the config mesh "

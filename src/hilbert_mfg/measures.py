@@ -5,7 +5,8 @@ Measures are equal-weight particle clouds on the first N mode coordinates.
 A law path is one read-only (J+1, M, N) array over the time mesh, with one
 particle count for the whole path; its per-time measures are views into
 that array.  Every moment audit reads one routine, `moments`, which takes
-any (..., M, N) stack of clouds.
+any (..., M, N) stack of clouds.  A path directory holds `times.csv` and
+that array as one `points.npy` (NumPy .npy format, no pickles).
 
 Path distances resolve W1 through one dispatcher.  On one mode the sorted
 coupling is optimal, so W1 is exact for any particle count at the cost of
@@ -21,8 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from . import rng
 from .config import same_mesh
@@ -251,6 +250,11 @@ def _common_size(mu, nu, seed):
 def wasserstein1(mu, nu, seed=0):
     """Exact W1 between equal-weight clouds: linear assignment with Euclidean
     ground cost.  Unequal counts are first reconciled to a common size."""
+    # imported here: only exact W1 on N >= 2 modes runs an assignment, and
+    # importing scipy.optimize is about a third of `import hilbert_mfg.mfg`
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     _require_compatible(mu, nu)
     mu, nu = _common_size(mu, nu, seed)
     cost = cdist(mu.points, nu.points)
@@ -424,29 +428,23 @@ def mixture_paths(path_a, path_b, lam, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
-
-
-def measure_to_csv(mu, path):
-    write_table(path, ",".join("mode_%d" % (k + 1) for k in range(mu.N)), mu.points)
-
-
-def measure_from_csv(path):
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ParticleMeasure(pts)
+# Path directories
 
 
 def path_to_dir(path_obj, dirpath):
+    """Write a law path as `times.csv` plus `points.npy`, the (J+1, M, N)
+    points array in the NumPy .npy format."""
     os.makedirs(dirpath, exist_ok=True)
     write_table(os.path.join(dirpath, "times.csv"), "t", path_obj.times)
-    for j, mu in enumerate(path_obj.measures):
-        measure_to_csv(mu, os.path.join(dirpath, "m_%04d.csv" % j))
+    np.save(os.path.join(dirpath, "points.npy"), path_obj.points, allow_pickle=False)
 
 
 def path_from_dir(dirpath):
+    """Read a directory `path_to_dir` wrote.  Raises ValueError unless
+    `points.npy` is a pickle-free float64 array that MeasurePath accepts:
+    3-D, with one slice per time in `times.csv`."""
     times = np.loadtxt(os.path.join(dirpath, "times.csv"), delimiter=",", skiprows=1, ndmin=1)
-    clouds = [measure_from_csv(os.path.join(dirpath, "m_%04d.csv" % j)).points
-              for j in range(len(times))]
-    if len({c.shape for c in clouds}) > 1:
-        raise ValueError("particle or mode count varies over time")
-    return MeasurePath(times=times, points=np.stack(clouds))
+    points = np.load(os.path.join(dirpath, "points.npy"), allow_pickle=False)
+    if points.dtype != np.float64:
+        raise ValueError("points.npy holds %s, not float64" % points.dtype)
+    return MeasurePath(times=times, points=points)

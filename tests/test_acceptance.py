@@ -15,7 +15,6 @@ from hilbert_mfg.cli import EXIT_OK, main
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import (
     DriftField,
-    FourierTestFunction,
     bootstrap_stderr,
     propagate,
     residual_audit_cases,

@@ -150,7 +150,8 @@ def test_solve_fp_variance_column_matches_closed_form(tmp_path):
     assert res[0]["op"] == "weak_form_residual"
     assert abs(float(res[0]["value"])) < max(float(res[0]["stderr3"]), 2e-2)
     assert (out / "config.echo").exists()
-    assert (out / "m" / "times.csv").exists()
+    # (J+1, M, N): dt 0.1 on [0, 1], 20000 particles, one mode
+    assert np.load(out / "m" / "points.npy").shape == (11, 20000, 1)
 
 
 def test_solve_hjb_zero_hamiltonian_single_sweep(tmp_path):
@@ -179,7 +180,8 @@ def test_solve_mfg_monotone_model_all_pass(tmp_path):
     head = open(out / "iterations.csv").readline().strip()
     assert head == "iteration,rho_inf_change,psi_residual,wallclock"
     assert (out / "v" / "metadata.csv").exists()
-    assert (out / "m" / "times.csv").exists()
+    # (J+1, M, N): dt 0.1 on [0, 1], 3000 particles, one mode
+    assert np.load(out / "m" / "points.npy").shape == (11, 3000, 1)
 
 
 def test_check_negative_control_fails_with_audit_exit(tmp_path, capsys):
@@ -347,26 +349,27 @@ def test_every_public_name_resolves_through_the_lazy_getattr():
         assert hilbert_mfg.__getattr__(name) is not None, name
 
 
-def write_saved_path(d, times, clouds):
+def write_saved_path(d, times, points, allow_pickle=False):
     """A measure_source directory in the layout path_to_dir writes."""
     d.mkdir()
     np.savetxt(d / "times.csv", times, fmt="%.17g", header="t", comments="")
-    for j, cloud in enumerate(clouds):
-        header = ",".join("mode_%d" % (k + 1) for k in range(cloud.shape[1]))
-        np.savetxt(d / ("m_%04d.csv" % j), cloud, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
+    np.save(d / "points.npy", points, allow_pickle=allow_pickle)
 
 
-@pytest.mark.parametrize("case", ["missing", "mesh", "modes", "counts", "valid"])
+@pytest.mark.parametrize("case", ["missing", "mesh", "modes", "length", "float32",
+                                  "pickled", "empty", "valid"])
 def test_measure_source_is_checked_before_the_run_directory(tmp_path, capsys, case):
     # HJB_INI: one mode, dt 0.1 on [0, 1]
     times = np.linspace(0.0, 1.0, 6 if case == "mesh" else 11)
-    clouds = [np.full((5, 2 if case == "modes" else 1), 0.1 * j) for j in range(len(times))]
-    if case == "counts":
-        clouds[3] = np.zeros((6, 1))
+    points = np.stack([np.full((5, 2 if case == "modes" else 1), 0.1 * j)
+                       for j in range(len(times))])
+    points = {"length": points[:-1], "float32": points.astype(np.float32),
+              "pickled": points.astype(object)}.get(case, points)
     src = tmp_path / "saved"
     if case != "missing":
-        write_saved_path(src, times, clouds)
+        write_saved_path(src, times, points, allow_pickle=case == "pickled")
+    if case == "empty":
+        (src / "points.npy").write_bytes(b"")
     ini = HJB_INI.replace("m0_mean = 0.0", "m0_mean = 0.0\nmeasure_source = %s" % src)
     out = tmp_path / "r"
     code = main(["solve-hjb", "--config", write_ini(tmp_path, ini), "--out", str(out)])

@@ -1,5 +1,5 @@
 """Measure kit: exact/sliced W1, moments, membership audits, path
-functionals, pooling mixtures, and CSV round trips."""
+functionals, pooling mixtures, and path-directory round trips."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hilbert_mfg import rng
 from hilbert_mfg.tables import write_table
 from hilbert_mfg.measures import (
     Dirac,
@@ -15,8 +14,6 @@ from hilbert_mfg.measures import (
     ParticleMeasure,
     ProductGaussian,
     check_Qm0_membership,
-    measure_from_csv,
-    measure_to_csv,
     mixture_paths,
     path_from_dir,
     path_modulus,
@@ -388,18 +385,7 @@ def test_mixture_paths_equal_the_per_time_vstack():
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips
-
-
-def test_measure_csv_roundtrip(tmp_path):
-    gen = np.random.default_rng(77)
-    mu = cloud(gen, 25, 3)
-    f = tmp_path / "m.csv"
-    measure_to_csv(mu, f)
-    header = f.read_text().splitlines()[0]
-    assert header == "mode_1,mode_2,mode_3"
-    back = measure_from_csv(f)
-    assert np.array_equal(back.points, mu.points)
+# Round trips
 
 
 @pytest.mark.parametrize("table", [
@@ -417,10 +403,20 @@ def test_write_table_bytes_equal_savetxt(tmp_path, table):
 
 
 def test_path_dir_roundtrip(tmp_path):
-    path = ou_trajectory_path(5, M=16)
-    d = tmp_path / "path"
-    path_to_dir(path, d)
-    back = path_from_dir(d)
-    assert np.array_equal(back.times, path.times)
-    for a, b in zip(back.measures, path.measures):
-        assert np.array_equal(a.points, b.points)
+    for N in (1, 2, 3):
+        points = np.random.default_rng(N).standard_normal((6, 16, N))
+        points[1, 0] = -0.0
+        points[2, 1] = 1e-300
+        points[3, 2] = 2.0 ** -1074
+        path = MeasurePath(times=np.linspace(0.0, 1.0, 6), points=points)
+        d, again = tmp_path / ("path%d" % N), tmp_path / ("again%d" % N)
+        path_to_dir(path, d)
+        path_to_dir(path, again)
+        assert {f.name for f in d.iterdir()} == {"times.csv", "points.npy"}
+        for name in ("times.csv", "points.npy"):
+            assert (d / name).read_bytes() == (again / name).read_bytes()
+        back = path_from_dir(d)
+        assert np.array_equal(back.times, path.times)
+        assert back.points.dtype == np.float64
+        assert back.points.tobytes() == path.points.tobytes()  # -0.0 and subnormals too
+        assert not back.points.flags.writeable

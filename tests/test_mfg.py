@@ -5,6 +5,10 @@ tolerances live in the acceptance suite.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hilbert_mfg
 from hilbert_mfg import rng
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import DriftField, propagate
@@ -332,3 +337,13 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
         fixed_point_iterate(make_model("cap1d_monotone"), SMALL)
     assert isinstance(info.value, RuntimeError)
     assert [r.index for r in info.value.iterations] == [1]
+
+
+def test_importing_the_mfg_solver_loads_no_scipy_optimize():
+    # only exact W1 on N >= 2 modes runs an assignment; it imports scipy.optimize itself
+    src = str(Path(hilbert_mfg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hilbert_mfg.mfg; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
