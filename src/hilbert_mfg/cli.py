@@ -64,6 +64,33 @@ class RunConfig:
         return make_model(self.model)
 
 
+# Every key the parser reads, by section, with the cast of each numerics key.
+_NUMERICS = (("dt", float), ("particles", int), ("grid_points", int),
+             ("box_scale", float), ("quad_nodes", int), ("tau_nodes", int),
+             ("picard_tol", float), ("picard_max", int),
+             ("fp_tol", float), ("fp_max", int), ("damping", float))
+_KEYS = {
+    "problem": ("model", "horizon", "eigenvalues", "delta", "family", "m0",
+                "m0_mean", "m0_var", "drift", "measure_source", "hamiltonian"),
+    "numerics": tuple(key for key, _ in _NUMERICS),
+    "run": ("seed", "out", "uniqueness"),
+}
+
+
+def _check_keys(cp):
+    """Refuse a section or key the parser does not read: a misspelt key
+    would otherwise be dropped and its default used without a word."""
+    sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
+    for section in sections:
+        if section not in _KEYS:
+            raise ConfigError("[%s]: unknown section (expected %s)"
+                              % (section, ", ".join("[%s]" % s for s in _KEYS)))
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError("[%s] %s: unknown key (expected one of %s)"
+                                  % (section, key, ", ".join(_KEYS[section])))
+
+
 def _floats(text):
     return tuple(float(tok) for tok in text.split())
 
@@ -105,6 +132,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("%s: %s" % (path, exc))
     if not found:
         raise ConfigError("config file not found or unreadable: %s" % path)
+    _check_keys(cp)
 
     model = _parse(cp, "problem", "model", str)
     if model is not None and model not in MODEL_NAMES:
@@ -168,10 +196,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("[problem] model: required when hamiltonian = model")
 
     num = {}
-    for key, cast in (("dt", float), ("particles", int), ("grid_points", int),
-                      ("box_scale", float), ("quad_nodes", int), ("tau_nodes", int),
-                      ("picard_tol", float), ("picard_max", int),
-                      ("fp_tol", float), ("fp_max", int), ("damping", float)):
+    for key, cast in _NUMERICS:
         val = _parse(cp, "numerics", key, cast)
         if val is not None:
             num[key] = val
@@ -207,9 +232,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         if not cp.has_section(section):
             cp.add_section(section)
     cp.set("problem", "horizon", repr(solver.horizon))
-    for key in ("dt", "particles", "grid_points", "box_scale", "quad_nodes",
-                "tau_nodes", "picard_tol", "picard_max", "fp_tol", "fp_max",
-                "damping"):
+    for key in _KEYS["numerics"]:
         cp.set("numerics", key, repr(getattr(solver, key)))
     cp.set("run", "seed", str(seed))
     cp.set("run", "out", out)

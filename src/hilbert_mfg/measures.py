@@ -15,8 +15,14 @@ assignment problem with Euclidean ground cost; beyond the configured budget
 a sliced surrogate (average of 1-D sorted-coupling distances over random
 unit directions) is used.  The choice is reported either way.  All
 randomized surrogates are deterministic functions of their seed.
+
+A sorted pair is read from three helpers: the directions, each cloud's
+sorted profile and the mean gap of two profiles.  `path_modulus` draws
+the directions once and, in a working set of two row times, sorts each
+mesh time once per block of rows instead of twice per pair.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -262,28 +268,53 @@ def wasserstein1(mu, nu, seed=0):
     return float(cost[rows, cols].mean())
 
 
-def _sorted_w1_1d(a, b):
-    """1-D W1 of equal-size samples: mean gap of the sorted coupling."""
-    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+def _slice_directions(seed, projections, n_modes):
+    """The sliced surrogate's unit directions, a deterministic function of
+    the seed: one draw serves every pair that shares the seed."""
+    if projections < 1:
+        raise ValueError("need at least one projection")
+    g = rng.generator(seed, _TAG_SLICE)
+    dirs = g.standard_normal((int(projections), n_modes))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0] = 1.0
+    dirs /= norms[:, None]
+    return dirs
+
+
+def _sorted_profile(points, dirs):
+    """One cloud's sorted profile: its (M, P) projections on `dirs` sorted
+    along the particle axis, or, with `dirs` None, its sorted coordinate on
+    the one mode."""
+    if dirs is None:
+        return np.sort(points[:, 0])
+    profile = points @ dirs.T
+    profile.sort(axis=0)
+    return profile
+
+
+def _gap(a, b, out):
+    """mean |a - b| of two sorted profiles of one shape, computed in `out`
+    (which may be `a`): the W1 of their sorted coupling, averaged over the
+    directions."""
+    np.subtract(a, b, out=out)
+    np.abs(out, out=out)
+    return float(out.mean())
+
+
+def _sorted_w1_1d(mu, nu):
+    """1-D W1 of equal-size one-mode clouds: mean gap of the sorted coupling."""
+    a = _sorted_profile(mu.points, None)
+    return _gap(a, _sorted_profile(nu.points, None), out=a)
 
 
 def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     """Sliced surrogate: average over random unit directions of the 1-D
     sorted-coupling W1 of the projected samples."""
     _require_compatible(mu, nu)
-    if projections < 1:
-        raise ValueError("need at least one projection")
+    dirs = _slice_directions(seed, projections, mu.N)
     mu, nu = _common_size(mu, nu, seed)
-    g = rng.generator(seed, _TAG_SLICE)
-    dirs = g.standard_normal((int(projections), mu.N))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0] = 1.0
-    dirs /= norms[:, None]
-    pa = mu.points @ dirs.T
-    pb = nu.points @ dirs.T
-    pa.sort(axis=0)
-    pb.sort(axis=0)
-    return float(np.mean(np.abs(pa - pb)))
+    a = _sorted_profile(mu.points, dirs)
+    return _gap(a, _sorted_profile(nu.points, dirs), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +372,22 @@ def check_Qm0_membership(mu, bounds, c_hat):
 # Path functionals
 
 
+def _by_sorting(n_modes, n_points, exact_budget):
+    """Whether the dispatcher settles a pair of clouds by sorting: always on
+    one mode, and through the sliced surrogate beyond the exact budget on
+    N >= 2 modes."""
+    return n_modes == 1 or n_points > exact_budget
+
+
 def _pair_distance(mu, nu, exact_budget, projections, seed):
     """The one W1 dispatcher: the sorted coupling on one mode, exact
     assignment within the budget on N >= 2 modes, the sliced surrogate
     beyond it.  Returns (distance, "exact" | "sliced")."""
     _require_compatible(mu, nu)
-    if mu.N == 1:
-        mu, nu = _common_size(mu, nu, seed)
-        return _sorted_w1_1d(mu.points[:, 0], nu.points[:, 0]), "exact"
-    if max(mu.M, nu.M) <= exact_budget:
+    if not _by_sorting(mu.N, max(mu.M, nu.M), exact_budget):
         return wasserstein1(mu, nu, seed=seed), "exact"
+    if mu.N == 1:
+        return _sorted_w1_1d(*_common_size(mu, nu, seed)), "exact"
     return wasserstein1_sliced(mu, nu, projections=projections, seed=seed), "sliced"
 
 
@@ -382,25 +419,62 @@ class ModulusTable:
 
 def path_modulus(path, max_pairs=250, exact_budget=512, projections=64, seed=0):
     """Tabulate W1 against time gaps over mesh pairs (budgeted subsample) and
-    fit the envelope constant of the sqrt-plus-linear modulus."""
+    fit the envelope constant of the sqrt-plus-linear modulus.
+
+    Pairs the dispatcher settles by sorting go through `_sorted_pair_gaps`,
+    which sorts each mesh time once per block of two row times; each pair's
+    distance is bit for bit what `_pair_distance` returns for it."""
     J = len(path.measures)
     if J < 2:
         raise ValueError("need at least two mesh points")
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be at least 1, got %r" % (max_pairs,))
     pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
     if len(pairs) > max_pairs:
         g = rng.generator(seed, _TAG_PAIRS)
         keep = g.choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[i] for i in np.sort(keep)]
-    gaps = np.empty(len(pairs))
-    dists = np.empty(len(pairs))
-    method = "exact"
-    for n, (i, j) in enumerate(pairs):
-        gaps[n] = path.times[j] - path.times[i]
-        dists[n], method = _pair_distance(
-            path.measures[i], path.measures[j], exact_budget, projections, seed
-        )
+    gaps = np.array([path.times[j] - path.times[i] for i, j in pairs])
+    if _by_sorting(path.N, path.M, exact_budget):
+        dirs = None if path.N == 1 else _slice_directions(seed, projections, path.N)
+        dists = _sorted_pair_gaps(path.points, pairs, dirs)
+        method = "exact" if dirs is None else "sliced"
+    else:
+        dists = np.array([_pair_distance(path.measures[i], path.measures[j],
+                                         exact_budget, projections, seed)[0]
+                          for i, j in pairs])
+        method = "exact"
     constant = float(np.max(dists / (np.sqrt(gaps) + gaps)))
     return ModulusTable(gaps=gaps, dists=dists, constant=constant, method=method)
+
+
+def _sorted_pair_gaps(points, pairs, dirs):
+    """Sorted-coupling distances of the clouds `points[i]`, `points[j]` for
+    each pair (i, j), i < j, in (i, j) order, with `dirs` as in
+    `_sorted_profile`.
+
+    The pairs are taken in blocks of two row times i in {b, b + 1}.  A
+    block holds its row profiles and streams each later time its pairs
+    need, once, so each such time is sorted once per block and at most four
+    profile-sized arrays are live: two rows, one streamed time and the gap
+    buffer."""
+    buf = np.empty(points.shape[1:2] if dirs is None else (points.shape[1], len(dirs)))
+    dists = np.empty(len(pairs))
+    for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
+        partners = {}  # time -> (pair index, row time) of the pairs ending there
+        for n, (i, j) in block:
+            partners.setdefault(i, [])
+            partners.setdefault(j, []).append((n, i))
+        last_row = i  # the pairs come in (i, j) order
+        held = {}
+        for t in sorted(partners):
+            profile = _sorted_profile(points[t], dirs)
+            for n, row in partners[t]:
+                dists[n] = _gap(held[row], profile, out=buf)
+            if t <= last_row:
+                held[t] = profile
+            del profile  # a streamed time is dropped before the next is sorted
+    return dists
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,24 @@ def test_duplicated_numerics_key_exits_2_naming_the_key(tmp_path, capsys):
     assert "dt" in err and "numerics" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("anchor, line, named", [
+    ("m0 = dirac", "m0_shape = flat", "[problem] m0_shape"),
+    ("dt = 0.1", "particels = 100", "[numerics] particels"),
+    ("dt = 0.1", "exact_w1_budget = 64", "[numerics] exact_w1_budget"),
+    ("seed = 0", "sede = 3", "[run] sede"),
+    ("seed = 0", "\n[solver]\ndt = 0.2", "[solver]"),
+])
+def test_unknown_section_or_key_exits_2_before_the_run_directory(
+        tmp_path, capsys, anchor, line, named):
+    bad = FP_INI.replace(anchor, anchor + "\n" + line)
+    code = main(["solve-fp", "--config", write_ini(tmp_path, bad),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+    assert not (tmp_path / "r").exists()
+
+
 TINY_MFG_INI = """
 [problem]
 model = %s

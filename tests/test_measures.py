@@ -1,12 +1,15 @@
 """Measure kit: exact/sliced W1, moments, membership audits, path
 functionals, pooling mixtures, and path-directory round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hilbert_mfg import measures
 from hilbert_mfg.tables import write_table
 from hilbert_mfg.measures import (
     Dirac,
@@ -21,6 +24,7 @@ from hilbert_mfg.measures import (
     path_to_dir,
     wasserstein1,
     wasserstein1_sliced,
+    _pair_distance,
     _pool_indices,
 )
 
@@ -317,6 +321,89 @@ def test_path_modulus_jump_blows_up():
     c_coarse = path_modulus(jump_path(10), max_pairs=5000).constant
     c_fine = path_modulus(jump_path(40), max_pairs=5000).constant
     assert c_fine >= 1.5 * c_coarse
+
+
+@st.composite
+def small_paths(draw):
+    """A path of N in {1, 2, 3} modes, 2 to 8 mesh times and at most 64
+    particles, on a mesh whose time gaps differ pairwise."""
+    n_times = draw(st.integers(2, 8))
+    shape = (n_times, draw(st.integers(1, 64)), draw(st.integers(1, 3)))
+    points = draw(arrays(np.float64, shape, elements=_COORDS))
+    return MeasurePath(times=np.cumsum(np.r_[0.0, 2.0 ** np.arange(n_times - 1)]),
+                       points=points)
+
+
+def assert_modulus_matches_dispatcher(path, table, budget, projections, seed):
+    """Each tabulated distance is, bit for bit, what the one W1 dispatcher
+    returns for its pair; the pairs are recovered from the pairwise-distinct
+    time gaps and must come in (i, j) order."""
+    J = len(path.times)
+    pair_of = {path.times[j] - path.times[i]: (i, j) for i in range(J) for j in range(i + 1, J)}
+    pairs = [pair_of[g] for g in table.gaps]
+    assert pairs == sorted(set(pairs))
+    want = [_pair_distance(path.measures[i], path.measures[j], budget, projections, seed)
+            for i, j in pairs]
+    assert np.array_equal(table.dists, [d for d, _ in want])
+    assert {table.method} == {m for _, m in want}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(path=small_paths(), budget=st.sampled_from([1, 512]), seed=st.integers(0, 3))
+def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
+    table = path_modulus(path, exact_budget=budget, projections=16, seed=seed)
+    assert len(table.dists) == len(path.times) * (len(path.times) - 1) // 2
+    assert_modulus_matches_dispatcher(path, table, budget, 16, seed)
+
+
+def test_subsampled_path_modulus_matches_the_dispatcher():
+    gen = np.random.default_rng(8)
+    times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(13)])
+    path = MeasurePath(times=times, points=gen.standard_normal((14, 50, 2)).cumsum(axis=0))
+    table = path_modulus(path, max_pairs=20, exact_budget=1, projections=8, seed=5)
+    assert len(table.dists) == 20
+    assert_modulus_matches_dispatcher(path, table, 1, 8, 5)
+
+
+def test_path_modulus_input_checks():
+    path = stacked([0.0, 1.0], [cloud(np.random.default_rng(2), 8, 2)] * 2)
+    with pytest.raises(ValueError, match="need at least one projection"):
+        path_modulus(path, exact_budget=1, projections=0)
+    with pytest.raises(ValueError, match="max_pairs"):
+        path_modulus(path, max_pairs=0)
+
+
+def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(monkeypatch):
+    M, P = 4000, 64
+    gen = np.random.default_rng(11)
+    path = MeasurePath(times=np.linspace(0.0, 1.0, 11),
+                       points=gen.standard_normal((11, M, 2)).cumsum(axis=0))
+    profile = M * P * 8  # bytes of one (M, P) float64 profile
+
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # two row profiles, one streamed time and the gap buffer; caching every
+    # time would hold 11, and sorting per pair peaked at 4
+    assert peak_bytes(lambda: path_modulus(path, exact_budget=512, projections=P)) <= 5 * profile
+    # the two profiles, the gap written into the first
+    assert peak_bytes(lambda: wasserstein1_sliced(*path.measures[:2], projections=P)) \
+        <= 2.1 * profile
+
+    sorted_profile = measures._sorted_profile
+    calls = []
+    monkeypatch.setattr(measures, "_sorted_profile",
+                        lambda *args: calls.append(1) or sorted_profile(*args))
+    table = path_modulus(path, exact_budget=512, projections=P)
+    assert len(table.dists) == 55 and table.method == "sliced"
+    # blocks {0, 1}, ..., {8, 9}: 11 + 9 + 7 + 5 + 3 sorts, not 2 per pair
+    assert len(calls) == 35
 
 
 # ---------------------------------------------------------------------------
