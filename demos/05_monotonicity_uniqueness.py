@@ -14,7 +14,6 @@ from hilbert_mfg import (
     F1Coupling,
     SolverConfig,
     assumption_check,
-    fixed_point_iterate,
     make_model,
     monotonicity_check,
     uniqueness_experiment,

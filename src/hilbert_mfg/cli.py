@@ -1,4 +1,5 @@
-"""Batch driver: flat .ini configs in, CSV diagnostics and .npy law paths out.
+"""Batch entry point: flat .ini configs in, CSV diagnostics and .npy arrays (the
+value field, the law path) out.
 
 Four subcommands wire the library pipelines: `solve-hjb` (value field
 against a frozen measure path), `solve-fp` (particle transport plus weak
@@ -6,7 +7,8 @@ residual diagnostics), `solve-mfg` (damped fixed point with the moment
 audit), `check` (coupling monotonicity, declared-bound spot checks, and
 the two-start experiment).  Every run echoes its resolved config and
 refuses to reuse an existing output directory, so a run directory is a
-complete, diffable record.
+complete, diffable record.  The ranges of the [numerics] keys are checked
+in one place, SolverConfig; the parser names the section.
 
 Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
 value-solve stall included), 4 audit failure, 1 internal error.  Heavy
@@ -16,6 +18,7 @@ it.
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -92,7 +95,31 @@ def _check_keys(cp):
 
 
 def _floats(text):
-    return tuple(float(tok) for tok in text.split())
+    """One or more whitespace-separated finite numbers."""
+    vals = tuple(float(tok) for tok in text.split())
+    if not vals:
+        raise ValueError("expected at least one number")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("entries must be finite, got %r" % text)
+    return vals
+
+
+def _family(text):
+    toks = text.split()
+    if len(toks) != 3 or toks[0] != "power":
+        raise ValueError("expected 'power c p'")
+    return ("power",) + _floats(" ".join(toks[1:]))
+
+
+def _drift(text):
+    toks = text.split()
+    if toks[:1] == ["zero"]:
+        return ("zero",)
+    if toks[:1] == ["const"]:
+        if len(toks) == 1:
+            raise ValueError("'const' needs one value per mode")
+        return ("const",) + _floats(" ".join(toks[1:]))
+    raise ValueError("expected 'zero' or 'const c_1 ... c_N'")
 
 
 def _parse(cp, section, key, cast, default=None, required=False):
@@ -139,19 +166,12 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("[problem] model: unknown model %r (shipped: %s)"
                           % (model, ", ".join(MODEL_NAMES)))
     horizon = _parse(cp, "problem", "horizon", float, default=1.0)
-    if not horizon > 0:
-        raise ConfigError("[problem] horizon: must be positive")
+    if not 0 < horizon < math.inf:
+        raise ConfigError("[problem] horizon: must be positive and finite")
 
     eigenvalues = _parse(cp, "problem", "eigenvalues", _floats)
     delta = _parse(cp, "problem", "delta", float, default=0.5)
-    family = _parse(cp, "problem", "family", str)
-    if family is not None:
-        toks = family.split()
-        if len(toks) != 3 or toks[0] != "power":
-            raise ConfigError("[problem] family: expected 'power c p'")
-        family = ("power", float(toks[1]), float(toks[2]))
-    if model is None and eigenvalues is None and command in ("solve-fp", "solve-hjb"):
-        raise ConfigError("[problem] eigenvalues: required when no model is selected")
+    family = _parse(cp, "problem", "family", _family)
     if eigenvalues is not None:
         if len(eigenvalues) > 3:
             raise ConfigError("[problem] eigenvalues: at most 3 modes supported")
@@ -173,19 +193,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         if any(v <= 0 for v in m0_var):
             raise ConfigError("[problem] m0_var: variances must be positive")
 
-    drift = _parse(cp, "problem", "drift", str, default="zero")
-    toks = drift.split()
-    if toks[0] == "zero":
-        drift = ("zero",)
-    elif toks[0] == "const":
-        try:
-            drift = ("const",) + tuple(float(t) for t in toks[1:])
-        except ValueError as exc:
-            raise ConfigError("[problem] drift: %s" % exc)
-        if len(drift) == 1:
-            raise ConfigError("[problem] drift: 'const' needs one value per mode")
-    else:
-        raise ConfigError("[problem] drift: expected 'zero' or 'const c_1 ... c_N'")
+    drift = _parse(cp, "problem", "drift", _drift, default=("zero",))
 
     measure_source = _parse(cp, "problem", "measure_source", str, default="zero-drift")
     hamiltonian = _parse(cp, "problem", "hamiltonian", str,
@@ -194,19 +202,18 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("[problem] hamiltonian: expected 'model' or 'zero'")
     if hamiltonian == "model" and model is None:
         raise ConfigError("[problem] model: required when hamiltonian = model")
+    # solve-fp without a model and solve-hjb with H = 0 build the spectrum
+    # from the eigenvalues key, never from the model's
+    if eigenvalues is None and (command == "solve-fp" and model is None
+                                or command == "solve-hjb" and hamiltonian == "zero"):
+        raise ConfigError("[problem] eigenvalues: required when no model spectrum is used "
+                          "(solve-fp without a model, solve-hjb with hamiltonian = zero)")
 
     num = {}
     for key, cast in _NUMERICS:
         val = _parse(cp, "numerics", key, cast)
         if val is not None:
             num[key] = val
-    for key in ("dt", "picard_tol", "fp_tol", "damping", "box_scale"):
-        if key in num and not num[key] > 0:
-            raise ConfigError("[numerics] %s: must be positive" % key)
-    for key in ("particles", "grid_points", "quad_nodes", "tau_nodes",
-                "picard_max", "fp_max"):
-        if key in num and not num[key] > 0:
-            raise ConfigError("[numerics] %s: must be positive" % key)
 
     seed = seed_override
     if seed is None:

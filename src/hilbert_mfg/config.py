@@ -30,13 +30,14 @@ class SolverConfig:
 
     def __post_init__(self):
         # each message starts with the one field it is about
-        for name in ("horizon", "dt", "picard_tol", "fp_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s: must be positive" % name)
+        for name in ("horizon", "dt", "box_scale", "picard_tol", "fp_tol"):
+            if not 0 < getattr(self, name) < np.inf:  # refuses nan too
+                raise ValueError("%s: must be positive and finite" % name)
         if not 0 < self.damping <= 1:
             raise ValueError("damping: must lie in (0, 1]")
         for name, least in (("particles", 1), ("grid_points", 2),
-                            ("quad_nodes", 1), ("tau_nodes", 2)):
+                            ("quad_nodes", 1), ("tau_nodes", 2),
+                            ("picard_max", 1), ("fp_max", 1)):
             if getattr(self, name) < least:
                 raise ValueError("%s: must be >= %d" % (name, least))
 

@@ -228,27 +228,19 @@ class GridValueField:
         return out.reshape(lead + (self.n_modes,)) if lead else out[0]
 
     def to_dir(self, path, extra=None):
-        """One CSV per time slice (coordinates, value, gradient components)
-        plus the mesh, the axes, and a metadata table; extra key/value rows
+        """Write the field as `times.csv`, `axes.csv` (one column per mode),
+        `values.npy` and `grads.npy` (the two arrays as stored, in the NumPy
+        .npy format) and a metadata table; extra key/value rows
         (diagnostics computed by the caller) append to the metadata."""
+        if len({len(a) for a in self.axes}) != 1:
+            raise ValueError("serialization requires equal per-mode resolutions")
         d = Path(path)
         d.mkdir(parents=True, exist_ok=True)
         write_table(d / "times.csv", "t", self.times)
-        lengths = {len(a) for a in self.axes}
-        if len(lengths) != 1:
-            raise ValueError("serialization requires equal per-mode resolutions")
         write_table(d / "axes.csv", ",".join("mode_%d" % (k + 1) for k in range(self.n_modes)),
                     np.stack(self.axes, axis=-1))
-        pts = _tensor_points(self.axes)
-        coord_names = ["x_%d" % (k + 1) for k in range(self.n_modes)]
-        grad_names = ["dv_%d" % (k + 1) for k in range(self.n_modes)]
-        for j in range(len(self.times)):
-            cols = [pts, self.values[j].ravel()[:, None]]
-            names = coord_names + ["v"]
-            if j < len(self.grads):
-                cols.append(self.grads[j].reshape(-1, self.n_modes))
-                names += grad_names
-            write_table(d / ("v_%04d.csv" % j), ",".join(names), np.hstack(cols))
+        np.save(d / "values.npy", self.values, allow_pickle=False)
+        np.save(d / "grads.npy", self.grads, allow_pickle=False)
         with open(d / "metadata.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["key", "value"])
@@ -261,28 +253,19 @@ class GridValueField:
 
     @classmethod
     def from_dir(cls, path):
+        """Read a directory `to_dir` wrote; the arrays are loaded without
+        pickle support and checked by the constructor."""
         d = Path(path)
-        times = np.atleast_1d(np.loadtxt(d / "times.csv", skiprows=1))
-        axes_table = np.atleast_2d(np.loadtxt(d / "axes.csv", skiprows=1, delimiter=","))
-        if axes_table.shape[0] == 1:
-            axes_table = axes_table.T
-        axes = tuple(axes_table[:, k] for k in range(axes_table.shape[1]))
-        n = len(axes)
-        shape = tuple(len(a) for a in axes)
-        J = len(times) - 1
-        values = np.empty((J + 1,) + shape)
-        grads = np.empty((J,) + shape + (n,))
-        for j in range(J + 1):
-            table = np.atleast_2d(np.loadtxt(d / ("v_%04d.csv" % j), skiprows=1, delimiter=","))
-            values[j] = table[:, n].reshape(shape)
-            if j < J:
-                grads[j] = table[:, n + 1 : 2 * n + 1].reshape(shape + (n,))
+        times = np.loadtxt(d / "times.csv", skiprows=1, ndmin=1)
+        axes = np.loadtxt(d / "axes.csv", skiprows=1, delimiter=",", ndmin=2)
+        values = np.load(d / "values.npy", allow_pickle=False)
+        grads = np.load(d / "grads.npy", allow_pickle=False)
         meta = {}
         with open(d / "metadata.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 meta[row["key"]] = row["value"]
         history = tuple(float(tok) for tok in meta.get("history", "").split("|") if tok)
-        return cls(times=times, axes=axes, values=values, grads=grads,
+        return cls(times=times, axes=tuple(axes.T), values=values, grads=grads,
                    status=meta.get("status", "direct"), history=history)
 
 

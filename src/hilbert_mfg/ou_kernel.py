@@ -12,22 +12,15 @@ budgets for.
 Expectations are evaluated by tensor Gauss-Hermite quadrature over the
 modes: deterministic and spectrally accurate for smooth integrands (a
 Monte Carlo route exists only as a test oracle).  Fields are callables on
-(..., N)-shaped coordinate arrays.  A field with a `box` attribute gets the
-Gaussian mass falling outside the box (where a grid field extrapolates as a
-constant) logged as the bias scale; no field the solvers build has one, so
-in a solve that mass is never computed and last_tail_mass stays 0.
+(..., N)-shaped coordinate arrays.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr
 
 from .spectrum import covariance_diag, semigroup_factors
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -77,21 +70,6 @@ class OUKernel:
     def __init__(self, spec, rule=None):
         self.spec = spec
         self.rule = rule if rule is not None else QuadratureRule()
-        self.last_tail_mass = 0.0
-
-    def _log_tail(self, phi, t, pts, sd):
-        box = getattr(phi, "box", None)
-        if box is None or np.all(sd == 0):
-            return
-        mean = pts * semigroup_factors(self.spec, t)
-        L = np.broadcast_to(np.asarray(box, dtype=float), (self.spec.N,))
-        with np.errstate(divide="ignore"):
-            lo = ndtr((-L - mean) / np.where(sd > 0, sd, np.inf))
-            hi = ndtr((mean - L) / np.where(sd > 0, sd, np.inf))
-        mass = float(np.max(np.sum(lo + hi, axis=-1)))
-        self.last_tail_mass = mass
-        if mass > 0:
-            logger.debug("R_t tail mass outside box at t=%.5g: %.3e", t, mass)
 
     def _quadrature(self, phi, t, pts):
         """(R_t phi, D R_t phi) on a (G, N) batch from one evaluation of phi
@@ -103,7 +81,6 @@ class OUKernel:
         decay = semigroup_factors(self.spec, t)
         sd = np.sqrt(covariance_diag(self.spec, t))
         images = (pts * decay)[:, None, :] + sd[None, None, :] * Z[None, :, :]
-        self._log_tail(phi, t, pts, sd)
         vals = np.asarray(phi(images), dtype=float)
         return vals @ W, np.einsum("gq,q,qk->gk", vals, W, Z) * (decay / sd)
 

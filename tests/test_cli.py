@@ -182,6 +182,9 @@ def test_solve_mfg_monotone_model_all_pass(tmp_path):
     assert (out / "v" / "metadata.csv").exists()
     # (J+1, M, N): dt 0.1 on [0, 1], 3000 particles, one mode
     assert np.load(out / "m" / "points.npy").shape == (11, 3000, 1)
+    # (J+1, *grid) and (J, *grid, N) on 32 grid points
+    assert np.load(out / "v" / "values.npy").shape == (11, 32)
+    assert np.load(out / "v" / "grads.npy").shape == (10, 32, 1)
 
 
 def test_check_negative_control_fails_with_audit_exit(tmp_path, capsys):
@@ -268,9 +271,14 @@ def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, text", [("damping", "damping = 1.5"),
-                                       ("grid_points", "grid_points = 1")])
+                                       ("grid_points", "grid_points = 1"),
+                                       ("box_scale", "box_scale = 0"),
+                                       ("picard_max", "picard_max = 0"),
+                                       ("dt", "dt = nan"),
+                                       ("dt", "dt = inf")])
 def test_out_of_range_numerics_exit_2_naming_the_key(tmp_path, capsys, key, text):
-    bad = FP_INI.replace("dt = 0.1", "dt = 0.1\n" + text)
+    keep = "" if key == "dt" else "dt = 0.1\n"  # a dt case replaces the base dt
+    bad = FP_INI.replace("dt = 0.1", keep + text)
     code = main(["solve-fp", "--config", write_ini(tmp_path, bad),
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
@@ -303,6 +311,36 @@ def test_unknown_section_or_key_exits_2_before_the_run_directory(
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, anchor, text, named", [
+    pytest.param("solve-fp", "drift = zero", "drift = zero\nfamily = power abc 2", "family",
+                 id="family-word"),
+    pytest.param("solve-fp", "drift = zero", "drift =", "drift", id="drift-empty"),
+    pytest.param("solve-fp", "drift = zero", "drift = const inf", "drift", id="drift-inf"),
+    pytest.param("solve-fp", "eigenvalues = -1.0", "eigenvalues =", "eigenvalues",
+                 id="eigenvalues-empty"),
+    pytest.param("solve-fp", "eigenvalues = -1.0", "eigenvalues = nan", "eigenvalues",
+                 id="eigenvalues-nan"),
+    pytest.param("solve-fp", "eigenvalues = -1.0", "eigenvalues = -1e400", "eigenvalues",
+                 id="eigenvalues-overflow"),
+    pytest.param("solve-fp", "m0_mean = 0.0", "m0_mean = nan", "m0_mean", id="m0_mean-nan"),
+    pytest.param("solve-fp", "m0 = dirac", "m0 = gaussian\nm0_var = nan", "m0_var",
+                 id="m0_var-nan"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero\nhorizon = inf", "horizon",
+                 id="horizon-inf"),
+    pytest.param("solve-hjb", "eigenvalues = -1.0", "model = cap1d_monotone", "eigenvalues",
+                 id="hjb-zero-hamiltonian-without-eigenvalues"),
+])
+def test_bad_problem_entry_exits_2_before_the_run_directory(
+        tmp_path, capsys, command, anchor, text, named):
+    bad = {"solve-fp": FP_INI, "solve-hjb": HJB_INI}[command].replace(anchor, text)
+    code = main([command, "--config", write_ini(tmp_path, bad),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[problem] " + named in err and "internal error" not in err
     assert not (tmp_path / "r").exists()
 
 

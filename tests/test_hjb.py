@@ -238,19 +238,39 @@ def test_data_continuity_in_the_measure_path():
     assert slopes.max() / slopes.min() < 1.2
 
 
-def test_field_serialization_round_trip(tmp_path):
-    cfg = SolverConfig(horizon=1.0, dt=0.2, particles=20, seed=4, grid_points=9)
-    path = ou_path(cfg)
-    v = solve_hjb_mild(tanh_hamiltonian(), cos_terminal, path, SPEC1,
-                       cfg.with_(picard_max=3, picard_tol=1e-30))
-    v.to_dir(tmp_path / "field")
-    back = GridValueField.from_dir(tmp_path / "field")
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_field_serialization_round_trip(tmp_path, n_modes):
+    gen = np.random.default_rng(n_modes)
+    times = np.linspace(0.0, 1.0, 4)
+    axes = tuple(np.linspace(-1.0 - k, 1.0 + k, 5) for k in range(n_modes))
+    grid = (5,) * n_modes
+    values = gen.standard_normal((4,) + grid)
+    grads = gen.standard_normal((3,) + grid + (n_modes,))
+    values.flat[1], grads.flat[1] = -0.0, -0.0
+    values.flat[2], grads.flat[2] = 2.0 ** -1074, 1e-310
+    v = GridValueField(times=times, axes=axes, values=values, grads=grads,
+                       status="converged", history=(0.25, 1e-5))
+    d, again = tmp_path / "field", tmp_path / "again"
+    v.to_dir(d, extra={"hjb_residual": 1e-3})
+    v.to_dir(again, extra={"hjb_residual": 1e-3})
+    names = {"times.csv", "axes.csv", "values.npy", "grads.npy", "metadata.csv"}
+    assert {f.name for f in d.iterdir()} == names
+    for name in names:
+        assert (d / name).read_bytes() == (again / name).read_bytes()
+    back = GridValueField.from_dir(d)
     assert np.array_equal(back.times, v.times)
-    assert all(np.array_equal(a, b) for a, b in zip(back.axes, v.axes))
-    assert np.array_equal(back.values, v.values)
-    assert np.array_equal(back.grads, v.grads)
+    assert all(np.array_equal(a, b) for a, b in zip(back.axes, v.axes, strict=True))
+    for got, want in ((back.values, v.values), (back.grads, v.grads)):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # -0.0 and subnormals too
     assert back.status == v.status
     assert back.history == pytest.approx(v.history)
+    if n_modes > 1:
+        uneven = GridValueField(times=times, axes=(np.linspace(-1.0, 1.0, 4),) + axes[1:],
+                                values=values[:, :4], grads=grads[:, :4])
+        with pytest.raises(ValueError, match="resolutions"):
+            uneven.to_dir(tmp_path / "uneven")
+        assert not (tmp_path / "uneven").exists()
 
 
 def test_terminal_layer_and_box_clipping():

@@ -158,20 +158,6 @@ def test_smoothing_audit_quadrature_refinement():
     assert np.max(np.abs(r128 - r64) / np.maximum(r128, 1e-12)) < 0.01
 
 
-def test_tail_mass_logged_for_boxed_fields():
-    k = kernel_1d()
-
-    def boxed(y):
-        return np.clip(y[..., 0], -1.0, 1.0)
-
-    boxed.box = 1.0  # declared half-width
-    k.apply_Rt(boxed, 1.0, np.array([0.0]))
-    assert k.last_tail_mass > 0.0
-    k2 = kernel_1d()
-    k2.apply_Rt(lambda y: y[..., 0], 1.0, np.array([0.0]))
-    assert k2.last_tail_mass == 0.0
-
-
 def test_value_and_gradient_share_one_evaluation_bit_for_bit():
     # on a 2-mode grid the shared evaluation equals both single reductions
     # and the plain quadrature formulas exactly, from one call of the field
