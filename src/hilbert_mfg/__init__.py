@@ -7,9 +7,10 @@ semigroup evaluation by tensor Gauss-Hermite quadrature, a mild-form HJB
 Picard solver on a time mesh x spatial grid, an exponential-Euler particle
 scheme for the Fokker-Planck flow, and a damped fixed-point iteration
 coupling the two.  Alongside the solvers, audit routines verify the
-quantitative structure the theory provides: per-mode moment bounds,
-compactness-set membership, weak-form residuals, Lasry-Lions monotonicity,
-and two-start uniqueness probes.
+quantitative structure the theory provides: the invariant-set audit of a
+law path (per-mode second moments, the fourth-moment cap and the time
+modulus), weak-form residuals, Lasry-Lions monotonicity, and two-start
+uniqueness probes.
 """
 
 import importlib
@@ -34,14 +35,13 @@ _EXPORTS = {
     ),
     "measures": (
         "Dirac", "MeasurePath", "ParticleMeasure", "ProductGaussian",
-        "check_Qm0_membership", "mixture_paths", "path_from_dir",
-        "path_modulus", "path_sup_distance", "path_to_dir", "wasserstein1",
-        "wasserstein1_sliced",
+        "mixture_paths", "path_from_dir", "path_modulus", "path_sup_distance",
+        "path_to_dir", "wasserstein1", "wasserstein1_sliced",
     ),
     "mfg": (
         "MFGProblem", "MFGSolution", "calibrate_c0", "drift_from_gradient",
-        "fixed_point_iterate", "membership_report", "mode_bounds",
-        "moment_bound_audit", "psi_map", "uniqueness_experiment",
+        "fixed_point_iterate", "mode_bounds", "moment_bound_audit", "psi_map",
+        "uniqueness_experiment",
     ),
     "models": (
         "MODEL_NAMES", "CappedControlHamiltonian", "F1Coupling",
@@ -56,8 +56,8 @@ _EXPORTS = {
         "derive_seed", "generator", "normal_stream", "uniform_stream",
     ),
     "spectrum": (
-        "SpectrumSpec", "alpha_beta", "covariance_diag", "covariance_qk",
-        "semigroup_factors", "stationary_variances", "validate_spectrum",
+        "SpectrumSpec", "covariance_diag", "covariance_qk", "semigroup_factors",
+        "stationary_variances", "validate_spectrum",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,7 +8,8 @@ audit), `check` (coupling monotonicity, declared-bound spot checks, and
 the two-start experiment).  Every run echoes its resolved config and
 refuses to reuse an existing output directory, so a run directory is a
 complete, diffable record.  The ranges of the [numerics] keys are checked
-in one place, SolverConfig; the parser names the section.
+in one place, SolverConfig, and the spectrum assumptions in another,
+validate_spectrum; the parser names the section.
 
 Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
 value-solve stall included), 4 audit failure, 1 internal error.  Heavy
@@ -48,9 +49,7 @@ class RunConfig:
     command: str
     model: str
     horizon: float
-    eigenvalues: tuple
-    delta: float
-    family: tuple
+    spectrum: object     # SpectrumSpec from the eigenvalues key, or None
     m0_kind: str
     m0_mean: tuple
     m0_var: tuple
@@ -113,11 +112,9 @@ def _family(text):
 
 def _drift(text):
     toks = text.split()
-    if toks[:1] == ["zero"]:
+    if toks == ["zero"]:
         return ("zero",)
     if toks[:1] == ["const"]:
-        if len(toks) == 1:
-            raise ValueError("'const' needs one value per mode")
         return ("const",) + _floats(" ".join(toks[1:]))
     raise ValueError("expected 'zero' or 'const c_1 ... c_N'")
 
@@ -148,6 +145,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     """Load, validate, and resolve one run configuration file."""
     from .config import SolverConfig
     from .models import MODEL_NAMES
+    from .spectrum import SpectrumSpec, validate_spectrum
 
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -172,26 +170,24 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     eigenvalues = _parse(cp, "problem", "eigenvalues", _floats)
     delta = _parse(cp, "problem", "delta", float, default=0.5)
     family = _parse(cp, "problem", "family", _family)
+    spectrum = None
     if eigenvalues is not None:
         if len(eigenvalues) > 3:
             raise ConfigError("[problem] eigenvalues: at most 3 modes supported")
-        if any(lam >= 0 for lam in eigenvalues):
-            raise ConfigError("[problem] eigenvalues: all must be negative")
-        if any(b > a for a, b in zip(eigenvalues, eigenvalues[1:])):
-            raise ConfigError("[problem] eigenvalues: must be non-increasing "
-                              "(lambda_1 >= lambda_2 >= ...), got %s"
-                              % " ".join("%g" % lam for lam in eigenvalues))
+        spectrum = SpectrumSpec(eigenvalues=eigenvalues, delta=delta, family=family)
+        violations = validate_spectrum(spectrum).violations
+        if violations:  # each leads with its key; a failed trace condition is not one
+            raise ConfigError("[problem] %s" % violations[0])
 
     m0_kind = _parse(cp, "problem", "m0", str, default="dirac")
     if m0_kind not in ("dirac", "gaussian"):
         raise ConfigError("[problem] m0: expected 'dirac' or 'gaussian'")
     m0_mean = _parse(cp, "problem", "m0_mean", _floats)
     m0_var = _parse(cp, "problem", "m0_var", _floats)
-    if m0_kind == "gaussian" and model is None:
-        if m0_var is None:
-            raise ConfigError("[problem] m0_var: required for gaussian m0")
-        if any(v <= 0 for v in m0_var):
-            raise ConfigError("[problem] m0_var: variances must be positive")
+    if m0_var is not None and min(m0_var) <= 0:
+        raise ConfigError("[problem] m0_var: variances must be positive")
+    if m0_kind == "gaussian" and model is None and m0_var is None:
+        raise ConfigError("[problem] m0_var: required for gaussian m0")
 
     drift = _parse(cp, "problem", "drift", _drift, default=("zero",))
 
@@ -204,8 +200,8 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
         raise ConfigError("[problem] model: required when hamiltonian = model")
     # solve-fp without a model and solve-hjb with H = 0 build the spectrum
     # from the eigenvalues key, never from the model's
-    if eigenvalues is None and (command == "solve-fp" and model is None
-                                or command == "solve-hjb" and hamiltonian == "zero"):
+    if spectrum is None and (command == "solve-fp" and model is None
+                             or command == "solve-hjb" and hamiltonian == "zero"):
         raise ConfigError("[problem] eigenvalues: required when no model spectrum is used "
                           "(solve-fp without a model, solve-hjb with hamiltonian = zero)")
 
@@ -245,7 +241,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     cp.set("run", "out", out)
 
     return RunConfig(command=command, model=model, horizon=solver.horizon,
-                     eigenvalues=eigenvalues, delta=delta, family=family,
+                     spectrum=spectrum,
                      m0_kind=m0_kind, m0_mean=m0_mean, m0_var=m0_var,
                      drift=drift, measure_source=measure_source,
                      hamiltonian=hamiltonian, uniqueness=uniqueness,
@@ -261,12 +257,6 @@ def _make_run_dir(cfg, cp):
     with open(d / "config.echo", "w") as fh:
         cp.write(fh)
     return d
-
-
-def _spectrum_from(cfg):
-    from .spectrum import SpectrumSpec
-    return SpectrumSpec(eigenvalues=cfg.eigenvalues, delta=cfg.delta,
-                        family=cfg.family)
 
 
 def _m0_from(cfg, n_modes):
@@ -335,7 +325,7 @@ def cmd_solve_hjb(cfg, cp):
         spec, ham, terminal = prob.spectrum, prob.hamiltonian, prob.terminal
         m0 = prob.m0
     else:
-        spec = _spectrum_from(cfg)
+        spec = cfg.spectrum
         ham = zero_hamiltonian(spec.N)
         terminal = lambda X, mu: np.cos(X[..., 0])
         m0 = _m0_from(cfg, spec.N)
@@ -376,7 +366,7 @@ def cmd_solve_fp(cfg, cp):
     from .measures import moments, path_to_dir
     from .spectrum import covariance_qk
 
-    spec = _spectrum_from(cfg) if cfg.model is None else cfg.problem().spectrum
+    spec = cfg.spectrum if cfg.model is None else cfg.problem().spectrum
     m0 = _m0_from(cfg, spec.N)
     w = _drift_from(cfg, spec.N)
 

@@ -295,7 +295,6 @@ class SeparatedHamiltonian:
     h0: object
     h0_p: object
     coupling: object  # F(x, mu)
-    terminal: object  # G(x, mu), carried for the uniqueness gate
     bound_Hp: float
     lip_p: float = None
     lip_mu: float = None

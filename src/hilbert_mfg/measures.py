@@ -1,5 +1,5 @@
-"""Empirical measures on mode coordinates, Wasserstein-1 geometry, moment
-functionals, and the compactness-set membership audits.
+"""Empirical measures on mode coordinates, Wasserstein-1 geometry, and the
+moment and path functionals the invariant-set audit reads.
 
 Measures are equal-weight particle clouds on the first N mode coordinates.
 A law path is one read-only (J+1, M, N) array over the time mesh, with one
@@ -171,8 +171,6 @@ class Dirac:
     def n_modes(self):
         return len(self.point)
 
-    exact = True
-
     def mode_second_moment(self, k):
         if not 1 <= k <= self.n_modes:
             raise IndexError("mode index %d out of range 1..%d" % (k, self.n_modes))
@@ -205,8 +203,6 @@ class ProductGaussian:
     @property
     def n_modes(self):
         return len(self.mean)
-
-    exact = True
 
     def mode_second_moment(self, k):
         if not 1 <= k <= self.n_modes:
@@ -315,57 +311,6 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     mu, nu = _common_size(mu, nu, seed)
     a = _sorted_profile(mu.points, dirs)
     return _gap(a, _sorted_profile(nu.points, dirs), out=a)
-
-
-# ---------------------------------------------------------------------------
-# Membership audits
-
-
-@dataclass
-class MembershipReport:
-    """Per-mode second moments against bounds a_k and the fourth moment
-    against c_hat; raw comparisons and 3-stderr-slack comparisons are
-    reported separately."""
-
-    modes: np.ndarray
-    observed: np.ndarray
-    stderr: np.ndarray
-    bound: np.ndarray
-    raw_pass: np.ndarray
-    slack_pass: np.ndarray
-    fourth_observed: float
-    fourth_stderr: float
-    fourth_bound: float
-    fourth_raw_pass: bool
-    fourth_slack_pass: bool
-
-    @property
-    def ok(self):
-        return bool(np.all(self.slack_pass)) and self.fourth_slack_pass
-
-
-def check_Qm0_membership(mu, bounds, c_hat):
-    """Audit mu against the compactness set: mode second moments <= a_k and
-    norm fourth moment <= c_hat, with 3-stderr statistical slack."""
-    bounds = np.asarray(bounds, dtype=float)
-    if len(bounds) < mu.N:
-        raise ValueError("need a bound for each of the %d modes" % mu.N)
-    bounds = bounds[: mu.N]
-    mom = moments(mu.points)
-    f_obs, f_err = float(mom.fourth), float(mom.fourth_stderr)
-    return MembershipReport(
-        modes=np.arange(1, mu.N + 1),
-        observed=mom.second,
-        stderr=mom.second_stderr,
-        bound=bounds,
-        raw_pass=mom.second <= bounds,
-        slack_pass=mom.second <= bounds + 3.0 * mom.second_stderr,
-        fourth_observed=f_obs,
-        fourth_stderr=f_err,
-        fourth_bound=float(c_hat),
-        fourth_raw_pass=f_obs <= c_hat,
-        fourth_slack_pass=f_obs <= c_hat + 3.0 * f_err,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Coupled value/law fixed point and its set-membership audits.
+"""Coupled value/law fixed point and its invariant-set audit.
 
 The best-response map takes a candidate law path m, solves the backward
 value equation against it, reads the feedback drift off the gradient grid,
@@ -17,7 +17,7 @@ with theta halved when the sup-distance change grows twice in a row.  The
 per-iteration noise seeds derive from (run seed, iteration index), making
 every iterate a deterministic function of the configuration.
 
-The audits quantify what membership in the iteration's invariant set
+The audit quantifies what membership in the iteration's invariant set
 means concretely: per-mode second moments below a_k = 3 (beta_k + alpha_k
 + alpha_k |H_p|^2), a fourth-moment cap whose unspecified constant is
 calibrated from zero-drift and saturated-drift transports, and a
@@ -36,13 +36,12 @@ from .fp_particles import DriftField, propagate
 from .hjb import solve_hjb_mild
 from .measures import (
     MeasurePath,
-    check_Qm0_membership,
     mixture_paths,
     moments,
     path_modulus,
     path_sup_distance,
 )
-from .spectrum import alpha_beta
+from .spectrum import stationary_variances
 
 _TAG_INIT = 0x11
 _TAG_ITER = 0x12
@@ -52,6 +51,9 @@ _TAG_CERT = 0x15
 _TAG_CAL = 0x16
 _TAG_START_A = 0x17
 _TAG_START_B = 0x18
+
+# Modes past the truncation given analytic rows in the moment audit.
+_TAIL_MODES = 3
 
 
 @dataclass
@@ -229,14 +231,18 @@ def fixed_point_iterate(problem, config, initial=None):
                        audit=audit, w1_method=w1_method)
 
 
+def _moment_bound(alpha, beta, R):
+    """a_k = 3 (beta_k + alpha_k + alpha_k |H_p|^2) for a mode of stationary
+    variance alpha_k whose initial second moment is beta_k."""
+    return 3.0 * (beta + alpha + alpha * R * R)
+
+
 def mode_bounds(problem):
-    """a_k = 3 (beta_k + alpha_k + alpha_k |H_p|^2) for the truncated modes."""
-    R = float(problem.hamiltonian.bound_Hp)
-    out = np.empty(problem.spectrum.N)
-    for k in range(1, problem.spectrum.N + 1):
-        alpha, beta = alpha_beta(problem.spectrum, k, problem.m0)
-        out[k - 1] = 3.0 * (beta + alpha + alpha * R * R)
-    return out
+    """a_k for the truncated modes."""
+    alpha = stationary_variances(problem.spectrum)
+    beta = np.array([problem.m0.mode_second_moment(k)
+                     for k in range(1, problem.spectrum.N + 1)])
+    return _moment_bound(alpha, beta, float(problem.hamiltonian.bound_Hp))
 
 
 def calibrate_c0(problem, config):
@@ -285,14 +291,14 @@ class MomentAuditReport:
                     all(r.passed for r in self.rows if r.sampled))
 
 
-def moment_bound_audit(problem, m, config, tail_modes=3):
+def moment_bound_audit(problem, m, config):
     """Audit a law path against the invariant-set bounds.
 
     Sampled rows cover modes 1..N (sup over mesh of the empirical second
     moment vs a_k with 3-stderr slack).  When the spectrum declares an
-    eigenvalue family, tail rows for modes N+1.. are emitted with their
-    analytic bounds only: the truncation carries no mass there, so beta_n
-    = 0 and nothing can be sampled.
+    eigenvalue family, tail rows for the next _TAIL_MODES modes are
+    emitted with their analytic bounds only: the truncation carries no mass
+    there, so beta_n = 0 and nothing can be sampled.
     """
     bounds = mode_bounds(problem)
     R = float(problem.hamiltonian.bound_Hp)
@@ -308,9 +314,8 @@ def moment_bound_audit(problem, m, config, tail_modes=3):
     fam = problem.spectrum.family
     if fam is not None and fam[0] == "power":
         c, p = float(fam[1]), float(fam[2])
-        for n in range(problem.spectrum.N + 1, problem.spectrum.N + 1 + tail_modes):
-            alpha = 1.0 / (2.0 * c * n**p)
-            rows.append(AuditRow(mode=n, bound=3.0 * alpha * (1.0 + R * R),
+        for n in range(problem.spectrum.N + 1, problem.spectrum.N + 1 + _TAIL_MODES):
+            rows.append(AuditRow(mode=n, bound=_moment_bound(1.0 / (2.0 * c * n**p), 0.0, R),
                                  observed=float("nan"), stderr=0.0,
                                  passed=True, sampled=False))
     c0 = calibrate_c0(problem, config)
@@ -323,14 +328,6 @@ def moment_bound_audit(problem, m, config, tail_modes=3):
                              fourth_observed=fourth_obs, fourth_stderr=fourth_err,
                              fourth_pass=fourth_obs <= c_hat + 3 * fourth_err,
                              modulus_constant=float(modulus.constant), c0=c0)
-
-
-def membership_report(problem, mu, config):
-    """Q-set membership of a single measure (delegates to measure_kit)."""
-    c0 = calibrate_c0(problem, config)
-    R = float(problem.hamiltonian.bound_Hp)
-    c_hat = 1.0 + c0 * (1.0 + problem.m0.norm_fourth_moment() + R**4)
-    return check_Qm0_membership(mu, mode_bounds(problem), c_hat)
 
 
 @dataclass

@@ -126,12 +126,11 @@ class CappedControlHamiltonian:
             out = out - np.asarray(self.b0(X), dtype=float)
         return out
 
-    def separated(self, coupling, terminal, label=""):
+    def separated(self, coupling, label=""):
         return SeparatedHamiltonian(
             h0=self.h0,
             h0_p=self.h0_p,
             coupling=coupling,
-            terminal=terminal,
             bound_Hp=self.bound_Hp,
             lip_p=self.bound_Hp,
             lip_mu=getattr(coupling, "lip", None),
@@ -336,7 +335,7 @@ def make_model(name, coupling_weight=None):
                               lip=0.8 * abs(weight), bound=0.8 * abs(weight),
                               weight=weight)
         terminal = lambda X, mu: 0.4 * np.tanh(X[..., 0])
-        ham = cap.separated(coupling, terminal, label=name)
+        ham = cap.separated(coupling, label=name)
         return MFGProblem(spectrum=spec, hamiltonian=ham, terminal=terminal,
                           m0=Dirac([0.0]), horizon=1.0)
     if name == "cap2d_f2":
@@ -346,7 +345,7 @@ def make_model(name, coupling_weight=None):
         coupling = F2Coupling(h2=lambda X: 0.5 * np.tanh(X),
                               lip=0.5 * math.sqrt(2.0), bound=0.5 * math.sqrt(2.0))
         terminal = lambda X, mu: 0.3 * np.cos(X[..., 0] + X[..., 1])
-        ham = cap.separated(coupling, terminal, label=name)
+        ham = cap.separated(coupling, label=name)
         m0 = ProductGaussian(mean=[0.2, 0.0], var=[0.2, 0.1])
         return MFGProblem(spectrum=spec, hamiltonian=ham, terminal=terminal,
                           m0=m0, horizon=1.0)

@@ -67,40 +67,39 @@ class ValidationReport:
 def validate_spectrum(spec):
     """Check the standing assumptions on the eigenvalue sequence.
 
-    Violations are collected, never raised; a declared power family
-    additionally gets the trace condition p(1-delta) > 1 evaluated.
+    Violations are collected, never raised; each message leads with the
+    config key it concerns.  A declared power family additionally gets the
+    trace condition p(1-delta) > 1 evaluated.  Its failure clears `ok` but
+    is not a violation: a finite truncation is still well posed, only the
+    tail it stands for is not certified.
     """
     violations = []
     lam = spec.lam
     if spec.N < 1:
-        violations.append("empty spectrum (N must be >= 1)")
+        violations.append("eigenvalues: empty spectrum (N must be >= 1)")
     if np.any(lam >= 0):
-        violations.append("eigenvalues must be strictly negative")
+        violations.append("eigenvalues: all must be negative")
     if np.any(np.diff(lam) > 0):
-        violations.append("eigenvalue sequence must be non-increasing")
+        violations.append("eigenvalues: must be non-increasing (lambda_1 >= lambda_2 >= ...), "
+                          "got %s" % " ".join("%g" % l for l in lam))
     if not 0 < spec.delta <= 1:
-        violations.append("delta must lie in (0, 1]")
+        violations.append("delta: must lie in (0, 1], got %r" % spec.delta)
 
     trace = "not declared"
     if spec.family is not None:
         kind, c, p = spec.family[0], float(spec.family[1]), float(spec.family[2])
         if kind != "power":
-            violations.append("unknown family tag %r" % (kind,))
+            violations.append("family: unknown family tag %r" % (kind,))
         else:
-            if c <= 0:
-                violations.append("power family needs c > 0")
-            declared = -c * np.arange(1, spec.N + 1, dtype=float) ** p
-            if not np.allclose(declared, lam, rtol=1e-12, atol=0.0):
-                violations.append("eigenvalues do not match the declared power family")
-            if p * (1.0 - spec.delta) > 1.0:
-                trace = "certified"
-            else:
-                trace = "failed"
-                violations.append(
-                    "trace condition fails: p(1-delta) = %.6g <= 1" % (p * (1.0 - spec.delta))
-                )
+            if not (c > 0 and p >= 0):
+                violations.append("family: 'power c p' needs c > 0 and p >= 0")
+            elif not np.allclose(-c * np.arange(1, spec.N + 1, dtype=float) ** p, lam,
+                                 rtol=1e-12, atol=0.0):
+                violations.append("family: power %g %g does not match the eigenvalues" % (c, p))
+            trace = "certified" if p * (1.0 - spec.delta) > 1.0 else "failed"
 
-    return ValidationReport(ok=not violations, violations=violations, trace_condition=trace)
+    return ValidationReport(ok=not violations and trace != "failed",
+                            violations=violations, trace_condition=trace)
 
 
 def covariance_qk(spec, k, t):
@@ -115,18 +114,6 @@ def covariance_qk(spec, k, t):
         raise ValueError("t must be >= 0")
     lam = spec.eigenvalues[i]
     return float(np.expm1(2.0 * lam * t) / (2.0 * lam))
-
-
-def alpha_beta(spec, k, m0):
-    """(alpha_k, beta_k): stationary variance bound and the k-th second moment of m0.
-
-    m0 is anything exposing mode_second_moment(k) (initial laws report exact
-    moments for Dirac / product-Gaussian kinds and empirical ones otherwise).
-    """
-    i = spec.require_mode(k)
-    alpha = 1.0 / (2.0 * abs(spec.eigenvalues[i]))
-    beta = float(m0.mode_second_moment(k))
-    return alpha, beta
 
 
 # Vectorized forms used by the kernels; index 0 corresponds to mode 1.

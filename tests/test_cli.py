@@ -332,6 +332,20 @@ def test_unknown_section_or_key_exits_2_before_the_run_directory(
                  id="horizon-inf"),
     pytest.param("solve-hjb", "eigenvalues = -1.0", "model = cap1d_monotone", "eigenvalues",
                  id="hjb-zero-hamiltonian-without-eigenvalues"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero\ndelta = nan", "delta",
+                 id="delta-nan"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero\ndelta = 1.5", "delta",
+                 id="delta-above-1"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero\nfamily = power -1 2", "family",
+                 id="family-negative-constant"),
+    pytest.param("solve-fp", "eigenvalues = -1.0", "eigenvalues = -1 -2\nfamily = power 1 2",
+                 "family", id="family-mismatch"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero 5 6", "drift",
+                 id="drift-trailing-tokens"),
+    pytest.param("solve-hjb", "m0 = dirac", "model = cap1d_monotone\nm0 = gaussian\nm0_var = -1",
+                 "m0_var", id="hjb-model-m0_var-negative"),
+    pytest.param("solve-fp", "m0 = dirac", "model = cap1d_monotone\nm0 = gaussian\nm0_var = -1",
+                 "m0_var", id="fp-model-m0_var-negative"),
 ])
 def test_bad_problem_entry_exits_2_before_the_run_directory(
         tmp_path, capsys, command, anchor, text, named):

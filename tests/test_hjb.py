@@ -303,7 +303,6 @@ def test_separated_hamiltonian_composes_h0_minus_coupling():
         h0=lambda X, P: np.sum(P**2, axis=-1) / (1.0 + np.sum(P**2, axis=-1)),
         h0_p=lambda X, P: 2 * P / (1.0 + np.sum(P**2, axis=-1))[..., None] ** 2,
         coupling=lambda X, mu: np.tanh(X[..., 0]) * float(np.mean(mu.points[:, 0])),
-        terminal=lambda X, mu: np.cos(X[..., 0]),
         bound_Hp=1.0,
     )
     mu = ParticleMeasure([[0.5], [1.5]])

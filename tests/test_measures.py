@@ -1,5 +1,5 @@
-"""Measure kit: exact/sliced W1, moments, membership audits, path
-functionals, pooling mixtures, and path-directory round trips."""
+"""Measure kit: exact/sliced W1, moments, path functionals, pooling
+mixtures, and path-directory round trips."""
 
 import tracemalloc
 
@@ -16,7 +16,6 @@ from hilbert_mfg.measures import (
     MeasurePath,
     ParticleMeasure,
     ProductGaussian,
-    check_Qm0_membership,
     mixture_paths,
     path_from_dir,
     path_modulus,
@@ -175,41 +174,6 @@ def test_initial_law_sampling_deterministic():
     assert not np.array_equal(m0.sample(100, seed=5), m0.sample(100, seed=6))
     d = Dirac([1.0, -2.0])
     assert np.array_equal(d.sample(7, seed=1), np.tile([1.0, -2.0], (7, 1)))
-
-
-# ---------------------------------------------------------------------------
-# membership audit
-
-
-def test_membership_trivial_pass_and_fail():
-    delta0 = ParticleMeasure([[0.0]])
-    rep = check_Qm0_membership(delta0, bounds=[1.0], c_hat=1.0)
-    assert rep.ok and rep.fourth_raw_pass
-
-    spike = ParticleMeasure([[10.0]])
-    rep = check_Qm0_membership(spike, bounds=[1.0], c_hat=1e6)
-    assert not rep.slack_pass[0] and not rep.ok
-
-
-def test_membership_stationary_ou():
-    # stationary variances alpha_k; bounds a_k = 3(beta_k + alpha_k + alpha_k R^2)
-    alpha = np.array([0.5, 0.25])
-    R = 1.0
-    a = 3.0 * (alpha + alpha + alpha * R ** 2)
-    m0 = ProductGaussian(mean=[0.0, 0.0], var=alpha)
-    mu = ParticleMeasure(m0.sample(20_000, seed=8))
-    rep = check_Qm0_membership(mu, bounds=a, c_hat=1e9)
-    assert bool(np.all(rep.raw_pass)) and rep.ok
-
-
-def test_membership_monotone_in_bounds():
-    gen = np.random.default_rng(21)
-    mu = cloud(gen, 500, 2, scale=1.4)
-    small = check_Qm0_membership(mu, bounds=[1.0, 1.0], c_hat=5.0)
-    big = check_Qm0_membership(mu, bounds=[2.0, 2.0], c_hat=10.0)
-    # enlarging every bound never turns a pass into a fail
-    assert np.all(big.slack_pass >= small.slack_pass)
-    assert big.fourth_slack_pass >= small.fourth_slack_pass
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 
 from hilbert_mfg.spectrum import (
     SpectrumSpec,
-    alpha_beta,
     covariance_diag,
     covariance_qk,
     semigroup_factors,
+    stationary_variances,
     validate_spectrum,
 )
 from hilbert_mfg.measures import Dirac, ProductGaussian
@@ -22,6 +22,8 @@ def test_validate_trace_condition_failure():
     rep = validate_spectrum(spec)
     assert not rep.ok
     assert rep.trace_condition == "failed"
+    # reported, not a violation: the truncation itself is well posed
+    assert rep.violations == []
 
 
 def test_validate_laplacian_family_passes():
@@ -41,6 +43,21 @@ def test_validate_monotonicity_failure():
 def test_validate_positive_eigenvalue_rejected():
     rep = validate_spectrum(SpectrumSpec(eigenvalues=(-1.0, 0.5)))
     assert not rep.ok
+
+
+@pytest.mark.parametrize("spec, key", [
+    (SpectrumSpec((0.5, -1.0)), "eigenvalues"),
+    (SpectrumSpec((-1.0, -0.5)), "eigenvalues"),
+    (SpectrumSpec((-1.0,), delta=float("nan")), "delta"),
+    (SpectrumSpec((-1.0,), delta=1.5), "delta"),
+    (SpectrumSpec((-1.0,), family=("power", -1.0, 2.0)), "family"),
+    (SpectrumSpec((-1.0,), family=("power", 1.0, -2.0)), "family"),
+    (SpectrumSpec((-1.0, -2.0), family=("power", 1.0, 2.0)), "family"),
+])
+def test_each_violation_leads_with_its_config_key(spec, key):
+    rep = validate_spectrum(spec)
+    assert not rep.ok
+    assert len(rep.violations) == 1 and rep.violations[0].startswith(key + ": ")
 
 
 def test_raw_list_trace_not_declared():
@@ -99,15 +116,17 @@ def test_covariance_monotone_and_bounded():
 
 
 def test_alpha_beta():
+    # (alpha_k, beta_k): the stationary variance 1/(2|lambda_k|) and the k-th
+    # second moment of m0, the two inputs of the invariant-set bound a_k
     spec = SpectrumSpec(eigenvalues=(-2.0,))
-    assert alpha_beta(spec, 1, Dirac([0.0])) == (0.25, 0.0)
+    assert (stationary_variances(spec)[0], Dirac([0.0]).mode_second_moment(1)) == (0.25, 0.0)
 
     spec1 = SpectrumSpec(eigenvalues=(-1.0,))
-    a, b = alpha_beta(spec1, 1, ProductGaussian(mean=[0.0], var=[0.3]))
+    a = stationary_variances(spec1)[0]
+    b = ProductGaussian(mean=[0.0], var=[0.3]).mode_second_moment(1)
     assert (a, b) == (0.5, pytest.approx(0.3, rel=1e-14))
 
-    a, b = alpha_beta(spec1, 1, Dirac([2.0]))
-    assert (a, b) == (0.5, 4.0)
+    assert (stationary_variances(spec1)[0], Dirac([2.0]).mode_second_moment(1)) == (0.5, 4.0)
 
 
 def test_vectorized_forms_match_scalar_ops():
