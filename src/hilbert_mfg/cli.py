@@ -5,7 +5,10 @@ Four subcommands wire the library pipelines: `solve-hjb` (value field
 against a frozen measure path), `solve-fp` (particle transport plus weak
 residual diagnostics), `solve-mfg` (damped fixed point with the moment
 audit), `check` (coupling monotonicity, declared-bound spot checks, and
-the two-start experiment).  Every run echoes its resolved config and
+the two-start experiment).  parse_run_config alone decides which keys a
+command reads and resolves them into the objects the command runs, so each
+command is straight-line code; an entry of the file it does not read is a
+config error, never dropped.  Every run echoes its resolved config and
 refuses to reuse an existing output directory, so a run directory is a
 complete, diffable record.  The ranges of the [numerics] keys are checked
 in one place, SolverConfig, and the spectrum assumptions in another,
@@ -23,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .tables import FLOAT_FMT
 
@@ -43,30 +47,27 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Resolved run description: a model-zoo problem or an explicit
-    spectrum, numerics, seed and output directory."""
+    """One run resolved for its command: the objects it runs and where it
+    writes them.  `spectrum` and `m0` are the problem's, except that
+    solve-fp takes m0 from its keys."""
 
-    command: str
-    model: str
-    horizon: float
-    spectrum: object     # SpectrumSpec from the eigenvalues key, or None
-    m0_kind: str
-    m0_mean: tuple
-    m0_var: tuple
-    drift: tuple        # ("zero",) or ("const", c_1, ..., c_N)
-    measure_source: str  # "zero-drift" or a saved path directory
-    hamiltonian: str     # solve-hjb: "model" or "zero"
-    uniqueness: bool
-    solver: object       # SolverConfig
-    seed: int
+    model: str           # the model-zoo name, or None
+    problem: object      # MFGProblem: the model's, or for solve-hjb with
+                         # hamiltonian = zero one built from the keys
+    spectrum: object     # SpectrumSpec
+    m0: object
+    drift: object        # DriftField: the drift key for solve-fp, else zero
+    measure: object      # solve-hjb: the saved measure_source path, or None
+    uniqueness: bool     # check: run the two-start experiment
+    solver: object       # SolverConfig, the seed included
     out: str
 
-    def problem(self):
-        from .models import make_model
-        return make_model(self.model)
+    @property
+    def seed(self):
+        return self.solver.seed
 
 
-# Every key the parser reads, by section, with the cast of each numerics key.
+# Every key the parser knows, by section, with the cast of each numerics key.
 _NUMERICS = (("dt", float), ("particles", int), ("grid_points", int),
              ("box_scale", float), ("quad_nodes", int), ("tau_nodes", int),
              ("picard_tol", float), ("picard_max", int),
@@ -79,9 +80,10 @@ _KEYS = {
 }
 
 
-def _check_keys(cp):
-    """Refuse a section or key the parser does not read: a misspelt key
-    would otherwise be dropped and its default used without a word."""
+def _refuse_unread(cp, read, command):
+    """Refuse every entry of the file no resolver read: an unknown section
+    or key, or a key this command does not use, would otherwise be dropped
+    and the run would solve another problem than the file states."""
     sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
     for section in sections:
         if section not in _KEYS:
@@ -91,16 +93,30 @@ def _check_keys(cp):
             if key not in _KEYS[section]:
                 raise ConfigError("[%s] %s: unknown key (expected one of %s)"
                                   % (section, key, ", ".join(_KEYS[section])))
+            if (section, key) not in read:
+                raise ConfigError("[%s] %s: not read by %s with this config; remove it"
+                                  % (section, key, command))
 
 
-def _floats(text):
-    """One or more whitespace-separated finite numbers."""
+def _floats(text, n_modes=None):
+    """One or more whitespace-separated finite numbers, n_modes of them
+    when given."""
     vals = tuple(float(tok) for tok in text.split())
     if not vals:
         raise ValueError("expected at least one number")
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("entries must be finite, got %r" % text)
+    if n_modes is not None and len(vals) != n_modes:
+        raise ValueError("expected %d entries" % n_modes)
     return vals
+
+
+def _one_of(*choices):
+    def cast(text):
+        if text not in choices:
+            raise ValueError("expected one of %s, got %r" % (", ".join(choices), text))
+        return text
+    return cast
 
 
 def _family(text):
@@ -110,26 +126,15 @@ def _family(text):
     return ("power",) + _floats(" ".join(toks[1:]))
 
 
-def _drift(text):
+def _drift(text, n_modes):
+    """'zero' or 'const c_1 ... c_N' as its DriftField."""
+    from .fp_particles import DriftField
     toks = text.split()
     if toks == ["zero"]:
-        return ("zero",)
+        return DriftField.zero(n_modes)
     if toks[:1] == ["const"]:
-        return ("const",) + _floats(" ".join(toks[1:]))
+        return DriftField.constant(list(_floats(" ".join(toks[1:]), n_modes)), label="const")
     raise ValueError("expected 'zero' or 'const c_1 ... c_N'")
-
-
-def _parse(cp, section, key, cast, default=None, required=False):
-    try:
-        raw = cp.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        if required:
-            raise ConfigError("[%s] %s: required key missing" % (section, key))
-        return default
-    try:
-        return cast(raw.strip())
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("[%s] %s: %s" % (section, key, exc))
 
 
 def _bool(text):
@@ -141,12 +146,7 @@ def _bool(text):
     raise ValueError("expected yes/no, got %r" % text)
 
 
-def parse_run_config(path, command, seed_override=None, out_override=None):
-    """Load, validate, and resolve one run configuration file."""
-    from .config import SolverConfig
-    from .models import MODEL_NAMES
-    from .spectrum import SpectrumSpec, validate_spectrum
-
+def _read_file(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         found = cp.read(path)
@@ -155,80 +155,126 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
                           % (exc.section, exc.option, exc.lineno))
     except configparser.Error as exc:
         raise ConfigError("%s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: cannot decode the file as text: %s" % (path, exc))
     if not found:
         raise ConfigError("config file not found or unreadable: %s" % path)
-    _check_keys(cp)
+    return cp
 
-    model = _parse(cp, "problem", "model", str)
-    if model is not None and model not in MODEL_NAMES:
-        raise ConfigError("[problem] model: unknown model %r (shipped: %s)"
-                          % (model, ", ".join(MODEL_NAMES)))
-    horizon = _parse(cp, "problem", "horizon", float, default=1.0)
+
+def _spectrum(get):
+    """The explicit spectrum of the eigenvalues, delta and family keys,
+    refused on its first validate_spectrum violation."""
+    from .spectrum import SpectrumSpec, validate_spectrum
+    eigenvalues = get("problem", "eigenvalues", _floats,
+                      required="when no model spectrum is used (solve-fp without a "
+                               "model, solve-hjb with hamiltonian = zero)")
+    spectrum = SpectrumSpec(eigenvalues=eigenvalues,
+                            delta=get("problem", "delta", float, default=0.5),
+                            family=get("problem", "family", _family))
+    if spectrum.N > 3:
+        raise ConfigError("[problem] eigenvalues: at most 3 modes supported")
+    violations = validate_spectrum(spectrum).violations
+    if violations:  # each leads with its key; a failed trace condition is not one
+        raise ConfigError("[problem] %s" % violations[0])
+    return spectrum
+
+
+def _m0(get, n_modes):
+    """The initial law of the m0 keys: a Dirac at m0_mean (the origin by
+    default) or a product Gaussian, which alone reads m0_var."""
+    from .measures import Dirac, ProductGaussian
+    vector = partial(_floats, n_modes=n_modes)
+    kind = get("problem", "m0", _one_of("dirac", "gaussian"), default="dirac")
+    mean = get("problem", "m0_mean", vector, default=(0.0,) * n_modes)
+    if kind == "dirac":
+        return Dirac(mean)
+    var = get("problem", "m0_var", vector, required="for gaussian m0")
+    if min(var) <= 0:
+        raise ConfigError("[problem] m0_var: variances must be positive")
+    return ProductGaussian(mean=mean, var=var)
+
+
+def parse_run_config(path, command, seed_override=None, out_override=None):
+    """Load one run configuration file and resolve it for `command`.
+
+    Each resolver reads only the keys the command uses and builds the
+    objects it runs; afterwards every entry of the file that none of them
+    read is refused, all before any run directory exists."""
+    import numpy as np
+    from .config import SolverConfig
+    from .fp_particles import DriftField
+    from .hjb import zero_hamiltonian
+    from .mfg import MFGProblem
+    from .models import MODEL_NAMES, make_model
+
+    cp = _read_file(path)
+    read = set()
+
+    def get(section, key, cast, default=None, required=None):
+        """One entry cast, recorded as read; a missing one is refused if
+        `required` says why."""
+        read.add((section, key))
+        try:
+            raw = cp.get(section, key)
+        except (configparser.NoSectionError, configparser.NoOptionError):
+            if required:
+                raise ConfigError("[%s] %s: required %s" % (section, key, required))
+            return default
+        try:
+            return cast(raw.strip())
+        except (ValueError, TypeError) as exc:
+            raise ConfigError("[%s] %s: %s" % (section, key, exc))
+
+    model = get("problem", "model", _one_of(*MODEL_NAMES),
+                required="by " + command if command in ("solve-mfg", "check") else None)
+    problem = None if model is None else make_model(model)
+    # solve-fp without a model and solve-hjb with H = 0 take the spectrum
+    # from the keys; a model owns the spectrum and the horizon otherwise
+    keyed = command == "solve-fp" and problem is None
+    if command == "solve-hjb":
+        hamiltonian = get("problem", "hamiltonian", _one_of("model", "zero"),
+                          default="zero" if problem is None else "model")
+        if hamiltonian == "model" and problem is None:
+            raise ConfigError("[problem] model: required when hamiltonian = model")
+        keyed = hamiltonian == "zero"
+    horizon = (get("problem", "horizon", float, default=1.0) if problem is None
+               else problem.horizon)
     if not 0 < horizon < math.inf:
         raise ConfigError("[problem] horizon: must be positive and finite")
+    spectrum = _spectrum(get) if keyed else problem.spectrum
+    m0 = _m0(get, spectrum.N) if keyed or command == "solve-fp" else problem.m0
+    if command == "solve-hjb" and keyed:
+        problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(spectrum.N),
+                             terminal=lambda X, mu: np.cos(X[..., 0]), m0=m0,
+                             horizon=horizon)
+    drift = DriftField.zero(spectrum.N)
+    if command == "solve-fp":
+        drift = get("problem", "drift", partial(_drift, n_modes=spectrum.N), default=drift)
 
-    eigenvalues = _parse(cp, "problem", "eigenvalues", _floats)
-    delta = _parse(cp, "problem", "delta", float, default=0.5)
-    family = _parse(cp, "problem", "family", _family)
-    spectrum = None
-    if eigenvalues is not None:
-        if len(eigenvalues) > 3:
-            raise ConfigError("[problem] eigenvalues: at most 3 modes supported")
-        spectrum = SpectrumSpec(eigenvalues=eigenvalues, delta=delta, family=family)
-        violations = validate_spectrum(spectrum).violations
-        if violations:  # each leads with its key; a failed trace condition is not one
-            raise ConfigError("[problem] %s" % violations[0])
+    num = {key: get("numerics", key, cast, default=getattr(SolverConfig, key))
+           for key, cast in _NUMERICS}
 
-    m0_kind = _parse(cp, "problem", "m0", str, default="dirac")
-    if m0_kind not in ("dirac", "gaussian"):
-        raise ConfigError("[problem] m0: expected 'dirac' or 'gaussian'")
-    m0_mean = _parse(cp, "problem", "m0_mean", _floats)
-    m0_var = _parse(cp, "problem", "m0_var", _floats)
-    if m0_var is not None and min(m0_var) <= 0:
-        raise ConfigError("[problem] m0_var: variances must be positive")
-    if m0_kind == "gaussian" and model is None and m0_var is None:
-        raise ConfigError("[problem] m0_var: required for gaussian m0")
-
-    drift = _parse(cp, "problem", "drift", _drift, default=("zero",))
-
-    measure_source = _parse(cp, "problem", "measure_source", str, default="zero-drift")
-    hamiltonian = _parse(cp, "problem", "hamiltonian", str,
-                         default="model" if model else "zero")
-    if hamiltonian not in ("model", "zero"):
-        raise ConfigError("[problem] hamiltonian: expected 'model' or 'zero'")
-    if hamiltonian == "model" and model is None:
-        raise ConfigError("[problem] model: required when hamiltonian = model")
-    # solve-fp without a model and solve-hjb with H = 0 build the spectrum
-    # from the eigenvalues key, never from the model's
-    if spectrum is None and (command == "solve-fp" and model is None
-                             or command == "solve-hjb" and hamiltonian == "zero"):
-        raise ConfigError("[problem] eigenvalues: required when no model spectrum is used "
-                          "(solve-fp without a model, solve-hjb with hamiltonian = zero)")
-
-    num = {}
-    for key, cast in _NUMERICS:
-        val = _parse(cp, "numerics", key, cast)
-        if val is not None:
-            num[key] = val
-
+    read.update({("run", "seed"), ("run", "out")})  # an override reads its key too
     seed = seed_override
     if seed is None:
-        seed = _parse(cp, "run", "seed", int, required=True)
-    if seed < 0:
-        raise ConfigError("[run] seed: must be a nonnegative integer")
-    out = out_override if out_override is not None else _parse(cp, "run", "out", str)
+        seed = get("run", "seed", int, required="(there is no entropy default)")
+    if not 0 <= seed < 2 ** 128:  # the Philox key range
+        raise ConfigError("[run] seed: must be an integer in [0, 2**128)")
+    out = out_override
     if out is None:
-        raise ConfigError("[run] out: required (or pass --out)")
-    uniqueness = _parse(cp, "run", "uniqueness", _bool, default=True)
+        out = get("run", "out", str, required="(or pass --out)")
+    uniqueness = command == "check" and get("run", "uniqueness", _bool, default=True)
 
     try:
         solver = SolverConfig(horizon=horizon, seed=seed, **num)
     except ValueError as exc:  # the message leads with the offending key
         raise ConfigError("[numerics] %s" % exc)
-    if model is not None:
-        # preset problems own their horizon; the config echoes it resolved
-        from .models import make_model
-        solver = solver.with_(horizon=make_model(model).horizon)
+    source = "zero-drift"
+    if command == "solve-hjb":
+        source = get("problem", "measure_source", str, default=source)
+    measure = None if source == "zero-drift" else _saved_path(source, spectrum, solver.mesh())
+    _refuse_unread(cp, read, command)
 
     # resolved values flow back so config.echo is the effective record
     for section in ("problem", "numerics", "run"):
@@ -240,12 +286,9 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     cp.set("run", "seed", str(seed))
     cp.set("run", "out", out)
 
-    return RunConfig(command=command, model=model, horizon=solver.horizon,
-                     spectrum=spectrum,
-                     m0_kind=m0_kind, m0_mean=m0_mean, m0_var=m0_var,
-                     drift=drift, measure_source=measure_source,
-                     hamiltonian=hamiltonian, uniqueness=uniqueness,
-                     solver=solver, seed=seed, out=out), cp
+    return RunConfig(model=model, problem=problem, spectrum=spectrum, m0=m0,
+                     drift=drift, measure=measure, uniqueness=uniqueness,
+                     solver=solver, out=out), cp
 
 
 def _make_run_dir(cfg, cp):
@@ -257,42 +300,6 @@ def _make_run_dir(cfg, cp):
     with open(d / "config.echo", "w") as fh:
         cp.write(fh)
     return d
-
-
-def _m0_from(cfg, n_modes):
-    import numpy as np
-    from .measures import Dirac, ProductGaussian
-    mean = cfg.m0_mean if cfg.m0_mean is not None else (0.0,) * n_modes
-    if len(mean) != n_modes:
-        raise ConfigError("[problem] m0_mean: expected %d entries" % n_modes)
-    if cfg.m0_kind == "dirac":
-        return Dirac(mean)
-    var = cfg.m0_var
-    if var is None or len(var) != n_modes:
-        raise ConfigError("[problem] m0_var: expected %d entries" % n_modes)
-    return ProductGaussian(mean=mean, var=var)
-
-
-def _drift_from(cfg, n_modes):
-    from .fp_particles import DriftField
-    if cfg.drift[0] == "zero":
-        return DriftField.zero(n_modes)
-    vec = cfg.drift[1:]
-    if len(vec) != n_modes:
-        raise ConfigError("[problem] drift: expected %d constants" % n_modes)
-    return DriftField.constant(list(vec), label="const")
-
-
-def _write_csv(path, header, rows):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x):
-    return FLOAT_FMT % float(x)
 
 
 def _saved_path(source, spec, mesh):
@@ -313,32 +320,34 @@ def _saved_path(source, spec, mesh):
     return m
 
 
+def _write_csv(path, header, rows):
+    import csv
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _fmt(x):
+    return FLOAT_FMT % float(x)
+
+
 def cmd_solve_hjb(cfg, cp):
     """Mild value solve against a frozen measure path; artifacts: the value
     field directory (residual in its metadata) and the sweep history."""
     import numpy as np
-    from .fp_particles import DriftField, propagate
-    from .hjb import default_box, hjb_residual, solve_hjb_mild, zero_hamiltonian
+    from .fp_particles import propagate
+    from .hjb import default_box, hjb_residual, solve_hjb_mild
 
-    if cfg.hamiltonian == "model":
-        prob = cfg.problem()
-        spec, ham, terminal = prob.spectrum, prob.hamiltonian, prob.terminal
-        m0 = prob.m0
-    else:
-        spec = cfg.spectrum
-        ham = zero_hamiltonian(spec.N)
-        terminal = lambda X, mu: np.cos(X[..., 0])
-        m0 = _m0_from(cfg, spec.N)
-
-    if cfg.measure_source == "zero-drift":
-        m = propagate(DriftField.zero(spec.N), m0, spec, cfg.solver)
-    else:
-        m = _saved_path(cfg.measure_source, spec, cfg.solver.mesh())
+    spec, ham, terminal = cfg.spectrum, cfg.problem.hamiltonian, cfg.problem.terminal
+    m = cfg.measure
+    if m is None:
+        m = propagate(cfg.drift, cfg.m0, spec, cfg.solver)
 
     d = _make_run_dir(cfg, cp)
     v = solve_hjb_mild(ham, terminal, m, spec, cfg.solver)
 
-    box = default_box(spec, m0, cfg.solver.box_scale)
+    box = default_box(spec, cfg.m0, cfg.solver.box_scale)
     mesh = cfg.solver.mesh()
     xs = np.linspace(-0.5 * box, 0.5 * box, 5)
     samples = [(float(t), np.full(spec.N, x))
@@ -366,12 +375,9 @@ def cmd_solve_fp(cfg, cp):
     from .measures import moments, path_to_dir
     from .spectrum import covariance_qk
 
-    spec = cfg.spectrum if cfg.model is None else cfg.problem().spectrum
-    m0 = _m0_from(cfg, spec.N)
-    w = _drift_from(cfg, spec.N)
-
+    spec, w = cfg.spectrum, cfg.drift
     d = _make_run_dir(cfg, cp)
-    m = propagate(w, m0, spec, cfg.solver)
+    m = propagate(w, cfg.m0, spec, cfg.solver)
     path_to_dir(m, d / "m")
 
     mom = moments(m.points)
@@ -418,9 +424,6 @@ def cmd_solve_mfg(cfg, cp):
     from .mfg import ValueSolveStalled, fixed_point_iterate
     from .measures import path_to_dir
 
-    if cfg.model is None:
-        raise ConfigError("[problem] model: solve-mfg needs a model-zoo selection")
-    prob = cfg.problem()
     d = _make_run_dir(cfg, cp)
 
     def write_iterations(records):
@@ -430,7 +433,7 @@ def cmd_solve_mfg(cfg, cp):
                      "%.3f" % r.wallclock] for r in records])
 
     try:
-        sol = fixed_point_iterate(prob, cfg.solver)
+        sol = fixed_point_iterate(cfg.problem, cfg.solver)
     except ValueSolveStalled as exc:
         write_iterations(exc.iterations)  # the outer iterations that did finish
         raise
@@ -467,24 +470,20 @@ def cmd_check(cfg, cp):
     """Assumption gate: coupling monotonicity, declared-bound spot checks,
     and (optionally) the two-start uniqueness experiment, all reported to
     check.csv; FAIL in a gating row exits 4."""
-    import numpy as np
-    from .fp_particles import DriftField, propagate
+    from .fp_particles import propagate
     from .measures import ProductGaussian
     from .mfg import uniqueness_experiment
     from .models import assumption_check, monotonicity_check
     from .spectrum import stationary_variances
 
-    if cfg.model is None:
-        raise ConfigError("[problem] model: check needs a model-zoo selection")
-    prob = cfg.problem()
+    prob, spec = cfg.problem, cfg.spectrum
     d = _make_run_dir(cfg, cp)
     rows = []
     failed = False
 
     coupling = getattr(prob.hamiltonian, "coupling", None)
     if coupling is not None:
-        rep = monotonicity_check(coupling, trials=400, seed=cfg.seed,
-                                 n_modes=prob.spectrum.N)
+        rep = monotonicity_check(coupling, trials=400, seed=cfg.seed, n_modes=spec.N)
         rows.append(["monotonicity_check", "min_pairing", _fmt(rep.min_pairing),
                      _fmt(-1e-9 - 3.0 * rep.min_stderr),
                      "pass" if rep.passed else "FAIL"])
@@ -494,8 +493,7 @@ def cmd_check(cfg, cp):
                          "pass" if rep.identity_gap < 1e-12 else "FAIL"])
         failed = failed or not rep.passed
 
-    arep = assumption_check(prob.hamiltonian, n_modes=prob.spectrum.N,
-                            trials=150, seed=cfg.seed)
+    arep = assumption_check(prob.hamiltonian, n_modes=spec.N, trials=150, seed=cfg.seed)
     rows.append(["assumption_check", "sup|H_p|", _fmt(arep.hp_worst),
                  _fmt(arep.hp_declared), "pass" if arep.hp_ok else "FAIL"])
     rows.append(["assumption_check", "lip_p", _fmt(arep.lip_p_worst),
@@ -508,12 +506,11 @@ def cmd_check(cfg, cp):
 
     if cfg.uniqueness:
         from . import rng
-        spec = prob.spectrum
-        start_a = propagate(DriftField.zero(spec.N), prob.m0, spec,
+        start_a = propagate(cfg.drift, cfg.m0, spec,
                             cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xA1)))
         stat = ProductGaussian(mean=[0.0] * spec.N,
                                var=list(stationary_variances(spec)))
-        start_b = propagate(DriftField.zero(spec.N), stat, spec,
+        start_b = propagate(cfg.drift, stat, spec,
                             cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xB1)))
         urep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg.solver)
         # reported, never gating: the negative control runs through here too

@@ -115,6 +115,32 @@ def test_missing_seed_is_a_config_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_seed_outside_the_philox_key_range_is_a_config_error(tmp_path, capsys, where):
+    big = str(2 ** 128)
+    ini = FP_INI.replace("seed = 0", "seed = " + big) if where == "file" else FP_INI
+    flag = ["--seed", big] if where == "flag" else []
+    code = main(["solve-fp", "--config", write_ini(tmp_path, ini),
+                 "--out", str(tmp_path / "r")] + flag)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[run] seed:" in err and "internal error" not in err
+    assert not (tmp_path / "r").exists()
+    cfg, _ = parse_run_config(write_ini(tmp_path, FP_INI), "solve-fp",
+                              seed_override=2 ** 128 - 1, out_override=str(tmp_path / "r"))
+    assert cfg.seed == 2 ** 128 - 1
+
+
+def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xff\xfe" + FP_INI.encode())
+    code = main(["solve-fp", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "internal error" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_unknown_model_and_missing_file(tmp_path, capsys):
     bad = MFG_INI.replace("cap1d_monotone", "mystery")
     assert main(["solve-mfg", "--config", write_ini(tmp_path, bad),
@@ -346,16 +372,86 @@ def test_unknown_section_or_key_exits_2_before_the_run_directory(
                  "m0_var", id="hjb-model-m0_var-negative"),
     pytest.param("solve-fp", "m0 = dirac", "model = cap1d_monotone\nm0 = gaussian\nm0_var = -1",
                  "m0_var", id="fp-model-m0_var-negative"),
+    # a key the command does not read is refused, never dropped
+    pytest.param("solve-fp", "eigenvalues = -1.0",
+                 "model = cap1d_monotone\neigenvalues = -5.0\ndelta = 0.9", "eigenvalues",
+                 id="fp-model-eigenvalues-dropped"),
+    pytest.param("solve-fp", "eigenvalues = -1.0", "model = cap1d_monotone\nhorizon = 2.0",
+                 "horizon", id="fp-model-horizon-dropped"),
+    pytest.param("solve-fp", "drift = zero", "drift = zero\nmeasure_source = saved",
+                 "measure_source", id="fp-measure_source-dropped"),
+    pytest.param("solve-fp", "m0 = dirac", "m0 = dirac\nm0_var = 0.5", "m0_var",
+                 id="fp-dirac-m0_var-dropped"),
+    pytest.param("solve-hjb", "eigenvalues = -1.0\nhamiltonian = zero\nm0 = dirac\nm0_mean = 0.0",
+                 "model = cap1d_monotone\nhamiltonian = model\nm0 = gaussian", "m0",
+                 id="hjb-model-m0-dropped"),
+    pytest.param("solve-hjb", "m0_mean = 0.0", "m0_mean = 0.0\ndrift = const 1", "drift",
+                 id="hjb-drift-dropped"),
+    pytest.param("solve-mfg", "model = cap1d_monotone", "model = cap1d_monotone\nhorizon = 2.0",
+                 "horizon", id="mfg-horizon-dropped"),
+    pytest.param("solve-mfg", "model = cap1d_monotone",
+                 "model = cap1d_monotone\neigenvalues = -1.0", "eigenvalues",
+                 id="mfg-eigenvalues-dropped"),
+    pytest.param("solve-mfg", "seed = 9", "seed = 9\nuniqueness = no", "[run] uniqueness",
+                 id="mfg-uniqueness-dropped"),
+    pytest.param("check", "model = cap1d_monotone", "model = cap1d_monotone\nm0_mean = 0.5",
+                 "m0_mean", id="check-m0_mean-dropped"),
 ])
 def test_bad_problem_entry_exits_2_before_the_run_directory(
         tmp_path, capsys, command, anchor, text, named):
-    bad = {"solve-fp": FP_INI, "solve-hjb": HJB_INI}[command].replace(anchor, text)
+    base = {"solve-fp": FP_INI, "solve-hjb": HJB_INI, "solve-mfg": MFG_INI, "check": MFG_INI}
+    bad = base[command].replace(anchor, text)
+    assert bad != base[command]
     code = main([command, "--config", write_ini(tmp_path, bad),
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "[problem] " + named in err and "internal error" not in err
+    named = named if named.startswith("[") else "[problem] " + named
+    assert named + ":" in err and "internal error" not in err
     assert not (tmp_path / "r").exists()
+
+
+ALL_NUMERICS = """
+[numerics]
+dt = 0.1
+particles = 3000
+grid_points = 32
+box_scale = 6.0
+quad_nodes = 8
+tau_nodes = 17
+picard_tol = 1e-4
+picard_max = 40
+fp_tol = 4e-2
+fp_max = 50
+damping = 0.5
+"""
+SPECTRUM = "eigenvalues = -1.0\ndelta = 0.5\nfamily = power 1.0 3.0\n"
+GAUSSIAN_M0 = "m0 = gaussian\nm0_mean = 0.1\nm0_var = 0.2\n"
+
+
+# One case per row of the README key table, naming every key the row lists;
+# a resolver that stops reading one of them makes its case exit 2.
+@pytest.mark.parametrize("command, problem, run", [
+    pytest.param("solve-fp", "horizon = 1.0\n" + SPECTRUM + GAUSSIAN_M0 + "drift = const 0.5",
+                 "", id="solve-fp"),
+    pytest.param("solve-fp", "model = cap1d_monotone\n" + GAUSSIAN_M0 + "drift = const 0.5",
+                 "", id="solve-fp-model"),
+    pytest.param("solve-hjb", "model = cap1d_monotone\nhamiltonian = model\n"
+                 "measure_source = zero-drift", "", id="solve-hjb-model"),
+    pytest.param("solve-hjb", "hamiltonian = zero\nmeasure_source = zero-drift\nhorizon = 1.0\n"
+                 + SPECTRUM + GAUSSIAN_M0, "", id="solve-hjb-zero"),
+    pytest.param("solve-hjb", "model = cap1d_monotone\nhamiltonian = zero\n"
+                 "measure_source = zero-drift\n" + SPECTRUM + GAUSSIAN_M0, "",
+                 id="solve-hjb-zero-model"),
+    pytest.param("solve-mfg", "model = cap1d_monotone", "", id="solve-mfg"),
+    pytest.param("check", "model = cap1d_monotone", "uniqueness = no", id="check"),
+])
+def test_every_key_the_table_lists_is_read(tmp_path, command, problem, run):
+    out = tmp_path / "r"
+    ini = "[problem]\n%s\n%s\n[run]\nseed = 9\nout = %s\n%s\n" % (
+        problem, ALL_NUMERICS, out, run)
+    assert main([command, "--config", write_ini(tmp_path, ini)]) == EXIT_OK
+    assert (out / "config.echo").exists()
 
 
 TINY_MFG_INI = """
