@@ -28,11 +28,19 @@ reading the last available slice.
 
 Between nodes the field is read by multilinear interpolation in space and
 linear interpolation in time.  Each coordinate is clipped to the box first,
-so a point outside it reads the nearest face.  One call finds each point's
-grid cell and hat weights once and shares them across both time slices and
-every gradient component.  The corner sum follows the order of operations of
+so a point outside it reads the nearest face.  There are two reads of the
+same interpolant.  A solve reads the previous iterate's gradient at the
+quadrature images of the grid, which form a tensor product: in mode k the
+(G, Q) table decay_k x_i + sd_k z_q.  Their cells and hat fractions are
+found once per solve for each (t_j, tau) node, and each sweep reads the
+table by one two-point gather per mode (a mode product), never at the
+G^N Q^N points one by one.  GridValueField.value_at and grad_at read point
+clouds (the drift, the residual audit): one call finds each point's cell and
+hat weights once and shares them across both time slices and every
+gradient component, and the corner sum follows the order of operations of
 scipy.interpolate.interpn (its compiled kernel for two modes, its generic
-one otherwise), so a read equals interpn on the clipped points bit for bit.
+one otherwise), so a cloud read equals interpn on the clipped points bit for
+bit.  The two reads agree to rounding; at N = 1 they are equal.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -92,6 +100,18 @@ class ValueGrid:
         return GridValueField(times=self.times, axes=self.axes, values=values, grads=grads, **kw)
 
 
+def _cell(ax, x):
+    """Grid cell and hat fraction of each coordinate of x along the axis ax,
+    after clipping it to the axis: the lower node index i (the interval
+    ax[i] <= x < ax[i+1], the last one closed) and the fraction
+    (x - ax[i]) / (ax[i+1] - ax[i])."""
+    x = np.clip(x, ax[0], ax[-1])
+    # the count of interior nodes at or below the clipped x
+    i = np.searchsorted(ax[1:-1], x, side="right")
+    lo = ax[i]
+    return i, (x - lo) / (ax[i + 1] - lo)
+
+
 def _stencil(axes, pts):
     """Corners of the grid cell holding each point of pts (P, N), after
     clipping every coordinate to its axis: a list of (flat node index,
@@ -105,12 +125,7 @@ def _stencil(axes, pts):
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]])[::-1]
     lower, pairs = 0, []
     for ax, stride, x in zip(axes, strides, pts.T):
-        x = np.clip(x, ax[0], ax[-1])
-        # the interval ax[i] <= x < ax[i+1] (the last one closed), i.e.
-        # the count of interior nodes at or below the clipped x
-        i = np.searchsorted(ax[1:-1], x, side="right")
-        lo = ax[i]
-        y = (x - lo) / (ax[i + 1] - lo)
+        i, y = _cell(ax, x)
         lower = lower + i * stride
         pairs.append(((0, 1 - y), (stride, y)))
     corners = []
@@ -128,17 +143,54 @@ def _stencil(axes, pts):
 def _interp(stencil, table):
     """Multilinear interpolation of a (*grid, C) table at the stencil's
     points, shape (P, C); each column is summed from 0. corner by corner,
-    as interpn sums."""
-    columns = []
-    for col in np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T):
-        acc = 0.
-        for flat, weights in stencil:
-            term = np.take(col, flat)
-            for w in weights:
-                term = term * w
-            acc = acc + term
-        columns.append(acc)
-    return np.stack(columns, axis=-1)
+    as interpn sums, all columns at once from a (C, G^N) copy."""
+    tab = np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T)
+    acc = 0.
+    for flat, weights in stencil:
+        term = np.take(tab, flat, axis=1)
+        for w in weights:
+            term = term * w
+        acc = acc + term
+    return acc.T
+
+
+def _tensor_read(cells, table):
+    """Multilinear interpolation of a (*grid, C) table at the quadrature
+    images of one (t_j, tau) node, shape (G^N, Q^N, C) in the layout of
+    OUKernel.images.  cells holds per mode the (G, Q) lower indices and hat
+    fractions of the images.  Mode by mode, a two-point gather replaces
+    that grid axis by the image axes (G, Q); C leads meanwhile, so that the
+    weights broadcast over contiguous memory.  The (G, Q) pairs are then
+    regrouped as grid nodes by images."""
+    out = np.moveaxis(table, -1, 0)
+    for k, (i, y) in enumerate(cells):
+        lo, hi = np.take(out, i, axis=2 * k + 1), np.take(out, i + 1, axis=2 * k + 1)
+        y = y.reshape(y.shape + (1,) * (lo.ndim - 2 * k - 3))
+        out = (1.0 - y) * lo + y * hi
+    n = len(cells)
+    out = out.transpose(tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)) + (0,))
+    return out.reshape(int(np.prod(out.shape[:n])), -1, table.shape[-1])
+
+
+def _bracket(times, t):
+    """Mesh interval j and weight w = (t - t_j) / (t_{j+1} - t_j) of t,
+    clipped to [0, T]."""
+    t = float(np.clip(t, 0.0, times[-1]))
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    j = min(max(j, 0), len(times) - 2)
+    return j, (t - times[j]) / (times[j + 1] - times[j])
+
+
+def _at_time(slices, j, w, read):
+    """read(slice) mixed linearly in time at the bracket (j, w); at or past
+    the last slice (the gradient stops one short of T) the last is read."""
+    last = len(slices) - 1
+    if j >= last:
+        return read(slices[last])
+    out = read(slices[j])
+    if w > 1e-12:
+        out = (1.0 - w) * out + w * read(slices[j + 1])
+    return out
 
 
 @dataclass
@@ -196,35 +248,19 @@ class GridValueField:
         lead = X.shape[:-1]
         return X.reshape(-1, self.n_modes), lead
 
-    def _bracket(self, t):
-        t = float(np.clip(t, 0.0, self.T))
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 2)
-        h = self.times[j + 1] - self.times[j]
-        return j, (t - self.times[j]) / h
-
     def value_at(self, t, X):
         pts, lead = self._flat(X)
-        j, w = self._bracket(t)
         stencil = _stencil(self.axes, pts)
-        out = _interp(stencil, self.values[j][..., None])
-        if w > 1e-12:
-            out = (1.0 - w) * out + w * _interp(stencil, self.values[j + 1][..., None])
+        out = _at_time(self.values[..., None], *_bracket(self.times, t),
+                       lambda tab: _interp(stencil, tab))
         return out[:, 0].reshape(lead) if lead else float(out[0, 0])
 
     def grad_at(self, t, X):
         """Dv at time t; beyond the last stored slice the terminal-layer
         convention applies and the last slice is returned."""
         pts, lead = self._flat(X)
-        j, w = self._bracket(t)
         stencil = _stencil(self.axes, pts)
-        last = len(self.grads) - 1
-        if j >= last:
-            out = _interp(stencil, self.grads[last])
-        else:
-            out = _interp(stencil, self.grads[j])
-            if w > 1e-12:
-                out = (1.0 - w) * out + w * _interp(stencil, self.grads[j + 1])
+        out = _at_time(self.grads, *_bracket(self.times, t), lambda tab: _interp(stencil, tab))
         return out.reshape(lead + (self.n_modes,)) if lead else out[0]
 
     def to_dir(self, path, extra=None):
@@ -343,29 +379,62 @@ def _terminal_sweep(grid, terminal):
     return values, grads
 
 
-def _mild_sweep(grid, base, integrand_at, tau_nodes):
+@dataclass(frozen=True)
+class _Node:
+    """One (t_j, tau) node of the time integral: s = t_j + tau^2, its mesh
+    bracket (j, w), the measure m(s) (None in a linear solve), and per mode
+    the (lower index, hat fraction) pair of the (G, Q) image table
+    decay_k x_i + sd_k z_q, clipped to the box."""
+
+    tau: float
+    s: float
+    bracket: tuple
+    mu: object
+    cells: tuple
+
+
+def _plan(grid, tau_nodes, m=None):
+    """The nodes of every sweep of a solve, per mesh time t_j < T: the tau
+    nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
+    the integrand carries the factor 2 tau = 0)."""
+    times, axes = grid.times, grid.axes
+    # images of the axes (G, N) at the per-mode nodes (Q, N): the (G, Q)
+    # table of mode k is the last-axis slice k
+    diagonal = np.stack(axes, axis=-1)
+    per_mode = np.repeat(grid.kernel.rule.nodes[:, None], len(axes), axis=1)
+    plan = []
+    for j in range(len(times) - 1):
+        taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), tau_nodes)
+        nodes = []
+        for tau in taus[1:]:
+            s = times[j] + tau * tau
+            coords = grid.kernel.images(tau * tau, diagonal, per_mode)
+            cells = tuple(_cell(ax, coords[..., k]) for k, ax in enumerate(axes))
+            nodes.append(_Node(tau, s, _bracket(times, s), None if m is None else m.at_time(s), cells))
+        plan.append((taus, nodes))
+    return plan
+
+
+def _mild_sweep(grid, base, plan, integrand):
     """One evaluation of the mild right-hand side on the full grid.
 
     base is the (values, grads) pair of _terminal_sweep, computed once per
     solve and shared by every sweep; this subtracts the time integral of
-    R_{s-t} H and D R_{s-t} H, with integrand_at(s) returning the batch
-    field x -> H(...).  Each (t_j, tau) node evaluates that field once
-    for both the value and the gradient.
+    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(node, X)
+    returns the integrand at the node's quadrature images X, shape
+    (G^N, Q^N, N); it is evaluated once per node for both reductions.
     """
-    times, shape, n, pts = grid.times, grid.shape, len(grid.axes), grid.nodes
-    T = times[-1]
-    J = len(times) - 1
+    shape, n, pts, kernel = grid.shape, len(grid.axes), grid.nodes, grid.kernel
     values, grads = base[0].copy(), base[1].copy()
-    for j in range(J):
-        taus = np.linspace(0.0, np.sqrt(T - times[j]), tau_nodes)
-        v_int = np.zeros((tau_nodes, len(pts)))
-        g_int = np.zeros((tau_nodes, len(pts), n))
-        for i in range(1, tau_nodes):
-            tau = taus[i]
-            fld = integrand_at(times[j] + tau * tau)
-            v, g = grid.kernel.apply_with_gradient(fld, tau * tau, pts)
-            v_int[i] = 2.0 * tau * v
-            g_int[i] = 2.0 * tau * g
+    for j, (taus, nodes) in enumerate(plan):
+        v_int = np.zeros((len(taus), len(pts)))
+        g_int = np.zeros((len(taus), len(pts), n))
+        for i, node in enumerate(nodes, start=1):
+            t = node.tau * node.tau
+            vals = np.asarray(integrand(node, kernel.images(t, pts)), dtype=float)
+            v, g = kernel.reduce(vals, t)
+            v_int[i] = 2.0 * node.tau * v
+            g_int[i] = 2.0 * node.tau * g
         values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
         grads[j] -= np.trapezoid(g_int, x=taus, axis=0).reshape(shape + (n,))
     return values, grads
@@ -377,8 +446,8 @@ def solve_kolmogorov(f, phi, spec, config):
     grid = ValueGrid.build(spec, config)
     values, grads = _terminal_sweep(grid, phi)
     if f is not None:
-        integrand_at = lambda s: (lambda X: np.asarray(f(s, X), dtype=float))
-        values, grads = _mild_sweep(grid, (values, grads), integrand_at, config.tau_nodes)
+        values, grads = _mild_sweep(grid, (values, grads), _plan(grid, config.tau_nodes),
+                                    lambda node, X: f(node.s, X))
     return grid.field(values, grads, status="direct")
 
 
@@ -395,9 +464,9 @@ def solve_hjb_mild(H, G, m, spec, config):
     """Nonlinear mild solve against a frozen measure path m.
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
-    reads the previous sweep's gradient (time-interpolated) and the
-    measure path (nearest mesh point).  Stops on the weighted gradient
-    change; a run that exhausts the iteration budget is returned with
+    reads the previous sweep's gradient (time-interpolated, by the tensor
+    read at each node's images) and the measure path (nearest mesh
+    point).  Stops on the weighted gradient change; a run that exhausts the iteration budget is returned with
     status "max-iterations" and the full change history.
     """
     grid = ValueGrid.build(spec, config)
@@ -406,6 +475,7 @@ def solve_hjb_mild(H, G, m, spec, config):
     mT = m.at_time(grid.times[-1])
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
+    plan = _plan(grid, config.tau_nodes, m)
     base = _terminal_sweep(grid, terminal)
     current = grid.field(*base)
     history = []
@@ -413,11 +483,11 @@ def solve_hjb_mild(H, G, m, spec, config):
     for _ in range(config.picard_max):
         prev = current
 
-        def integrand_at(s):
-            mu = m.at_time(s)
-            return lambda X: H.value(X, prev.grad_at(s, X), mu)
+        def integrand(node, X):
+            P = _at_time(prev.grads, *node.bracket, lambda tab: _tensor_read(node.cells, tab))
+            return H.value(X, P, node.mu)
 
-        current = grid.field(*_mild_sweep(grid, base, integrand_at, config.tau_nodes))
+        current = grid.field(*_mild_sweep(grid, base, plan, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))
         if history[-1] < config.picard_tol:
             status = "converged"

@@ -63,11 +63,22 @@ class QuadraticCost:
         return 1.0 / (2.0 * self.a)
 
 
+def _mode_sum(x):
+    """Sum over the last (mode) axis as one left fold, x_0 + x_1 + ...: equal
+    to np.sum(x, axis=-1) for N <= 3 modes (up to the sign of a zero sum),
+    without numpy's generic loop for reductions over a short axis."""
+    acc = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        acc = acc + x[..., k]
+    return acc
+
+
 def _radius(p):
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.ndim == 1:
-        return p[None, :], np.linalg.norm(p[None, :], axis=-1), True
-    return p, np.linalg.norm(p, axis=-1), False
+    single = p.ndim == 1
+    if single:
+        p = p[None, :]
+    return p, np.sqrt(_mode_sum(p * p)), single
 
 
 def eval_H1(p, R, profile):
@@ -117,7 +128,7 @@ class CappedControlHamiltonian:
     def h0(self, X, P):
         out = eval_H1(P, self.R, self.profile)
         if self.b0 is not None:
-            out = out - np.sum(np.asarray(self.b0(X), dtype=float) * P, axis=-1)
+            out = out - _mode_sum(np.asarray(self.b0(X), dtype=float) * P)
         return out
 
     def h0_p(self, X, P):
@@ -170,7 +181,7 @@ class F2Coupling:
 
     def __call__(self, X, mu):
         stat = np.mean(np.asarray(self.h2(mu.points), dtype=float), axis=0)
-        return self.weight * np.sum(np.asarray(self.h2(np.asarray(X, dtype=float)), dtype=float) * stat, axis=-1)
+        return self.weight * _mode_sum(np.asarray(self.h2(np.asarray(X, dtype=float)), dtype=float) * stat)
 
     def closed_pairing(self, mu1, mu2):
         gap = np.mean(np.asarray(self.h2(mu1.points), dtype=float), axis=0) \

@@ -26,8 +26,13 @@ from hilbert_mfg.hjb import (
     GeneralHamiltonian,
     GridValueField,
     SeparatedHamiltonian,
+    ValueGrid,
+    _at_time,
     _interp,
+    _plan,
     _stencil,
+    _tensor_read,
+    _terminal_sweep,
     default_box,
     hjb_residual,
     solve_hjb_mild,
@@ -36,6 +41,7 @@ from hilbert_mfg.hjb import (
     zero_hamiltonian,
 )
 from hilbert_mfg.measures import Dirac, MeasurePath, ParticleMeasure
+from hilbert_mfg.models import make_model
 from hilbert_mfg.rng import normal_stream
 from hilbert_mfg.spectrum import SpectrumSpec
 
@@ -388,3 +394,92 @@ def test_importing_the_value_solver_loads_no_scipy_interpolate():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def cloud_solve(H, G, m, spec, cfg):
+    """The value solve with Dv read point by point: each (t_j, tau) node
+    evaluates H(X, grad_at(s, X), m(s)) at the flattened quadrature images
+    X through kernel.apply_with_gradient.  Returns (field, status, history)."""
+    grid = ValueGrid.build(spec, cfg)
+    times, shape, n, pts = grid.times, grid.shape, len(grid.axes), grid.nodes
+    mT = m.at_time(times[-1])
+    base = _terminal_sweep(grid, lambda X: np.asarray(G(X, mT), dtype=float))
+    current, history = grid.field(*base), []
+    for _ in range(cfg.picard_max):
+        prev = current
+        values, grads = base[0].copy(), base[1].copy()
+        for j in range(len(times) - 1):
+            taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), cfg.tau_nodes)
+            v_int = np.zeros((cfg.tau_nodes, len(pts)))
+            g_int = np.zeros((cfg.tau_nodes, len(pts), n))
+            for i in range(1, cfg.tau_nodes):
+                tau = taus[i]
+                s = times[j] + tau * tau
+                mu = m.at_time(s)
+                v, g = grid.kernel.apply_with_gradient(
+                    lambda X: H.value(X, prev.grad_at(s, X), mu), tau * tau, pts)
+                v_int[i] = 2.0 * tau * v
+                g_int[i] = 2.0 * tau * g
+            values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
+            grads[j] -= np.trapezoid(g_int, x=taus, axis=0).reshape(shape + (n,))
+        current = grid.field(values, grads)
+        history.append(weighted_gradient_change(current, prev))
+        if history[-1] < cfg.picard_tol:
+            return current, "converged", history
+    return current, "max-iterations", history
+
+
+def test_tensor_read_solve_equals_the_cloud_read_solve_at_one_mode():
+    cfg = SolverConfig(horizon=1.0, dt=0.1, particles=200, seed=2, grid_points=33,
+                       quad_nodes=8, tau_nodes=9)
+    H, path = tanh_hamiltonian(), ou_path(cfg)
+    v = solve_hjb_mild(H, cos_terminal, path, SPEC1, cfg)
+    want, status, history = cloud_solve(H, cos_terminal, path, SPEC1, cfg)
+    assert v.status == status == "converged"
+    assert np.array_equal(v.values, want.values)
+    assert np.array_equal(v.grads, want.grads)
+    assert v.history == tuple(history)
+
+
+def test_tensor_read_solve_matches_the_cloud_read_solve_at_two_modes():
+    prob = make_model("cap2d_f2")
+    cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
+                       quad_nodes=5, tau_nodes=7)
+    path = propagate(DriftField.zero(2), prob.m0, prob.spectrum, cfg)
+    H, G = prob.hamiltonian, prob.terminal
+    v = solve_hjb_mild(H, G, path, prob.spectrum, cfg)
+    want, status, history = cloud_solve(H, G, path, prob.spectrum, cfg)
+    assert v.status == status == "converged"
+    assert len(v.history) == len(history)
+    assert np.max(np.abs(v.values - want.values)) <= 1e-14
+    assert np.max(np.abs(v.grads - want.grads)) <= 1e-14
+    assert np.max(np.abs(np.subtract(v.history, history))) <= 1e-14
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
+    """At every (t_j, tau) node of a plan, the tensor read of a unit-scale
+    gradient field at the node's images equals grad_at at those images:
+    exactly at one mode, to 1e-15 otherwise.  The box is narrow enough that
+    some images lie outside it and read its faces."""
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
+    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
+                       quad_nodes=4, tau_nodes=4, box_scale=2.0)
+    grid = ValueGrid.build(spec, cfg)
+    gen = np.random.default_rng(n_modes)
+    J = len(grid.times) - 1
+    field = grid.field(gen.uniform(-1.0, 1.0, (J + 1,) + grid.shape),
+                       gen.uniform(-1.0, 1.0, (J,) + grid.shape + (n_modes,)))
+    clipped = 0
+    for taus, nodes in _plan(grid, cfg.tau_nodes):
+        for node in nodes:
+            X = grid.kernel.images(node.tau * node.tau, grid.nodes)
+            clipped += int(np.sum(np.abs(X) > grid.axes[0][-1]))
+            got = _at_time(field.grads, *node.bracket, lambda tab: _tensor_read(node.cells, tab))
+            want = field.grad_at(node.s, X)
+            assert got.shape == want.shape
+            if n_modes == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15
+    assert clipped > 0

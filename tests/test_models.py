@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import rng
 from hilbert_mfg.hjb import GeneralHamiltonian
@@ -14,6 +17,8 @@ from hilbert_mfg.models import (
     F2Coupling,
     MODEL_NAMES,
     QuadraticCost,
+    _mode_sum,
+    _radius,
     assumption_check,
     coupling_value,
     eval_DH1,
@@ -192,3 +197,14 @@ def test_quadratic_profile_guards():
         QuadraticCost(0.0)
     with pytest.raises(ValueError):
         CappedControlHamiltonian(R=-1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=st.integers(1, 3).flatmap(lambda n: arrays(
+    np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5), st.just(n)),
+    elements=st.one_of(st.floats(-1e150, 1e150), st.sampled_from([-0.0, 0.0])))))
+def test_mode_fold_equals_numpy_sum_and_norm(x):
+    # the left fold over a short mode axis adds in numpy's order
+    assert np.array_equal(_mode_sum(x), np.sum(x, axis=-1))
+    assert np.array_equal(_radius(x)[1], np.linalg.norm(x, axis=-1))
+    assert np.array_equal(_radius(x[0, 0])[1], np.linalg.norm(x[0, 0][None, :], axis=-1))
