@@ -48,8 +48,9 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     """One run resolved for its command: the objects it runs and where it
-    writes them.  `spectrum` and `m0` are the problem's, except that
-    solve-fp takes m0 from its keys."""
+    writes them.  `spectrum` and `m0` are the problem's: the model's, or
+    the keys' when there is no model (solve-fp) or the Hamiltonian is zero
+    (solve-hjb)."""
 
     model: str           # the model-zoo name, or None
     problem: object      # MFGProblem: the model's, or for solve-hjb with
@@ -243,7 +244,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     if not 0 < horizon < math.inf:
         raise ConfigError("[problem] horizon: must be positive and finite")
     spectrum = _spectrum(get) if keyed else problem.spectrum
-    m0 = _m0(get, spectrum.N) if keyed or command == "solve-fp" else problem.m0
+    m0 = _m0(get, spectrum.N) if keyed else problem.m0
     if command == "solve-hjb" and keyed:
         problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(spectrum.N),
                              terminal=lambda X, mu: np.cos(X[..., 0]), m0=m0,
@@ -410,7 +411,7 @@ def _audit_rows(audit):
                      "" if not r.sampled else _fmt(r.observed),
                      "" if not r.sampled else _fmt(3.0 * r.stderr),
                      "pass" if r.passed else "FAIL"])
-    rows.append(["check_Qm0_membership", "norm^4", _fmt(audit.fourth_bound),
+    rows.append(["moment_bound_audit", "norm^4", _fmt(audit.fourth_bound),
                  _fmt(audit.fourth_observed), _fmt(3.0 * audit.fourth_stderr),
                  "pass" if audit.fourth_pass else "FAIL"])
     rows.append(["path_modulus", "fit", _fmt(audit.modulus_constant), "", "",

@@ -37,10 +37,8 @@ table by one two-point gather per mode (a mode product), never at the
 G^N Q^N points one by one.  GridValueField.value_at and grad_at read point
 clouds (the drift, the residual audit): one call finds each point's cell and
 hat weights once and shares them across both time slices and every
-gradient component, and the corner sum follows the order of operations of
-scipy.interpolate.interpn (its compiled kernel for two modes, its generic
-one otherwise), so a cloud read equals interpn on the clipped points bit for
-bit.  The two reads agree to rounding; at N = 1 they are equal.
+gradient component.  Both reads interpolate one mode at a time, mode 0
+first, each step (1 - y) lo + y hi, so they agree bit for bit.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -48,7 +46,6 @@ sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 """
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +57,7 @@ from .spectrum import stationary_variances
 from .tables import FLOAT_FMT, write_table
 
 
-def default_box(spec, m0=None, scale=6.0):
+def default_box(spec, m0, scale):
     """Half-width L of the grid box [-L, L]^N covering the stationary law
     and the initial law out to `scale` standard deviations."""
     alphas = stationary_variances(spec)
@@ -112,46 +109,36 @@ def _cell(ax, x):
     return i, (x - lo) / (ax[i + 1] - lo)
 
 
-def _stencil(axes, pts):
-    """Corners of the grid cell holding each point of pts (P, N), after
-    clipping every coordinate to its axis: a list of (flat node index,
-    factors) pairs, one per corner in itertools.product order.  A corner
-    contributes value * factors[0] * factors[1] * ... to the sum.
-
-    For N = 2 the factors are the per-mode hat weights, applied one at a
-    time as interpn's compiled 2-D kernel does; for every other N they are
-    the single product 1. * w_0 * w_1 * ... that its generic kernel builds.
-    """
+def _corners(axes, pts):
+    """The grid cell of each point of pts (P, N), after clipping every
+    coordinate to its axis: the flat index of its lowest corner in the C
+    order of the grid and, per mode, (stride, 1 - y, y) with y the hat
+    fraction."""
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]])[::-1]
-    lower, pairs = 0, []
+    flat, modes = 0, []
     for ax, stride, x in zip(axes, strides, pts.T):
         i, y = _cell(ax, x)
-        lower = lower + i * stride
-        pairs.append(((0, 1 - y), (stride, y)))
-    corners = []
-    for corner in itertools.product(*pairs):
-        offsets, weights = zip(*corner)
-        if len(axes) != 2:
-            weight = 1.
-            for w in weights:
-                weight = weight * w
-            weights = (weight,)
-        corners.append((lower + sum(offsets), weights))
-    return corners
+        flat = flat + i * stride
+        modes.append((stride, 1.0 - y, y))
+    return flat, tuple(modes)
 
 
-def _interp(stencil, table):
-    """Multilinear interpolation of a (*grid, C) table at the stencil's
-    points, shape (P, C); each column is summed from 0. corner by corner,
-    as interpn sums, all columns at once from a (C, G^N) copy."""
+def _lerp(tab, modes, flat):
+    """Multilinear interpolation of the (C, G^N) table tab at the cells with
+    lowest corners flat, shape (C, P): linear in one mode at a time, mode 0
+    first, each step w lo + y hi, as _tensor_read applies them."""
+    if not modes:
+        return np.take(tab, flat, axis=1)
+    stride, w, y = modes[-1]
+    return w * _lerp(tab, modes[:-1], flat) + y * _lerp(tab, modes[:-1], flat + stride)
+
+
+def _interp(corners, table):
+    """Multilinear interpolation of a (*grid, C) table at the points of
+    _corners, shape (P, C), all columns at once from a (C, G^N) copy."""
     tab = np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T)
-    acc = 0.
-    for flat, weights in stencil:
-        term = np.take(tab, flat, axis=1)
-        for w in weights:
-            term = term * w
-        acc = acc + term
-    return acc.T
+    flat, modes = corners
+    return _lerp(tab, modes, flat).T
 
 
 def _tensor_read(cells, table):
@@ -250,17 +237,17 @@ class GridValueField:
 
     def value_at(self, t, X):
         pts, lead = self._flat(X)
-        stencil = _stencil(self.axes, pts)
+        corners = _corners(self.axes, pts)
         out = _at_time(self.values[..., None], *_bracket(self.times, t),
-                       lambda tab: _interp(stencil, tab))
+                       lambda tab: _interp(corners, tab))
         return out[:, 0].reshape(lead) if lead else float(out[0, 0])
 
     def grad_at(self, t, X):
         """Dv at time t; beyond the last stored slice the terminal-layer
         convention applies and the last slice is returned."""
         pts, lead = self._flat(X)
-        stencil = _stencil(self.axes, pts)
-        out = _at_time(self.grads, *_bracket(self.times, t), lambda tab: _interp(stencil, tab))
+        corners = _corners(self.axes, pts)
+        out = _at_time(self.grads, *_bracket(self.times, t), lambda tab: _interp(corners, tab))
         return out.reshape(lead + (self.n_modes,)) if lead else out[0]
 
     def to_dir(self, path, extra=None):
@@ -466,8 +453,9 @@ def solve_hjb_mild(H, G, m, spec, config):
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
     reads the previous sweep's gradient (time-interpolated, by the tensor
     read at each node's images) and the measure path (nearest mesh
-    point).  Stops on the weighted gradient change; a run that exhausts the iteration budget is returned with
-    status "max-iterations" and the full change history.
+    point).  Stops on the weighted gradient change; a run that exhausts
+    the iteration budget is returned with status "max-iterations" and the
+    full change history.
     """
     grid = ValueGrid.build(spec, config)
     if not same_mesh(m.times, grid.times):

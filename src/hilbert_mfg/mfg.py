@@ -344,15 +344,12 @@ class UniquenessReport:
         return self.status_a == "converged" and self.status_b == "converged"
 
 
-def uniqueness_experiment(problem, start_a, start_b, config, seed_a=None, seed_b=None):
+def uniqueness_experiment(problem, start_a, start_b, config):
     """Run the damped iteration from two starts with independent seed
     streams and report how far apart the answers land.  Non-convergence of
-    either run is part of the report, never an exception.  Explicit seed
-    overrides let a caller force identical legs (a determinism check)."""
-    if seed_a is None:
-        seed_a = rng.derive_seed(config.seed, _TAG_START_A)
-    if seed_b is None:
-        seed_b = rng.derive_seed(config.seed, _TAG_START_B)
+    either run is part of the report, never an exception."""
+    seed_a = rng.derive_seed(config.seed, _TAG_START_A)
+    seed_b = rng.derive_seed(config.seed, _TAG_START_B)
     sol_a = fixed_point_iterate(problem, config.with_(seed=seed_a), initial=start_a)
     sol_b = fixed_point_iterate(problem, config.with_(seed=seed_b), initial=start_b)
     rho = _distance(sol_a.m, sol_b.m, config,

@@ -19,6 +19,7 @@ from hilbert_mfg.cli import (
     main,
     parse_run_config,
 )
+from hilbert_mfg.models import make_model
 
 FP_INI = """
 [problem]
@@ -180,6 +181,20 @@ def test_solve_fp_variance_column_matches_closed_form(tmp_path):
     assert np.load(out / "m" / "points.npy").shape == (11, 20000, 1)
 
 
+def test_solve_fp_with_a_model_starts_from_the_model_m0(tmp_path):
+    out = tmp_path / "fp"
+    ini = ("[problem]\nmodel = cap2d_f2\n\n[numerics]\ndt = 0.5\nparticles = 4000\n\n"
+           "[run]\nseed = 3\n")
+    assert main(["solve-fp", "--config", write_ini(tmp_path, ini),
+                 "--out", str(out)]) == EXIT_OK
+    start = [r for r in read_rows(out / "moments.csv") if float(r["time"]) == 0.0]
+    m0 = make_model("cap2d_f2").m0
+    assert [int(r["mode"]) for r in start] == [1, 2]
+    for r in start:
+        want = m0.mode_second_moment(int(r["mode"]))  # 0.24 and 0.1
+        assert abs(float(r["second_moment"]) - want) <= float(r["stderr3"])
+
+
 def test_solve_hjb_zero_hamiltonian_single_sweep(tmp_path):
     out = tmp_path / "hjb"
     assert main(["solve-hjb", "--config", write_ini(tmp_path, HJB_INI),
@@ -196,8 +211,7 @@ def test_solve_mfg_monotone_model_all_pass(tmp_path):
     assert main(["solve-mfg", "--config", write_ini(tmp_path, MFG_INI),
                  "--out", str(out)]) == EXIT_OK
     audit = read_rows(out / "audit.csv")
-    ops = {r["op"] for r in audit}
-    assert "moment_bound_audit" in ops and "check_Qm0_membership" in ops
+    assert ("moment_bound_audit", "norm^4") in {(r["op"], r["mode"]) for r in audit}
     assert all(r["result"] in ("pass", "info") for r in audit)
     summary = {r["key"]: r["value"] for r in read_rows(out / "summary.csv")}
     assert summary["status"] == "converged"
@@ -370,8 +384,8 @@ def test_unknown_section_or_key_exits_2_before_the_run_directory(
                  id="drift-trailing-tokens"),
     pytest.param("solve-hjb", "m0 = dirac", "model = cap1d_monotone\nm0 = gaussian\nm0_var = -1",
                  "m0_var", id="hjb-model-m0_var-negative"),
-    pytest.param("solve-fp", "m0 = dirac", "model = cap1d_monotone\nm0 = gaussian\nm0_var = -1",
-                 "m0_var", id="fp-model-m0_var-negative"),
+    pytest.param("solve-fp", "eigenvalues = -1.0\nm0 = dirac",
+                 "model = cap1d_monotone\nm0 = gaussian", "m0", id="fp-model-m0-dropped"),
     # a key the command does not read is refused, never dropped
     pytest.param("solve-fp", "eigenvalues = -1.0",
                  "model = cap1d_monotone\neigenvalues = -5.0\ndelta = 0.9", "eigenvalues",
@@ -434,8 +448,8 @@ GAUSSIAN_M0 = "m0 = gaussian\nm0_mean = 0.1\nm0_var = 0.2\n"
 @pytest.mark.parametrize("command, problem, run", [
     pytest.param("solve-fp", "horizon = 1.0\n" + SPECTRUM + GAUSSIAN_M0 + "drift = const 0.5",
                  "", id="solve-fp"),
-    pytest.param("solve-fp", "model = cap1d_monotone\n" + GAUSSIAN_M0 + "drift = const 0.5",
-                 "", id="solve-fp-model"),
+    pytest.param("solve-fp", "model = cap1d_monotone\ndrift = const 0.5", "",
+                 id="solve-fp-model"),
     pytest.param("solve-hjb", "model = cap1d_monotone\nhamiltonian = model\n"
                  "measure_source = zero-drift", "", id="solve-hjb-model"),
     pytest.param("solve-hjb", "hamiltonian = zero\nmeasure_source = zero-drift\nhorizon = 1.0\n"

@@ -7,6 +7,7 @@ values, and the defining integral identity re-evaluated with a finer
 quadrature.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -28,9 +29,9 @@ from hilbert_mfg.hjb import (
     SeparatedHamiltonian,
     ValueGrid,
     _at_time,
+    _corners,
     _interp,
     _plan,
-    _stencil,
     _tensor_read,
     _terminal_sweep,
     default_box,
@@ -336,22 +337,35 @@ def grid_tables(draw):
     return axes, table, np.vstack([free, nodes, edges])
 
 
+def interpn_bound(n_modes, table):
+    """How far a multilinear read may sit from interpn's on the same table:
+    both sum 2^N corners with hat weights, in different orders."""
+    return 4 * n_modes * np.finfo(float).eps * np.max(np.abs(table))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=grid_tables())
-def test_interpolation_kernel_is_interpn_bit_for_bit(case):
+def test_interpolation_kernel_matches_interpn_to_rounding(case):
+    """interpn on the clipped points is an independent oracle to rounding;
+    a point on a grid node or a box face reads the stored entry exactly."""
     axes, table, pts = case
     clipped = np.stack([np.clip(pts[:, k], ax[0], ax[-1]) for k, ax in enumerate(axes)], -1)
     want = np.stack([interpn(axes, table[..., c], clipped, method="linear")
                      for c in range(table.shape[-1])], axis=-1)
-    got = _interp(_stencil(axes, pts), table)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    got = _interp(_corners(axes, pts), table)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= interpn_bound(len(axes), table))
+    # the last points are grid_tables' nodes, then its upper and lower corners
+    index = [tuple(min(i, len(ax) - 1) for ax in axes) for i in range(max(table.shape[:-1]))]
+    index += [tuple(len(ax) - 1 for ax in axes), (0,) * len(axes)]
+    assert np.array_equal(got[-len(index):], np.stack([table[i] for i in index]))
 
 
 def test_field_reads_match_the_per_slice_interpn_formula():
     """value_at and grad_at between slices, on a slice and past the last
-    gradient slice equal one interpn call per slice and component, mixed
-    in time as (1 - w) lo + w hi."""
+    gradient slice equal the per-slice read mixed in time as
+    (1 - w) lo + w hi, and that read is interpn on the clipped points to
+    rounding."""
     gen = np.random.default_rng(5)
     times = np.linspace(0.0, 1.0, 5)
     axes = (np.linspace(-2.0, 2.0, 7), np.linspace(-1.5, 1.5, 5))
@@ -360,31 +374,56 @@ def test_field_reads_match_the_per_slice_interpn_formula():
     X = gen.uniform(-3.0, 3.0, size=(3, 4, 2))
     pts = X.reshape(-1, 2)
     clipped = np.stack([np.clip(pts[:, k], ax[0], ax[-1]) for k, ax in enumerate(axes)], -1)
+    corners = _corners(axes, pts)
 
-    def old(table):
+    def per_slice(table):
         if table.ndim == 2:
-            return interpn(axes, table, clipped, method="linear")
-        return np.stack([interpn(axes, table[..., k], clipped, method="linear")
-                         for k in range(2)], axis=-1)
+            got = _interp(corners, table[..., None])[:, 0]
+            want = interpn(axes, table, clipped, method="linear")
+        else:
+            got = _interp(corners, table)
+            want = np.stack([interpn(axes, table[..., k], clipped, method="linear")
+                             for k in range(2)], axis=-1)
+        assert np.all(np.abs(got - want) <= interpn_bound(2, table))
+        return got
 
     for t in (0.0, 0.1, 0.5, 0.6, 0.8, 0.9, 1.0):
         j = min(int(t / 0.25), 3)
         w = (t - times[j]) / (times[j + 1] - times[j])
-        v = old(field.values[j])
+        v = per_slice(field.values[j])
         if w > 1e-12:
-            v = (1.0 - w) * v + w * old(field.values[j + 1])
+            v = (1.0 - w) * v + w * per_slice(field.values[j + 1])
         assert np.array_equal(field.value_at(t, X), v.reshape(3, 4))
         if j >= 3:
-            g = old(field.grads[3])
+            g = per_slice(field.grads[3])
         else:
-            g = old(field.grads[j])
+            g = per_slice(field.grads[j])
             if w > 1e-12:
-                g = (1.0 - w) * g + w * old(field.grads[j + 1])
+                g = (1.0 - w) * g + w * per_slice(field.grads[j + 1])
         assert np.array_equal(field.grad_at(t, X), g.reshape(3, 4, 2))
         assert field.value_at(t, X[0, 0]) == v[0]
         assert np.array_equal(field.grad_at(t, X[0, 0]), g[0])
     with pytest.raises(ValueError, match="NaN"):
         field.grad_at(0.3, np.array([0.0, np.nan]))
+
+
+def test_field_reads_create_no_reference_cycles():
+    """A read leaves no garbage for the cycle collector: with gc off,
+    grad_at and value_at at two modes free everything they allocate."""
+    gen = np.random.default_rng(6)
+    axes = (np.linspace(-2.0, 2.0, 7), np.linspace(-1.5, 1.5, 5))
+    field = GridValueField(times=np.linspace(0.0, 1.0, 5), axes=axes,
+                           values=gen.normal(size=(5, 7, 5)), grads=gen.normal(size=(4, 7, 5, 2)))
+    X = gen.uniform(-3.0, 3.0, size=(50, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for t in (0.1, 0.5, 1.0):
+            field.grad_at(t, X)
+            field.value_at(t, X)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_importing_the_value_solver_loads_no_scipy_interpolate():
@@ -429,39 +468,37 @@ def cloud_solve(H, G, m, spec, cfg):
     return current, "max-iterations", history
 
 
-def test_tensor_read_solve_equals_the_cloud_read_solve_at_one_mode():
+def one_mode_solve():
     cfg = SolverConfig(horizon=1.0, dt=0.1, particles=200, seed=2, grid_points=33,
                        quad_nodes=8, tau_nodes=9)
-    H, path = tanh_hamiltonian(), ou_path(cfg)
-    v = solve_hjb_mild(H, cos_terminal, path, SPEC1, cfg)
-    want, status, history = cloud_solve(H, cos_terminal, path, SPEC1, cfg)
+    return tanh_hamiltonian(), cos_terminal, ou_path(cfg), SPEC1, cfg
+
+
+def two_mode_solve():
+    prob = make_model("cap2d_f2")
+    cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
+                       quad_nodes=5, tau_nodes=7)
+    path = propagate(DriftField.zero(2), prob.m0, prob.spectrum, cfg)
+    return prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg
+
+
+@pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
+def test_tensor_read_solve_equals_the_cloud_read_solve(case):
+    args = case()
+    v = solve_hjb_mild(*args)
+    want, status, history = cloud_solve(*args)
     assert v.status == status == "converged"
     assert np.array_equal(v.values, want.values)
     assert np.array_equal(v.grads, want.grads)
     assert v.history == tuple(history)
 
 
-def test_tensor_read_solve_matches_the_cloud_read_solve_at_two_modes():
-    prob = make_model("cap2d_f2")
-    cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
-                       quad_nodes=5, tau_nodes=7)
-    path = propagate(DriftField.zero(2), prob.m0, prob.spectrum, cfg)
-    H, G = prob.hamiltonian, prob.terminal
-    v = solve_hjb_mild(H, G, path, prob.spectrum, cfg)
-    want, status, history = cloud_solve(H, G, path, prob.spectrum, cfg)
-    assert v.status == status == "converged"
-    assert len(v.history) == len(history)
-    assert np.max(np.abs(v.values - want.values)) <= 1e-14
-    assert np.max(np.abs(v.grads - want.grads)) <= 1e-14
-    assert np.max(np.abs(np.subtract(v.history, history))) <= 1e-14
-
-
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
     """At every (t_j, tau) node of a plan, the tensor read of a unit-scale
-    gradient field at the node's images equals grad_at at those images:
-    exactly at one mode, to 1e-15 otherwise.  The box is narrow enough that
-    some images lie outside it and read its faces."""
+    gradient field at the node's images equals grad_at at those images
+    exactly.  The box is narrow enough that some images lie outside it and
+    read its faces."""
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
     cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
                        quad_nodes=4, tau_nodes=4, box_scale=2.0)
@@ -478,8 +515,5 @@ def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
             got = _at_time(field.grads, *node.bracket, lambda tab: _tensor_read(node.cells, tab))
             want = field.grad_at(node.s, X)
             assert got.shape == want.shape
-            if n_modes == 1:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.array_equal(got, want)
     assert clipped > 0
