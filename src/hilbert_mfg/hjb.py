@@ -28,17 +28,28 @@ reading the last available slice.
 
 Between nodes the field is read by multilinear interpolation in space and
 linear interpolation in time.  Each coordinate is clipped to the box first,
-so a point outside it reads the nearest face.  There are two reads of the
-same interpolant.  A solve reads the previous iterate's gradient at the
-quadrature images of the grid, which form a tensor product: in mode k the
-(G, Q) table decay_k x_i + sd_k z_q.  Their cells and hat fractions are
-found once per solve for each (t_j, tau) node, and each sweep reads the
-table by one two-point gather per mode (a mode product), never at the
-G^N Q^N points one by one.  GridValueField.value_at and grad_at read point
-clouds (the drift, the residual audit): one call finds each point's cell and
-hat weights once and shares them across both time slices and every
-gradient component.  Both reads interpolate one mode at a time, mode 0
-first, each step (1 - y) lo + y hi, so they agree bit for bit.
+so a point outside it reads the nearest face.  GridValueField.value_at and
+grad_at read point clouds (the drift, the residual audit): one call finds
+each point's cell and hat weights once and shares them across both time
+slices and every gradient component, and interpolates one mode at a time,
+mode 0 first, each step (1 - y) lo + y hi.
+
+A sweep reads no point cloud.  At each (t_j, tau) node it tabulates the
+integrand H(x, Dv(s, x), m(s)) once, on the G^N grid nodes, with Dv the
+stored gradient table mixed in time, and applies the semigroup to the
+multilinear interpolant of that table.  The images of the grid nodes form
+a tensor product (in mode k the (G, Q) table decay_k x_i + sd_k z_q), so
+the quadrature of the interpolant factorises into one (G, G) operator per
+mode,
+
+    K_k[i, i'] = sum_q w_q hat_{i'}(clip(decay_k x_i + sd_k z_q)),
+
+applied as a mode product; gradient component k uses the weights
+w_q z_q Lambda_k in mode k and K_l in every other mode l.  Hat weights are
+nonnegative and each row of K_k sums to sum_q w_q = 1, so the applied
+operator averages: the image of a table is bounded by its sup norm.  The
+cells of the image tables are found once per solve; the operators are
+rebuilt from them at each use.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -46,6 +57,7 @@ sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,7 +138,7 @@ def _corners(axes, pts):
 def _lerp(tab, modes, flat):
     """Multilinear interpolation of the (C, G^N) table tab at the cells with
     lowest corners flat, shape (C, P): linear in one mode at a time, mode 0
-    first, each step w lo + y hi, as _tensor_read applies them."""
+    first, each step w lo + y hi."""
     if not modes:
         return np.take(tab, flat, axis=1)
     stride, w, y = modes[-1]
@@ -139,24 +151,6 @@ def _interp(corners, table):
     tab = np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T)
     flat, modes = corners
     return _lerp(tab, modes, flat).T
-
-
-def _tensor_read(cells, table):
-    """Multilinear interpolation of a (*grid, C) table at the quadrature
-    images of one (t_j, tau) node, shape (G^N, Q^N, C) in the layout of
-    OUKernel.images.  cells holds per mode the (G, Q) lower indices and hat
-    fractions of the images.  Mode by mode, a two-point gather replaces
-    that grid axis by the image axes (G, Q); C leads meanwhile, so that the
-    weights broadcast over contiguous memory.  The (G, Q) pairs are then
-    regrouped as grid nodes by images."""
-    out = np.moveaxis(table, -1, 0)
-    for k, (i, y) in enumerate(cells):
-        lo, hi = np.take(out, i, axis=2 * k + 1), np.take(out, i + 1, axis=2 * k + 1)
-        y = y.reshape(y.shape + (1,) * (lo.ndim - 2 * k - 3))
-        out = (1.0 - y) * lo + y * hi
-    n = len(cells)
-    out = out.transpose(tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)) + (0,))
-    return out.reshape(int(np.prod(out.shape[:n])), -1, table.shape[-1])
 
 
 def _bracket(times, t):
@@ -371,7 +365,8 @@ class _Node:
     """One (t_j, tau) node of the time integral: s = t_j + tau^2, its mesh
     bracket (j, w), the measure m(s) (None in a linear solve), and per mode
     the (lower index, hat fraction) pair of the (G, Q) image table
-    decay_k x_i + sd_k z_q, clipped to the box."""
+    decay_k x_i + sd_k z_q, clipped to the box: the O(N G Q) numbers from
+    which _mode_operators builds the node's per-mode operators."""
 
     tau: float
     s: float
@@ -383,7 +378,8 @@ class _Node:
 def _plan(grid, tau_nodes, m=None):
     """The nodes of every sweep of a solve, per mesh time t_j < T: the tau
     nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
-    the integrand carries the factor 2 tau = 0)."""
+    the integrand carries the factor 2 tau = 0).  Built once per solve; it
+    holds the image cells, not the operators."""
     times, axes = grid.times, grid.axes
     # images of the axes (G, N) at the per-mode nodes (Q, N): the (G, Q)
     # table of mode k is the last-axis slice k
@@ -402,39 +398,83 @@ def _plan(grid, tau_nodes, m=None):
     return plan
 
 
+def _hat_operators(i, y, wq):
+    """The (C, G, G) matrices sum_q wq[c, q] hat_{i'}(x_gq) of an image
+    table whose clipped entries x_gq lie in the cells (i, y), both (G, Q):
+    row g spreads each weight over the two nodes of its cell, all C
+    matrices by one bincount of 2 C G Q entries."""
+    g, c = len(i), len(wq)
+    lower = (np.arange(g)[:, None] * g + i).ravel()
+    index = (np.concatenate([lower, lower + 1]) + g * g * np.arange(c)[:, None]).ravel()
+    weights = np.concatenate([(1.0 - y) * wq[:, None, :], y * wq[:, None, :]], axis=1)
+    return np.bincount(index, weights.ravel(), minlength=c * g * g).reshape(c, g, g)
+
+
+def _mode_operators(kernel, node):
+    """Per mode k the node's operators at t = tau^2, stacked (2, G, G): the
+    value operator K_k (weights w_q) and the gradient operator (weights
+    w_q z_q Lambda_k, Lambda_k = decay_k / sd_k as in the likelihood-ratio
+    gradient)."""
+    decay, sd = kernel.factors(node.tau * node.tau)
+    w, z = kernel.rule.weights, kernel.rule.nodes
+    weights = np.empty((len(node.cells), 2, len(w)))
+    weights[:, 0] = w
+    weights[:, 1] = w * z * (decay / sd)[:, None]
+    return [_hat_operators(i, y, wq) for (i, y), wq in zip(node.cells, weights)]
+
+
+def _along(op, stack, k):
+    """op (G_k, G_k) applied along grid mode k of a stack of tables
+    (C, *grid), by one matmul over the (G_k, rest) matrices of the stack."""
+    shape = stack.shape
+    rest = math.prod(shape[k + 2:])
+    return np.matmul(op, stack.reshape(-1, shape[k + 1], rest)).reshape(shape)
+
+
+def _node_semigroup(kernel, node, tab):
+    """R_t h and the N components of D R_t h on the grid, stacked
+    (N + 1, *grid), at the node's t = tau^2 for h the multilinear
+    interpolant of the grid table tab.  The stack holds the value so far
+    and the gradient components begun; in mode k all of them take K_k, and
+    the value so far begins component k by taking the gradient operator."""
+    stack = tab[None]
+    for k, (value, grad) in enumerate(_mode_operators(kernel, node)):
+        stack = np.concatenate([_along(value, stack, k), _along(grad, stack[:1], k)])
+    return stack
+
+
 def _mild_sweep(grid, base, plan, integrand):
     """One evaluation of the mild right-hand side on the full grid.
 
     base is the (values, grads) pair of _terminal_sweep, computed once per
     solve and shared by every sweep; this subtracts the time integral of
-    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(node, X)
-    returns the integrand at the node's quadrature images X, shape
-    (G^N, Q^N, N); it is evaluated once per node for both reductions.
+    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(node)
+    returns the integrand on the grid nodes, shape (G^N,); it is evaluated
+    once per node for both reductions.
     """
-    shape, n, pts, kernel = grid.shape, len(grid.axes), grid.nodes, grid.kernel
+    shape, kernel = grid.shape, grid.kernel
     values, grads = base[0].copy(), base[1].copy()
     for j, (taus, nodes) in enumerate(plan):
-        v_int = np.zeros((len(taus), len(pts)))
-        g_int = np.zeros((len(taus), len(pts), n))
+        # per tau node the value (entry 0) and the gradient components
+        out = np.zeros((len(taus), len(shape) + 1) + shape)
         for i, node in enumerate(nodes, start=1):
-            t = node.tau * node.tau
-            vals = np.asarray(integrand(node, kernel.images(t, pts)), dtype=float)
-            v, g = kernel.reduce(vals, t)
-            v_int[i] = 2.0 * node.tau * v
-            g_int[i] = 2.0 * node.tau * g
-        values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
-        grads[j] -= np.trapezoid(g_int, x=taus, axis=0).reshape(shape + (n,))
+            tab = np.asarray(integrand(node), dtype=float).reshape(shape)
+            out[i] = 2.0 * node.tau * _node_semigroup(kernel, node, tab)
+        integral = np.trapezoid(out, x=taus, axis=0)
+        values[j] -= integral[0]
+        grads[j] -= np.moveaxis(integral[1:], 0, -1)
     return values, grads
 
 
 def solve_kolmogorov(f, phi, spec, config):
     """Linear backward equation dv/dt + L0 v = f, v(T) = phi, in mild form
-    v(t) = R_{T-t} phi - int_t^T R_{s-t} f(s) ds."""
+    v(t) = R_{T-t} phi - int_t^T R_{s-t} f(s) ds, with f(s) tabulated on
+    the grid nodes like the value solve's integrand."""
     grid = ValueGrid.build(spec, config)
     values, grads = _terminal_sweep(grid, phi)
     if f is not None:
         values, grads = _mild_sweep(grid, (values, grads), _plan(grid, config.tau_nodes),
-                                    lambda node, X: f(node.s, X))
+                                    lambda node: f(node.s, grid.nodes))
     return grid.field(values, grads, status="direct")
 
 
@@ -451,11 +491,11 @@ def solve_hjb_mild(H, G, m, spec, config):
     """Nonlinear mild solve against a frozen measure path m.
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
-    reads the previous sweep's gradient (time-interpolated, by the tensor
-    read at each node's images) and the measure path (nearest mesh
-    point).  Stops on the weighted gradient change; a run that exhausts
-    the iteration budget is returned with status "max-iterations" and the
-    full change history.
+    evaluates H once per (t_j, tau) node on the grid nodes, with the
+    previous sweep's gradient table mixed in time and the measure path at
+    its nearest mesh point.  Stops on the weighted gradient change; a run
+    that exhausts the iteration budget is returned with status
+    "max-iterations" and the full change history.
     """
     grid = ValueGrid.build(spec, config)
     if not same_mesh(m.times, grid.times):
@@ -471,9 +511,9 @@ def solve_hjb_mild(H, G, m, spec, config):
     for _ in range(config.picard_max):
         prev = current
 
-        def integrand(node, X):
-            P = _at_time(prev.grads, *node.bracket, lambda tab: _tensor_read(node.cells, tab))
-            return H.value(X, P, node.mu)
+        def integrand(node):
+            P = _at_time(prev.grads, *node.bracket, lambda tab: tab)
+            return H.value(grid.nodes, P.reshape(grid.nodes.shape), node.mu)
 
         current = grid.field(*_mild_sweep(grid, base, plan, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))

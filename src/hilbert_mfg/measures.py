@@ -277,22 +277,28 @@ def _slice_directions(seed, projections, n_modes):
     return dirs
 
 
-def _sorted_profile(points, dirs):
-    """One cloud's sorted profile: its (M, P) projections on `dirs` sorted
-    along the particle axis, or, with `dirs` None, its sorted coordinate on
-    the one mode."""
+def _sorted_profile(points, dirs, scratch=None):
+    """One cloud's sorted profile: its projections on `dirs`, (P, M), each
+    row sorted, or, with `dirs` None, its sorted coordinate on the one
+    mode, (M,).
+
+    The projections are the (M, P) product `points @ dirs.T` (BLAS rounds
+    `dirs @ points.T` differently), made in `scratch` when it is given and
+    copied row-major, so that each row sorts in contiguous memory."""
     if dirs is None:
         return np.sort(points[:, 0])
-    profile = points @ dirs.T
-    profile.sort(axis=0)
+    profile = np.matmul(points, dirs.T, out=scratch).T.copy()
+    profile.sort(axis=-1)
     return profile
 
 
-def _gap(a, b, out):
-    """mean |a - b| of two sorted profiles of one shape, computed in `out`
-    (which may be `a`): the W1 of their sorted coupling, averaged over the
-    directions."""
-    np.subtract(a, b, out=out)
+def _gap(at, b, out):
+    """mean |a - b| of two sorted profiles: the W1 of their sorted coupling,
+    averaged over the directions.  `at` is one profile particle-major,
+    (M, P), and `b` the other as `_sorted_profile` returns it, (P, M); on
+    one mode both are (M,).  The gaps go to `out`, (M, P) (which may be
+    `at`), so the mean sums them particle-major."""
+    np.subtract(at, b.T, out=out)
     np.abs(out, out=out)
     return float(out.mean())
 
@@ -309,8 +315,12 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     _require_compatible(mu, nu)
     dirs = _slice_directions(seed, projections, mu.N)
     mu, nu = _common_size(mu, nu, seed)
-    a = _sorted_profile(mu.points, dirs)
-    return _gap(a, _sorted_profile(nu.points, dirs), out=a)
+    b = _sorted_profile(nu.points, dirs)
+    # mu's projections are sorted where they are made, particle-major, and
+    # then take the gaps: two profile-sized arrays are all this holds
+    at = mu.points @ dirs.T
+    at.sort(axis=0)
+    return _gap(at, b, out=at)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +412,7 @@ def _sorted_pair_gaps(points, pairs, dirs):
     block holds its row profiles and streams each later time its pairs
     need, once, so each such time is sorted once per block and at most four
     profile-sized arrays are live: two rows, one streamed time and the gap
-    buffer."""
+    buffer, which also takes each time's projections."""
     buf = np.empty(points.shape[1:2] if dirs is None else (points.shape[1], len(dirs)))
     dists = np.empty(len(pairs))
     for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
@@ -413,11 +423,11 @@ def _sorted_pair_gaps(points, pairs, dirs):
         last_row = i  # the pairs come in (i, j) order
         held = {}
         for t in sorted(partners):
-            profile = _sorted_profile(points[t], dirs)
+            profile = _sorted_profile(points[t], dirs, buf)
             for n, row in partners[t]:
                 dists[n] = _gap(held[row], profile, out=buf)
             if t <= last_row:
-                held[t] = profile
+                held[t] = np.ascontiguousarray(profile.T)  # read particle-major
             del profile  # a streamed time is dropped before the next is sorted
     return dists
 

@@ -71,7 +71,8 @@ class OUKernel:
         self.spec = spec
         self.rule = rule if rule is not None else QuadratureRule()
 
-    def _factors(self, t):
+    def factors(self, t):
+        """(decay, sd) per mode at t > 0: e^{lambda_k t} and q_k(t)^{1/2}."""
         if t <= 0:
             raise ValueError("gradient representation is singular at t = 0; differentiate phi directly")
         return semigroup_factors(self.spec, t), np.sqrt(covariance_diag(self.spec, t))
@@ -79,21 +80,18 @@ class OUKernel:
     def images(self, t, pts, Z=None):
         """The quadrature images e^{tA} x + sd * z, shape (G, Q, N), of a
         (G, N) batch at the (Q, N) nodes Z (default: the tensor rule)."""
-        decay, sd = self._factors(t)
+        decay, sd = self.factors(t)
         if Z is None:
             Z = self.rule.tensor(self.spec.N)[0]
         return (pts * decay)[:, None, :] + sd[None, None, :] * Z[None, :, :]
 
-    def reduce(self, vals, t):
-        """(R_t phi, D R_t phi) on the batch from the (G, Q) table of phi at
-        its images: the value and the gradient are two reductions of it."""
-        decay, sd = self._factors(t)
-        Z, W = self.rule.tensor(self.spec.N)
-        return vals @ W, np.einsum("gq,q,qk->gk", vals, W, Z) * (decay / sd)
-
     def _quadrature(self, phi, t, pts):
-        """(R_t phi, D R_t phi) from one evaluation of phi at the images."""
-        return self.reduce(np.asarray(phi(self.images(t, pts)), dtype=float), t)
+        """(R_t phi, D R_t phi) from one evaluation of phi at the images:
+        the value and the gradient are two reductions of the (G, Q) table."""
+        decay, sd = self.factors(t)
+        Z, W = self.rule.tensor(self.spec.N)
+        vals = np.asarray(phi(self.images(t, pts)), dtype=float)
+        return vals @ W, np.einsum("gq,q,qk->gk", vals, W, Z) * (decay / sd)
 
     def apply_Rt(self, phi, t, x):
         """[R_t phi](x) for x of shape (..., N); t = 0 returns phi(x)."""

@@ -28,11 +28,11 @@ from hilbert_mfg.hjb import (
     GridValueField,
     SeparatedHamiltonian,
     ValueGrid,
-    _at_time,
     _corners,
     _interp,
+    _mode_operators,
+    _node_semigroup,
     _plan,
-    _tensor_read,
     _terminal_sweep,
     default_box,
     hjb_residual,
@@ -435,10 +435,21 @@ def test_importing_the_value_solver_loads_no_scipy_interpolate():
     assert done.stdout.strip() == "False"
 
 
+def interpolant(grid, table):
+    """The multilinear interpolant of a grid table (*grid) as a field on
+    (..., N) points, read by the cloud read _interp."""
+    def phi(X):
+        pts = X.reshape(-1, X.shape[-1])
+        return _interp(_corners(grid.axes, pts), table[..., None])[:, 0].reshape(X.shape[:-1])
+    return phi
+
+
 def cloud_solve(H, G, m, spec, cfg):
-    """The value solve with Dv read point by point: each (t_j, tau) node
-    evaluates H(X, grad_at(s, X), m(s)) at the flattened quadrature images
-    X through kernel.apply_with_gradient.  Returns (field, status, history)."""
+    """The value solve written out point by point: each (t_j, tau) node
+    evaluates H(x, grad_at(s, x), m(s)) on the grid nodes, and
+    kernel.apply_with_gradient applies the semigroup by tensor quadrature
+    to the interpolant of that table, read at the flattened images.
+    Returns (field, status, history)."""
     grid = ValueGrid.build(spec, cfg)
     times, shape, n, pts = grid.times, grid.shape, len(grid.axes), grid.nodes
     mT = m.at_time(times[-1])
@@ -454,9 +465,8 @@ def cloud_solve(H, G, m, spec, cfg):
             for i in range(1, cfg.tau_nodes):
                 tau = taus[i]
                 s = times[j] + tau * tau
-                mu = m.at_time(s)
-                v, g = grid.kernel.apply_with_gradient(
-                    lambda X: H.value(X, prev.grad_at(s, X), mu), tau * tau, pts)
+                table = H.value(pts, prev.grad_at(s, pts), m.at_time(s)).reshape(shape)
+                v, g = grid.kernel.apply_with_gradient(interpolant(grid, table), tau * tau, pts)
                 v_int[i] = 2.0 * tau * v
                 g_int[i] = 2.0 * tau * g
             values[j] -= np.trapezoid(v_int, x=taus, axis=0).reshape(shape)
@@ -482,38 +492,89 @@ def two_mode_solve():
     return prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg
 
 
+def rounding(n_modes, table):
+    """How far two evaluations of one tensor quadrature of a multilinear
+    interpolant may sit apart when they sum the same terms in different
+    orders, relative to the largest entry of the table.  Measured worst
+    cases: 0.15 of it for the solves (N = 1 gradients) and 0.43 for the
+    node operators (N = 3 gradients)."""
+    return 4 * n_modes * np.finfo(float).eps * np.max(np.abs(table))
+
+
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
 def test_tensor_read_solve_equals_the_cloud_read_solve(case):
+    """The solve's per-mode operators give, sweep by sweep, the tensor
+    quadrature of the interpolated node table read at the image cloud."""
     args = case()
+    n = args[3].N
     v = solve_hjb_mild(*args)
     want, status, history = cloud_solve(*args)
     assert v.status == status == "converged"
-    assert np.array_equal(v.values, want.values)
-    assert np.array_equal(v.grads, want.grads)
-    assert v.history == tuple(history)
+    assert len(v.history) == len(history)
+    assert np.max(np.abs(np.subtract(v.history, history))) <= rounding(n, want.grads)
+    assert np.max(np.abs(v.values - want.values)) <= rounding(n, want.values)
+    assert np.max(np.abs(v.grads - want.grads)) <= rounding(n, want.grads)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
-    """At every (t_j, tau) node of a plan, the tensor read of a unit-scale
-    gradient field at the node's images equals grad_at at those images
-    exactly.  The box is narrow enough that some images lie outside it and
-    read its faces."""
+    """At every (t_j, tau) node of a plan, the per-mode application to a
+    random grid table equals the tensor quadrature of its interpolant read
+    at the node's images.  The box is narrow enough that some images lie
+    outside it and read its faces."""
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
     cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
                        quad_nodes=4, tau_nodes=4, box_scale=2.0)
     grid = ValueGrid.build(spec, cfg)
     gen = np.random.default_rng(n_modes)
-    J = len(grid.times) - 1
-    field = grid.field(gen.uniform(-1.0, 1.0, (J + 1,) + grid.shape),
-                       gen.uniform(-1.0, 1.0, (J,) + grid.shape + (n_modes,)))
     clipped = 0
     for taus, nodes in _plan(grid, cfg.tau_nodes):
         for node in nodes:
-            X = grid.kernel.images(node.tau * node.tau, grid.nodes)
-            clipped += int(np.sum(np.abs(X) > grid.axes[0][-1]))
-            got = _at_time(field.grads, *node.bracket, lambda tab: _tensor_read(node.cells, tab))
-            want = field.grad_at(node.s, X)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            t = node.tau * node.tau
+            clipped += int(np.sum(np.abs(grid.kernel.images(t, grid.nodes)) > grid.axes[0][-1]))
+            table = gen.uniform(-1.0, 1.0, grid.shape)
+            got = _node_semigroup(grid.kernel, node, table)
+            want_v, want_g = grid.kernel.apply_with_gradient(interpolant(grid, table), t, grid.nodes)
+            assert got.shape == (n_modes + 1,) + grid.shape
+            assert np.max(np.abs(got[0].ravel() - want_v)) <= rounding(n_modes, table)
+            assert np.max(np.abs(got[1:].reshape(n_modes, -1).T - want_g)) \
+                <= rounding(n_modes, want_g)
     assert clipped > 0
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_mode_operators_average(n_modes):
+    """Every value operator K_k is nonnegative with unit row sums, so the
+    applied semigroup averages; images clip on this narrow box."""
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
+    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
+                       quad_nodes=4, tau_nodes=4, box_scale=2.0)
+    grid = ValueGrid.build(spec, cfg)
+    for taus, nodes in _plan(grid, cfg.tau_nodes):
+        for node in nodes:
+            ops = _mode_operators(grid.kernel, node)
+            assert len(ops) == n_modes
+            for K, _ in ops:
+                assert K.shape == (7, 7)
+                assert np.all(K >= 0.0)
+                assert np.all(np.abs(K.sum(axis=1) - 1.0) <= 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
+def test_value_solve_evaluates_the_hamiltonian_once_per_node_on_the_grid(case):
+    """Each sweep calls H.value once per (t_j, tau) node, on the G^N grid
+    nodes only."""
+    H, G, m, spec, cfg = case()
+    sizes = []
+
+    def value(X, P, mu):
+        sizes.append((X.shape, P.shape))
+        return H.value(X, P, mu)
+
+    counting = GeneralHamiltonian(value_fn=value, grad_p_fn=H.grad_p, bound_Hp=H.bound_Hp)
+    v = solve_hjb_mild(counting, G, m, spec, cfg)
+    grid = ValueGrid.build(spec, cfg)
+    nodes = sum(len(nodes) for _, nodes in _plan(grid, cfg.tau_nodes))
+    assert nodes == (len(grid.times) - 1) * (cfg.tau_nodes - 1)
+    assert len(sizes) == len(v.history) * nodes
+    assert set(sizes) == {(grid.nodes.shape, grid.nodes.shape)}

@@ -320,6 +320,53 @@ def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
     assert_modulus_matches_dispatcher(path, table, budget, 16, seed)
 
 
+@st.composite
+def sliced_path_pairs(draw):
+    """Two paths of N in {2, 3} modes over 5 to 7 mesh times whose time
+    gaps differ pairwise.  Their particle counts may differ, with lcm
+    replication and the bootstrap beyond the common-size cap both
+    reached; coordinates are rounded to a drawn number of decimals, so
+    some tie."""
+    n_times, n_modes = draw(st.integers(5, 7)), draw(st.integers(2, 3))
+    times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(n_times - 1)])
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decimals = draw(st.integers(0, 6))
+    return [MeasurePath(times=times,
+                        points=np.round(gen.standard_normal((n_times, M, n_modes)), decimals))
+            for M in draw(st.lists(st.sampled_from([1, 7, 48, 89, 97, 300, 1000]),
+                                   min_size=2, max_size=2))]
+
+
+def particle_major_sliced(mu, nu, projections, seed):
+    """The sliced surrogate written in the (M, P) layout: both clouds'
+    projections sorted along the particle axis, the gaps averaged there."""
+    dirs = measures._slice_directions(seed, projections, mu.N)
+    mu, nu = measures._common_size(mu, nu, seed)
+    a, b = mu.points @ dirs.T, nu.points @ dirs.T
+    a.sort(axis=0)
+    b.sort(axis=0)
+    return float(np.abs(a - b).mean())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(paths=sliced_path_pairs(), projections=st.integers(1, 64), seed=st.integers(0, 3))
+def test_sliced_distances_equal_the_particle_major_formula(paths, projections, seed):
+    """Row-major sorted profiles change no sliced distance by a bit."""
+    m1, m2 = paths
+    want = [particle_major_sliced(a, b, projections, seed)
+            for a, b in zip(m1.measures, m2.measures)]
+    assert [wasserstein1_sliced(a, b, projections=projections, seed=seed)
+            for a, b in zip(m1.measures, m2.measures)] == want
+    assert path_sup_distance(m1, m2, exact_budget=0, projections=projections,
+                             seed=seed) == max(want)
+    J = len(m1.times)
+    table = path_modulus(m1, exact_budget=0, projections=projections, seed=seed)
+    assert table.method == "sliced"
+    assert table.dists.tolist() == [
+        particle_major_sliced(m1.measures[i], m1.measures[j], projections, seed)
+        for i in range(J) for j in range(i + 1, J)]
+
+
 def test_subsampled_path_modulus_matches_the_dispatcher():
     gen = np.random.default_rng(8)
     times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(13)])
