@@ -380,19 +380,17 @@ def _plan(grid, tau_nodes, m=None):
     nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
     the integrand carries the factor 2 tau = 0).  Built once per solve; it
     holds the image cells, not the operators."""
-    times, axes = grid.times, grid.axes
-    # images of the axes (G, N) at the per-mode nodes (Q, N): the (G, Q)
-    # table of mode k is the last-axis slice k
-    diagonal = np.stack(axes, axis=-1)
-    per_mode = np.repeat(grid.kernel.rule.nodes[:, None], len(axes), axis=1)
+    times, axes, z = grid.times, grid.axes, grid.kernel.rule.nodes
     plan = []
     for j in range(len(times) - 1):
         taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), tau_nodes)
         nodes = []
         for tau in taus[1:]:
             s = times[j] + tau * tau
-            coords = grid.kernel.images(tau * tau, diagonal, per_mode)
-            cells = tuple(_cell(ax, coords[..., k]) for k, ax in enumerate(axes))
+            decay, sd = grid.kernel.factors(tau * tau)
+            # mode k's (G, Q) image table decay_k x_i + sd_k z_q
+            cells = tuple(_cell(ax, (ax * decay[k])[:, None] + sd[k] * z[None, :])
+                          for k, ax in enumerate(axes))
             nodes.append(_Node(tau, s, _bracket(times, s), None if m is None else m.at_time(s), cells))
         plan.append((taus, nodes))
     return plan

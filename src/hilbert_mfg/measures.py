@@ -8,18 +8,21 @@ that array.  Every moment audit reads one routine, `moments`, which takes
 any (..., M, N) stack of clouds.  A path directory holds `times.csv` and
 that array as one `points.npy` (NumPy .npy format, no pickles).
 
-Path distances resolve W1 through one dispatcher.  On one mode the sorted
-coupling is optimal, so W1 is exact for any particle count at the cost of
-a sort.  On N >= 2 modes exact W1 between equal-count clouds is the linear
-assignment problem with Euclidean ground cost; beyond the configured budget
-a sliced surrogate (average of 1-D sorted-coupling distances over random
-unit directions) is used.  The choice is reported either way.  All
-randomized surrogates are deterministic functions of their seed.
+Path distances resolve W1 through one dispatcher, which one rule,
+`w1_method`, steers.  On one mode the sorted coupling is optimal, so W1 is
+exact for any particle count at the cost of a sort.  On N >= 2 modes exact
+W1 between equal-count clouds is the linear assignment problem with
+Euclidean ground cost; beyond the configured budget a sliced surrogate
+(average of 1-D sorted-coupling distances over random unit directions) is
+used.  All randomized surrogates are deterministic functions of their seed.
 
-A sorted pair is read from three helpers: the directions, each cloud's
-sorted profile and the mean gap of two profiles.  `path_modulus` draws
-the directions once and, in a working set of two row times, sorts each
-mesh time once per block of rows instead of twice per pair.
+Every sorted distance has one layout.  A cloud's profile is its
+projections `dirs @ points.T` on P unit directions, a (P, M) array with
+each row sorted, and a distance is the mean |a - b| of two profiles.  One
+mode is the case of the single direction [[1.0]], whose projection is the
+coordinate itself.  `path_modulus` draws the directions once and, in a
+working set of two row times, sorts each mesh time once per block of rows
+instead of twice per pair.
 """
 
 import itertools
@@ -277,36 +280,32 @@ def _slice_directions(seed, projections, n_modes):
     return dirs
 
 
-def _sorted_profile(points, dirs, scratch=None):
-    """One cloud's sorted profile: its projections on `dirs`, (P, M), each
-    row sorted, or, with `dirs` None, its sorted coordinate on the one
-    mode, (M,).
+# The one direction of a one-mode cloud: its projection is the coordinate.
+_UNIT = np.ones((1, 1))
 
-    The projections are the (M, P) product `points @ dirs.T` (BLAS rounds
-    `dirs @ points.T` differently), made in `scratch` when it is given and
-    copied row-major, so that each row sorts in contiguous memory."""
-    if dirs is None:
-        return np.sort(points[:, 0])
-    profile = np.matmul(points, dirs.T, out=scratch).T.copy()
+
+def _sorted_profile(points, dirs):
+    """One cloud's sorted profile: its projections `dirs @ points.T` on the
+    (P, N) unit directions, (P, M), each row sorted in contiguous memory."""
+    profile = dirs @ points.T
     profile.sort(axis=-1)
     return profile
 
 
-def _gap(at, b, out):
+def _gap(a, b, out):
     """mean |a - b| of two sorted profiles: the W1 of their sorted coupling,
-    averaged over the directions.  `at` is one profile particle-major,
-    (M, P), and `b` the other as `_sorted_profile` returns it, (P, M); on
-    one mode both are (M,).  The gaps go to `out`, (M, P) (which may be
-    `at`), so the mean sums them particle-major."""
-    np.subtract(at, b.T, out=out)
+    averaged over the directions.  The gaps go to `out` (which may be `a`)."""
+    np.subtract(a, b, out=out)
     np.abs(out, out=out)
     return float(out.mean())
 
 
-def _sorted_w1_1d(mu, nu):
-    """1-D W1 of equal-size one-mode clouds: mean gap of the sorted coupling."""
-    a = _sorted_profile(mu.points, None)
-    return _gap(a, _sorted_profile(nu.points, None), out=a)
+def _sorted_distance(mu, nu, dirs):
+    """The sorted-coupling distance of two equal-size clouds along `dirs`:
+    exact W1 on one mode with `_UNIT`, the sliced surrogate otherwise.  Two
+    profiles are all it holds; the gaps are written into the first."""
+    a = _sorted_profile(mu.points, dirs)
+    return _gap(a, _sorted_profile(nu.points, dirs), out=a)
 
 
 def wasserstein1_sliced(mu, nu, projections=64, seed=0):
@@ -314,51 +313,39 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     sorted-coupling W1 of the projected samples."""
     _require_compatible(mu, nu)
     dirs = _slice_directions(seed, projections, mu.N)
-    mu, nu = _common_size(mu, nu, seed)
-    b = _sorted_profile(nu.points, dirs)
-    # mu's projections are sorted where they are made, particle-major, and
-    # then take the gaps: two profile-sized arrays are all this holds
-    at = mu.points @ dirs.T
-    at.sort(axis=0)
-    return _gap(at, b, out=at)
+    return _sorted_distance(*_common_size(mu, nu, seed), dirs)
 
 
 # ---------------------------------------------------------------------------
 # Path functionals
 
 
-def _by_sorting(n_modes, n_points, exact_budget):
-    """Whether the dispatcher settles a pair of clouds by sorting: always on
-    one mode, and through the sliced surrogate beyond the exact budget on
-    N >= 2 modes."""
-    return n_modes == 1 or n_points > exact_budget
+def w1_method(n_modes, n_points, exact_budget):
+    """The one rule for how W1 between clouds of up to `n_points` points is
+    taken: "exact" on one mode (the sorted coupling, optimal at any count)
+    and within the budget on N >= 2 modes (assignment), "sliced" beyond."""
+    return "exact" if n_modes == 1 or n_points <= exact_budget else "sliced"
 
 
 def _pair_distance(mu, nu, exact_budget, projections, seed):
-    """The one W1 dispatcher: the sorted coupling on one mode, exact
-    assignment within the budget on N >= 2 modes, the sliced surrogate
-    beyond it.  Returns (distance, "exact" | "sliced")."""
+    """The one W1 dispatcher, by `w1_method`: the sorted coupling on one
+    mode, exact assignment within the budget on N >= 2 modes, the sliced
+    surrogate beyond it."""
     _require_compatible(mu, nu)
-    if not _by_sorting(mu.N, max(mu.M, nu.M), exact_budget):
-        return wasserstein1(mu, nu, seed=seed), "exact"
+    if w1_method(mu.N, max(mu.M, nu.M), exact_budget) == "sliced":
+        return wasserstein1_sliced(mu, nu, projections=projections, seed=seed)
     if mu.N == 1:
-        return _sorted_w1_1d(*_common_size(mu, nu, seed)), "exact"
-    return wasserstein1_sliced(mu, nu, projections=projections, seed=seed), "sliced"
+        return _sorted_distance(*_common_size(mu, nu, seed), _UNIT)
+    return wasserstein1(mu, nu, seed=seed)
 
 
-def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0, detail=False):
-    """sup over mesh points of d_1(m1(t), m2(t)); on N >= 2 modes the sliced
-    surrogate is substituted beyond the exact-solver budget and named in the
-    detail."""
+def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
+    """sup over mesh points of d_1(m1(t), m2(t)), each taken as `w1_method`
+    names: on N >= 2 modes the sliced surrogate beyond the exact budget."""
     if not same_mesh(m1.times, m2.times):
         raise ValueError("paths live on different meshes")
-    best, method = 0.0, "exact"
-    for a, b in zip(m1.measures, m2.measures):
-        d, method = _pair_distance(a, b, exact_budget, projections, seed)
-        best = max(best, d)
-    if detail:
-        return best, method
-    return best
+    return max(_pair_distance(a, b, exact_budget, projections, seed)
+               for a, b in zip(m1.measures, m2.measures))
 
 
 @dataclass
@@ -390,30 +377,30 @@ def path_modulus(path, max_pairs=250, exact_budget=512, projections=64, seed=0):
         keep = g.choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[i] for i in np.sort(keep)]
     gaps = np.array([path.times[j] - path.times[i] for i, j in pairs])
-    if _by_sorting(path.N, path.M, exact_budget):
-        dirs = None if path.N == 1 else _slice_directions(seed, projections, path.N)
-        dists = _sorted_pair_gaps(path.points, pairs, dirs)
-        method = "exact" if dirs is None else "sliced"
+    method = w1_method(path.N, path.M, exact_budget)
+    if method == "sliced":
+        dists = _sorted_pair_gaps(path.points, pairs,
+                                  _slice_directions(seed, projections, path.N))
+    elif path.N == 1:
+        dists = _sorted_pair_gaps(path.points, pairs, _UNIT)
     else:
         dists = np.array([_pair_distance(path.measures[i], path.measures[j],
-                                         exact_budget, projections, seed)[0]
+                                         exact_budget, projections, seed)
                           for i, j in pairs])
-        method = "exact"
     constant = float(np.max(dists / (np.sqrt(gaps) + gaps)))
     return ModulusTable(gaps=gaps, dists=dists, constant=constant, method=method)
 
 
 def _sorted_pair_gaps(points, pairs, dirs):
-    """Sorted-coupling distances of the clouds `points[i]`, `points[j]` for
-    each pair (i, j), i < j, in (i, j) order, with `dirs` as in
-    `_sorted_profile`.
+    """Sorted-coupling distances along `dirs` of the clouds `points[i]`,
+    `points[j]` for each pair (i, j), i < j, in (i, j) order.
 
     The pairs are taken in blocks of two row times i in {b, b + 1}.  A
     block holds its row profiles and streams each later time its pairs
     need, once, so each such time is sorted once per block and at most four
     profile-sized arrays are live: two rows, one streamed time and the gap
-    buffer, which also takes each time's projections."""
-    buf = np.empty(points.shape[1:2] if dirs is None else (points.shape[1], len(dirs)))
+    buffer."""
+    buf = np.empty((len(dirs), points.shape[1]))
     dists = np.empty(len(pairs))
     for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
         partners = {}  # time -> (pair index, row time) of the pairs ending there
@@ -423,11 +410,11 @@ def _sorted_pair_gaps(points, pairs, dirs):
         last_row = i  # the pairs come in (i, j) order
         held = {}
         for t in sorted(partners):
-            profile = _sorted_profile(points[t], dirs, buf)
+            profile = _sorted_profile(points[t], dirs)
             for n, row in partners[t]:
                 dists[n] = _gap(held[row], profile, out=buf)
             if t <= last_row:
-                held[t] = np.ascontiguousarray(profile.T)  # read particle-major
+                held[t] = profile
             del profile  # a streamed time is dropped before the next is sorted
     return dists
 

@@ -40,6 +40,7 @@ from .measures import (
     moments,
     path_modulus,
     path_sup_distance,
+    w1_method,
 )
 from .spectrum import stationary_variances
 
@@ -153,10 +154,9 @@ def psi_map(problem, m, config, fp_seed=None):
     return _transport(problem, _best_response_value(problem, m, config), m, config, seed)
 
 
-def _distance(a, b, config, seed, detail=False):
+def _distance(a, b, config, seed):
     return path_sup_distance(a, b, exact_budget=config.exact_w1_budget,
-                             projections=config.sliced_projections, seed=seed,
-                             detail=detail)
+                             projections=config.sliced_projections, seed=seed)
 
 
 def fixed_point_iterate(problem, config, initial=None):
@@ -220,15 +220,14 @@ def fixed_point_iterate(problem, config, initial=None):
     repeats = []
     for r in range(3):
         psi_r = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
-        d, w1_method = _distance(psi_r, m, config,
-                                 rng.derive_seed(seed, _TAG_DIST, 0, r), detail=True)
-        repeats.append(d)
+        repeats.append(_distance(psi_r, m, config, rng.derive_seed(seed, _TAG_DIST, 0, r)))
     psi_residual = float(np.mean(repeats))
     psi_stderr = float(np.std(repeats) / math.sqrt(len(repeats)))
     audit = moment_bound_audit(problem, m, config)
     return MFGSolution(v=v, m=m, status=status, iterations=tuple(records),
                        psi_residual=psi_residual, psi_residual_stderr=psi_stderr,
-                       audit=audit, w1_method=w1_method)
+                       audit=audit,
+                       w1_method=w1_method(N, m.M, config.exact_w1_budget))
 
 
 def _moment_bound(alpha, beta, R):

@@ -77,12 +77,11 @@ class OUKernel:
             raise ValueError("gradient representation is singular at t = 0; differentiate phi directly")
         return semigroup_factors(self.spec, t), np.sqrt(covariance_diag(self.spec, t))
 
-    def images(self, t, pts, Z=None):
+    def images(self, t, pts):
         """The quadrature images e^{tA} x + sd * z, shape (G, Q, N), of a
-        (G, N) batch at the (Q, N) nodes Z (default: the tensor rule)."""
+        (G, N) batch at the nodes z of the tensor rule."""
         decay, sd = self.factors(t)
-        if Z is None:
-            Z = self.rule.tensor(self.spec.N)[0]
+        Z = self.rule.tensor(self.spec.N)[0]
         return (pts * decay)[:, None, :] + sd[None, None, :] * Z[None, :, :]
 
     def _quadrature(self, phi, t, pts):

@@ -497,6 +497,18 @@ def test_summary_names_the_w1_method(tmp_path, model, method):
     assert rows[-1] == {"key": "w1_method", "value": method}
 
 
+def test_outer_non_convergence_exits_3_with_a_complete_run_directory(tmp_path, capsys):
+    # converging takes two quiet iterations in a row, so one can never do
+    ini = (TINY_MFG_INI % "cap1d_monotone").replace("fp_max = 2", "fp_max = 1")
+    out = tmp_path / "r"
+    code = main(["solve-mfg", "--config", write_ini(tmp_path, ini), "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "no convergence in 1 iterations" in capsys.readouterr().err
+    assert "status,max-iterations" in (out / "summary.csv").read_text().splitlines()
+    assert (out / "v").is_dir() and (out / "m").is_dir() and (out / "audit.csv").is_file()
+    assert [r["iteration"] for r in read_rows(out / "iterations.csv")] == ["1"]
+
+
 def test_increasing_spectrum_exits_2_but_a_failed_trace_condition_runs(tmp_path, capsys):
     bad = FP_INI.replace("eigenvalues = -1.0", "eigenvalues = -4.0 -1.0")
     code = main(["solve-fp", "--config", write_ini(tmp_path, bad),

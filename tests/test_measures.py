@@ -1,6 +1,7 @@
 """Measure kit: exact/sliced W1, moments, path functionals, pooling
 mixtures, and path-directory round trips."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from hilbert_mfg.measures import (
     path_modulus,
     path_sup_distance,
     path_to_dir,
+    w1_method,
     wasserstein1,
     wasserstein1_sliced,
     _pair_distance,
@@ -202,18 +204,31 @@ def test_path_sup_distance_mesh_mismatch():
         path_sup_distance(p1, p2)
 
 
-def test_path_sup_distance_names_method():
+def test_path_sup_distance_follows_the_w1_method_rule():
+    # one mode: the sorted coupling at any count
+    assert w1_method(1, 32, 512) == w1_method(1, 600, 512) == "exact"
+    assert w1_method(2, 512, 512) == "exact"
+    assert w1_method(2, 513, 512) == "sliced"
     gen = np.random.default_rng(4)
     times = np.array([0.0, 1.0])
-    small = stacked(times, [cloud(gen, 32, 1), cloud(gen, 32, 1)])
-    big = stacked(times, [cloud(gen, 600, 1), cloud(gen, 600, 1)])
-    _, method = path_sup_distance(small, small, detail=True)
-    assert method == "exact"
-    _, method = path_sup_distance(big, big, exact_budget=512, detail=True)
-    assert method == "exact"  # one mode: the sorted coupling at any count
-    big2 = stacked(times, [cloud(gen, 600, 2), cloud(gen, 600, 2)])
-    _, method = path_sup_distance(big2, big2, exact_budget=512, detail=True)
-    assert method == "sliced"
+    for M, want in ((40, wasserstein1), (600, wasserstein1_sliced)):
+        m1 = stacked(times, [cloud(gen, M, 2), cloud(gen, M, 2)])
+        m2 = stacked(times, [cloud(gen, M, 2, shift=0.5), cloud(gen, M, 2)])
+        assert path_sup_distance(m1, m2, exact_budget=512) == max(
+            want(a, b) for a, b in zip(m1.measures, m2.measures))
+
+
+def test_two_mode_path_sup_distance_calls_the_sliced_surrogate_per_mesh_time(monkeypatch):
+    """Above the budget each mesh time is one call of the public surrogate,
+    looked up on the module, so wrapping it counts every sliced pair."""
+    gen = np.random.default_rng(6)
+    m1, m2 = (MeasurePath(times=np.linspace(0.0, 1.0, 4),
+                          points=gen.standard_normal((4, 40, 2))) for _ in range(2))
+    sliced, calls = measures.wasserstein1_sliced, []
+    monkeypatch.setattr(measures, "wasserstein1_sliced",
+                        lambda *args, **kw: calls.append(1) or sliced(*args, **kw))
+    path_sup_distance(m1, m2, exact_budget=16, projections=8)
+    assert len(calls) == 4
 
 
 # coordinates mix a continuum with a few repeated values, so clouds tie
@@ -231,20 +246,31 @@ def one_mode_paths(draw):
             for _ in range(2)]
 
 
+def sorted_gap_1d(mu, nu):
+    """1-D W1 written out: the mean gap of the sorted coordinates, unequal
+    counts replicated to their lcm."""
+    common = math.lcm(mu.M, nu.M)
+    x = np.repeat(mu.points[:, 0], common // mu.M)
+    y = np.repeat(nu.points[:, 0], common // nu.M)
+    return np.abs(np.sort(x) - np.sort(y)).mean()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(paths=one_mode_paths(), budget=st.sampled_from([1, 512]))
 def test_one_mode_path_distances_match_assignment(paths, budget):
     times = np.array([0.0, 0.5, 1.0])
     first, second = (MeasurePath(times=times, points=p) for p in paths)
     a, b = first.measures, second.measures
-    sup, method = path_sup_distance(first, second, exact_budget=budget, detail=True)
-    assert method == "exact"
+    sup = path_sup_distance(first, second, exact_budget=budget)
     assert sup == pytest.approx(max(wasserstein1(x, y) for x, y in zip(a, b)), abs=1e-12)
     table = path_modulus(first, exact_budget=budget)
     assert table.method == "exact"
+    pairs = [(0, 1), (0, 2), (1, 2)]
     np.testing.assert_allclose(
-        table.dists, [wasserstein1(a[0], a[1]), wasserstein1(a[0], a[2]),
-                      wasserstein1(a[1], a[2])], rtol=0, atol=1e-12)
+        table.dists, [wasserstein1(a[i], a[j]) for i, j in pairs], rtol=0, atol=1e-12)
+    # the one-direction profile keeps the bits of the 1-D sort
+    assert sup == max(sorted_gap_1d(x, y) for x, y in zip(a, b))
+    assert table.dists.tolist() == [sorted_gap_1d(a[i], a[j]) for i, j in pairs]
 
 
 def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17):
@@ -308,8 +334,8 @@ def assert_modulus_matches_dispatcher(path, table, budget, projections, seed):
     assert pairs == sorted(set(pairs))
     want = [_pair_distance(path.measures[i], path.measures[j], budget, projections, seed)
             for i, j in pairs]
-    assert np.array_equal(table.dists, [d for d, _ in want])
-    assert {table.method} == {m for _, m in want}
+    assert np.array_equal(table.dists, want)
+    assert table.method == w1_method(path.N, path.M, budget)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -337,23 +363,23 @@ def sliced_path_pairs(draw):
                                    min_size=2, max_size=2))]
 
 
-def particle_major_sliced(mu, nu, projections, seed):
-    """The sliced surrogate written in the (M, P) layout: both clouds'
-    projections sorted along the particle axis, the gaps averaged there."""
+def direction_major_sliced(mu, nu, projections, seed):
+    """The sliced surrogate written in the (P, M) layout: both clouds'
+    projections `dirs @ points.T`, each row sorted, the gaps averaged."""
     dirs = measures._slice_directions(seed, projections, mu.N)
     mu, nu = measures._common_size(mu, nu, seed)
-    a, b = mu.points @ dirs.T, nu.points @ dirs.T
-    a.sort(axis=0)
-    b.sort(axis=0)
+    a, b = dirs @ mu.points.T, dirs @ nu.points.T
+    a.sort(axis=-1)
+    b.sort(axis=-1)
     return float(np.abs(a - b).mean())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(paths=sliced_path_pairs(), projections=st.integers(1, 64), seed=st.integers(0, 3))
-def test_sliced_distances_equal_the_particle_major_formula(paths, projections, seed):
-    """Row-major sorted profiles change no sliced distance by a bit."""
+def test_sliced_distances_equal_the_direction_major_formula(paths, projections, seed):
+    """Every sliced distance is, bit for bit, the direction-major formula."""
     m1, m2 = paths
-    want = [particle_major_sliced(a, b, projections, seed)
+    want = [direction_major_sliced(a, b, projections, seed)
             for a, b in zip(m1.measures, m2.measures)]
     assert [wasserstein1_sliced(a, b, projections=projections, seed=seed)
             for a, b in zip(m1.measures, m2.measures)] == want
@@ -363,7 +389,7 @@ def test_sliced_distances_equal_the_particle_major_formula(paths, projections, s
     table = path_modulus(m1, exact_budget=0, projections=projections, seed=seed)
     assert table.method == "sliced"
     assert table.dists.tolist() == [
-        particle_major_sliced(m1.measures[i], m1.measures[j], projections, seed)
+        direction_major_sliced(m1.measures[i], m1.measures[j], projections, seed)
         for i in range(J) for j in range(i + 1, J)]
 
 
