@@ -37,7 +37,8 @@ class SolverConfig:
             raise ValueError("damping: must lie in (0, 1]")
         for name, least in (("particles", 1), ("grid_points", 2),
                             ("quad_nodes", 1), ("tau_nodes", 2),
-                            ("picard_max", 1), ("fp_max", 1)):
+                            ("picard_max", 1), ("fp_max", 1),
+                            ("exact_w1_budget", 0), ("sliced_projections", 1)):
             if getattr(self, name) < least:
                 raise ValueError("%s: must be >= %d" % (name, least))
 

@@ -48,8 +48,8 @@ applied as a mode product; gradient component k uses the weights
 w_q z_q Lambda_k in mode k and K_l in every other mode l.  Hat weights are
 nonnegative and each row of K_k sums to sum_q w_q = 1, so the applied
 operator averages: the image of a table is bounded by its sup norm.  The
-cells of the image tables are found once per solve; the operators are
-rebuilt from them at each use.
+operators are built once per solve, when its plan is, and every sweep
+applies them.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -363,24 +363,24 @@ def _terminal_sweep(grid, terminal):
 @dataclass(frozen=True)
 class _Node:
     """One (t_j, tau) node of the time integral: s = t_j + tau^2, its mesh
-    bracket (j, w), the measure m(s) (None in a linear solve), and per mode
-    the (lower index, hat fraction) pair of the (G, Q) image table
-    decay_k x_i + sd_k z_q, clipped to the box: the O(N G Q) numbers from
-    which _mode_operators builds the node's per-mode operators."""
+    bracket (j, w), and per mode k the (2, G, G) stack of the node's
+    operators at t = tau^2: the value operator K_k (weights w_q) and the
+    gradient operator (weights w_q z_q Lambda_k, Lambda_k = decay_k / sd_k
+    as in the likelihood-ratio gradient)."""
 
     tau: float
     s: float
     bracket: tuple
-    mu: object
-    cells: tuple
+    ops: tuple
 
 
-def _plan(grid, tau_nodes, m=None):
+def _plan(grid, tau_nodes):
     """The nodes of every sweep of a solve, per mesh time t_j < T: the tau
     nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
-    the integrand carries the factor 2 tau = 0).  Built once per solve; it
-    holds the image cells, not the operators."""
-    times, axes, z = grid.times, grid.axes, grid.kernel.rule.nodes
+    the integrand carries the factor 2 tau = 0).  Built once per solve,
+    operators included; it holds no measure."""
+    times, axes = grid.times, grid.axes
+    w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
     plan = []
     for j in range(len(times) - 1):
         taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), tau_nodes)
@@ -388,10 +388,13 @@ def _plan(grid, tau_nodes, m=None):
         for tau in taus[1:]:
             s = times[j] + tau * tau
             decay, sd = grid.kernel.factors(tau * tau)
-            # mode k's (G, Q) image table decay_k x_i + sd_k z_q
-            cells = tuple(_cell(ax, (ax * decay[k])[:, None] + sd[k] * z[None, :])
-                          for k, ax in enumerate(axes))
-            nodes.append(_Node(tau, s, _bracket(times, s), None if m is None else m.at_time(s), cells))
+            lam = decay / sd
+            ops = []
+            for k, ax in enumerate(axes):
+                # the cells of mode k's (G, Q) image table decay_k x_i + sd_k z_q
+                i, y = _cell(ax, (ax * decay[k])[:, None] + sd[k] * z[None, :])
+                ops.append(_hat_operators(i, y, np.stack([w, w * z * lam[k]])))
+            nodes.append(_Node(tau, s, _bracket(times, s), tuple(ops)))
         plan.append((taus, nodes))
     return plan
 
@@ -408,19 +411,6 @@ def _hat_operators(i, y, wq):
     return np.bincount(index, weights.ravel(), minlength=c * g * g).reshape(c, g, g)
 
 
-def _mode_operators(kernel, node):
-    """Per mode k the node's operators at t = tau^2, stacked (2, G, G): the
-    value operator K_k (weights w_q) and the gradient operator (weights
-    w_q z_q Lambda_k, Lambda_k = decay_k / sd_k as in the likelihood-ratio
-    gradient)."""
-    decay, sd = kernel.factors(node.tau * node.tau)
-    w, z = kernel.rule.weights, kernel.rule.nodes
-    weights = np.empty((len(node.cells), 2, len(w)))
-    weights[:, 0] = w
-    weights[:, 1] = w * z * (decay / sd)[:, None]
-    return [_hat_operators(i, y, wq) for (i, y), wq in zip(node.cells, weights)]
-
-
 def _along(op, stack, k):
     """op (G_k, G_k) applied along grid mode k of a stack of tables
     (C, *grid), by one matmul over the (G_k, rest) matrices of the stack."""
@@ -429,14 +419,14 @@ def _along(op, stack, k):
     return np.matmul(op, stack.reshape(-1, shape[k + 1], rest)).reshape(shape)
 
 
-def _node_semigroup(kernel, node, tab):
+def _node_semigroup(node, tab):
     """R_t h and the N components of D R_t h on the grid, stacked
     (N + 1, *grid), at the node's t = tau^2 for h the multilinear
     interpolant of the grid table tab.  The stack holds the value so far
     and the gradient components begun; in mode k all of them take K_k, and
     the value so far begins component k by taking the gradient operator."""
     stack = tab[None]
-    for k, (value, grad) in enumerate(_mode_operators(kernel, node)):
+    for k, (value, grad) in enumerate(node.ops):
         stack = np.concatenate([_along(value, stack, k), _along(grad, stack[:1], k)])
     return stack
 
@@ -450,14 +440,14 @@ def _mild_sweep(grid, base, plan, integrand):
     returns the integrand on the grid nodes, shape (G^N,); it is evaluated
     once per node for both reductions.
     """
-    shape, kernel = grid.shape, grid.kernel
+    shape = grid.shape
     values, grads = base[0].copy(), base[1].copy()
     for j, (taus, nodes) in enumerate(plan):
         # per tau node the value (entry 0) and the gradient components
         out = np.zeros((len(taus), len(shape) + 1) + shape)
         for i, node in enumerate(nodes, start=1):
             tab = np.asarray(integrand(node), dtype=float).reshape(shape)
-            out[i] = 2.0 * node.tau * _node_semigroup(kernel, node, tab)
+            out[i] = 2.0 * node.tau * _node_semigroup(node, tab)
         integral = np.trapezoid(out, x=taus, axis=0)
         values[j] -= integral[0]
         grads[j] -= np.moveaxis(integral[1:], 0, -1)
@@ -501,8 +491,8 @@ def solve_hjb_mild(H, G, m, spec, config):
     mT = m.at_time(grid.times[-1])
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
-    plan = _plan(grid, config.tau_nodes, m)
     base = _terminal_sweep(grid, terminal)
+    plan = _plan(grid, config.tau_nodes)
     current = grid.field(*base)
     history = []
     status = "max-iterations"
@@ -511,7 +501,7 @@ def solve_hjb_mild(H, G, m, spec, config):
 
         def integrand(node):
             P = _at_time(prev.grads, *node.bracket, lambda tab: tab)
-            return H.value(grid.nodes, P.reshape(grid.nodes.shape), node.mu)
+            return H.value(grid.nodes, P.reshape(grid.nodes.shape), m.at_time(node.s))
 
         current = grid.field(*_mild_sweep(grid, base, plan, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))

@@ -160,12 +160,16 @@ class F1Coupling:
     weight: float = 1.0
     label: str = "F1"
 
+    def statistic(self, mu):
+        """int h1 dmu over the particles of mu."""
+        return float(np.mean(self.h1(mu.points)))
+
     def __call__(self, X, mu):
-        stat = float(np.mean(self.h1(mu.points)))
-        return self.weight * np.asarray(self.h1(np.asarray(X, dtype=float)), dtype=float) * stat
+        h1 = np.asarray(self.h1(np.asarray(X, dtype=float)), dtype=float)
+        return self.weight * h1 * self.statistic(mu)
 
     def closed_pairing(self, mu1, mu2):
-        gap = float(np.mean(self.h1(mu1.points))) - float(np.mean(self.h1(mu2.points)))
+        gap = self.statistic(mu1) - self.statistic(mu2)
         return self.weight * gap * gap
 
 
@@ -179,13 +183,16 @@ class F2Coupling:
     weight: float = 1.0
     label: str = "F2"
 
+    def statistic(self, mu):
+        """int h2 dmu over the particles of mu, one entry per component."""
+        return np.mean(np.asarray(self.h2(mu.points), dtype=float), axis=0)
+
     def __call__(self, X, mu):
-        stat = np.mean(np.asarray(self.h2(mu.points), dtype=float), axis=0)
-        return self.weight * _mode_sum(np.asarray(self.h2(np.asarray(X, dtype=float)), dtype=float) * stat)
+        h2 = np.asarray(self.h2(np.asarray(X, dtype=float)), dtype=float)
+        return self.weight * _mode_sum(h2 * self.statistic(mu))
 
     def closed_pairing(self, mu1, mu2):
-        gap = np.mean(np.asarray(self.h2(mu1.points), dtype=float), axis=0) \
-            - np.mean(np.asarray(self.h2(mu2.points), dtype=float), axis=0)
+        gap = self.statistic(mu1) - self.statistic(mu2)
         return self.weight * float(gap @ gap)
 
 

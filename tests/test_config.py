@@ -1,4 +1,5 @@
-"""The one same-mesh rule and the callers that pair two time meshes.
+"""The one same-mesh rule, the callers that pair two time meshes, and the
+checks SolverConfig makes when it is built.
 
 Every caller that compares meshes reads config.same_mesh, so meshes of
 different lengths are refused with the caller's own message, never with
@@ -61,3 +62,11 @@ CALLERS = {
 def test_callers_refuse_a_three_against_five_time_mesh(caller):
     with pytest.raises(ValueError, match="mesh"):
         CALLERS[caller]()
+
+
+@pytest.mark.parametrize("name, bad", [("sliced_projections", 0), ("exact_w1_budget", -1)])
+def test_config_refuses_a_w1_count_below_its_least(name, bad):
+    """The W1 counts are refused when the config is built, before any
+    solve, with a message that leads with the field."""
+    with pytest.raises(ValueError, match="^%s: must be >= " % name):
+        CFG.with_(**{name: bad})

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import interpn
 
 import hilbert_mfg
+from hilbert_mfg import hjb
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import DriftField, propagate
 from hilbert_mfg.hjb import (
@@ -30,7 +31,6 @@ from hilbert_mfg.hjb import (
     ValueGrid,
     _corners,
     _interp,
-    _mode_operators,
     _node_semigroup,
     _plan,
     _terminal_sweep,
@@ -533,7 +533,7 @@ def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
             t = node.tau * node.tau
             clipped += int(np.sum(np.abs(grid.kernel.images(t, grid.nodes)) > grid.axes[0][-1]))
             table = gen.uniform(-1.0, 1.0, grid.shape)
-            got = _node_semigroup(grid.kernel, node, table)
+            got = _node_semigroup(node, table)
             want_v, want_g = grid.kernel.apply_with_gradient(interpolant(grid, table), t, grid.nodes)
             assert got.shape == (n_modes + 1,) + grid.shape
             assert np.max(np.abs(got[0].ravel() - want_v)) <= rounding(n_modes, table)
@@ -552,9 +552,8 @@ def test_mode_operators_average(n_modes):
     grid = ValueGrid.build(spec, cfg)
     for taus, nodes in _plan(grid, cfg.tau_nodes):
         for node in nodes:
-            ops = _mode_operators(grid.kernel, node)
-            assert len(ops) == n_modes
-            for K, _ in ops:
+            assert len(node.ops) == n_modes
+            for K, _ in node.ops:
                 assert K.shape == (7, 7)
                 assert np.all(K >= 0.0)
                 assert np.all(np.abs(K.sum(axis=1) - 1.0) <= 4 * np.finfo(float).eps)
@@ -578,3 +577,23 @@ def test_value_solve_evaluates_the_hamiltonian_once_per_node_on_the_grid(case):
     assert nodes == (len(grid.times) - 1) * (cfg.tau_nodes - 1)
     assert len(sizes) == len(v.history) * nodes
     assert set(sizes) == {(grid.nodes.shape, grid.nodes.shape)}
+
+
+@pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
+def test_value_solve_builds_each_node_operator_once(case, monkeypatch):
+    """The plan builds the operators of every (t_j, tau) node once per
+    solve, one _hat_operators call per mode and node, however many Picard
+    sweeps apply them."""
+    H, G, m, spec, cfg = case()
+    hat_operators, calls = hjb._hat_operators, []
+
+    def counting(i, y, wq):
+        calls.append(len(i))
+        return hat_operators(i, y, wq)
+
+    monkeypatch.setattr(hjb, "_hat_operators", counting)
+    v = solve_hjb_mild(H, G, m, spec, cfg)
+    n_times = len(cfg.mesh()) - 1
+    assert len(v.history) > 1
+    assert len(calls) == spec.N * n_times * (cfg.tau_nodes - 1)
+    assert set(calls) == {cfg.grid_points}
