@@ -5,6 +5,7 @@ flat record and identical configs mean identical runs (all randomness is
 keyed by the seed, see rng.py).
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,10 @@ class SolverConfig:
                             ("quad_nodes", 1), ("tau_nodes", 2),
                             ("picard_max", 1), ("fp_max", 1),
                             ("exact_w1_budget", 0), ("sliced_projections", 1)):
-            if getattr(self, name) < least:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s: must be an integer" % name)
+            if value < least:
                 raise ValueError("%s: must be >= %d" % (name, least))
 
     @property

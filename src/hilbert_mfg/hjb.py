@@ -485,6 +485,8 @@ def solve_hjb_mild(H, G, m, spec, config):
     that exhausts the iteration budget is returned with status
     "max-iterations" and the full change history.
     """
+    if m.N != spec.N:
+        raise ValueError("measure path has %d modes, the spectrum %d" % (m.N, spec.N))
     grid = ValueGrid.build(spec, config)
     if not same_mesh(m.times, grid.times):
         raise ValueError("measure path mesh does not match the config mesh")

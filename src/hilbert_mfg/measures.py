@@ -8,21 +8,24 @@ that array.  Every moment audit reads one routine, `moments`, which takes
 any (..., M, N) stack of clouds.  A path directory holds `times.csv` and
 that array as one `points.npy` (NumPy .npy format, no pickles).
 
-Path distances resolve W1 through one dispatcher, which one rule,
-`w1_method`, steers.  On one mode the sorted coupling is optimal, so W1 is
-exact for any particle count at the cost of a sort.  On N >= 2 modes exact
-W1 between equal-count clouds is the linear assignment problem with
-Euclidean ground cost; beyond the configured budget a sliced surrogate
-(average of 1-D sorted-coupling distances over random unit directions) is
-used.  All randomized surrogates are deterministic functions of their seed.
+Every W1 goes through one dispatcher over pairs, `_pair_distances`, and
+each caller names the method once by one rule, `w1_method`.  On one mode
+the sorted coupling is optimal, so W1 is exact for any particle count at
+the cost of a sort.  On N >= 2 modes exact W1 between equal-count clouds
+is the linear assignment problem with Euclidean ground cost; beyond the
+configured budget a sliced surrogate (average of 1-D sorted-coupling
+distances over random unit directions) is used.  All randomized
+surrogates are deterministic functions of their seed.
 
 Every sorted distance has one layout.  A cloud's profile is its
 projections `dirs @ points.T` on P unit directions, a (P, M) array with
 each row sorted, and a distance is the mean |a - b| of two profiles.  One
 mode is the case of the single direction [[1.0]], whose projection is the
-coordinate itself.  `path_modulus` draws the directions once and, in a
-working set of two row times, sorts each mesh time once per block of rows
-instead of twice per pair.
+coordinate itself.  The dispatcher draws the directions once per call and,
+in a working set of two row times, sorts each cloud once per block of rows
+instead of twice per pair: `path_modulus` hands it the mesh times and
+their pairs, `path_sup_distance` the reconciled clouds of both paths
+interleaved with the pairs (2t, 2t + 1), `wasserstein1_sliced` one pair.
 """
 
 import itertools
@@ -294,30 +297,11 @@ def _sorted_profile(points, dirs):
 
 def _gap(a, b, out):
     """mean |a - b| of two sorted profiles: the W1 of their sorted coupling,
-    averaged over the directions.  The gaps go to `out` (which may be `a`)."""
+    averaged over the directions.  The gaps go to `out`, which may be
+    either profile."""
     np.subtract(a, b, out=out)
     np.abs(out, out=out)
     return float(out.mean())
-
-
-def _sorted_distance(mu, nu, dirs):
-    """The sorted-coupling distance of two equal-size clouds along `dirs`:
-    exact W1 on one mode with `_UNIT`, the sliced surrogate otherwise.  Two
-    profiles are all it holds; the gaps are written into the first."""
-    a = _sorted_profile(mu.points, dirs)
-    return _gap(a, _sorted_profile(nu.points, dirs), out=a)
-
-
-def wasserstein1_sliced(mu, nu, projections=64, seed=0):
-    """Sliced surrogate: average over random unit directions of the 1-D
-    sorted-coupling W1 of the projected samples."""
-    _require_compatible(mu, nu)
-    dirs = _slice_directions(seed, projections, mu.N)
-    return _sorted_distance(*_common_size(mu, nu, seed), dirs)
-
-
-# ---------------------------------------------------------------------------
-# Path functionals
 
 
 def w1_method(n_modes, n_points, exact_budget):
@@ -327,45 +311,82 @@ def w1_method(n_modes, n_points, exact_budget):
     return "exact" if n_modes == 1 or n_points <= exact_budget else "sliced"
 
 
-def _pair_distance(mu, nu, exact_budget, projections, seed):
-    """The one W1 dispatcher, by `w1_method`: the sorted coupling on one
-    mode, exact assignment within the budget on N >= 2 modes, the sliced
-    surrogate beyond it."""
+def _pair_distances(clouds, pairs, method, projections, seed):
+    """The one W1 dispatcher: d_1(clouds[i], clouds[j]) for each pair
+    (i, j), i < j, given in (i, j) order, taken as `method` names.
+
+    "exact" on N >= 2 modes is one assignment per pair.  Every other
+    distance is the sorted coupling of two equal-size clouds along one
+    draw of directions, `_UNIT` on one mode or the sliced surrogate's.
+    The pairs are taken in blocks of two row times i in {b, b + 1}.  A
+    block holds its row profiles and streams each later time its pairs
+    need, once, so each cloud is sorted once per block.  A gap is written
+    into the streamed profile at its last use and into one buffer
+    otherwise, so a single pair holds two profiles and no call more than
+    four: two rows, one streamed time and the buffer."""
+    if method == "exact" and clouds[0].N > 1:
+        return np.array([wasserstein1(clouds[i], clouds[j], seed=seed) for i, j in pairs])
+    dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, clouds[0].N)
+    dists, buf = np.empty(len(pairs)), None
+    for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
+        partners = {}  # time -> (pair index, row time) of the pairs ending there
+        for n, (i, j) in block:
+            partners.setdefault(i, [])
+            partners.setdefault(j, []).append((n, i))
+        last_row = i  # the pairs come in (i, j) order
+        held = {}
+        for t in sorted(partners):
+            profile = _sorted_profile(clouds[t].points, dirs)
+            for n, row in partners[t]:
+                last_use = t > last_row and n == partners[t][-1][0]
+                if not last_use and buf is None:
+                    buf = np.empty_like(profile)
+                dists[n] = _gap(held[row], profile, out=profile if last_use else buf)
+            if t <= last_row:
+                held[t] = profile
+            del profile  # a streamed time is dropped before the next is sorted
+    return dists
+
+
+def wasserstein1_sliced(mu, nu, projections=64, seed=0):
+    """Sliced surrogate: average over random unit directions of the 1-D
+    sorted-coupling W1 of the projected samples."""
     _require_compatible(mu, nu)
-    if w1_method(mu.N, max(mu.M, nu.M), exact_budget) == "sliced":
-        return wasserstein1_sliced(mu, nu, projections=projections, seed=seed)
-    if mu.N == 1:
-        return _sorted_distance(*_common_size(mu, nu, seed), _UNIT)
-    return wasserstein1(mu, nu, seed=seed)
+    return float(_pair_distances(_common_size(mu, nu, seed), [(0, 1)], "sliced",
+                                 projections, seed)[0])
+
+
+# ---------------------------------------------------------------------------
+# Path functionals
 
 
 def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
     """sup over mesh points of d_1(m1(t), m2(t)), each taken as `w1_method`
-    names: on N >= 2 modes the sliced surrogate beyond the exact budget."""
+    names for the larger particle count: on N >= 2 modes the sliced
+    surrogate beyond the exact budget."""
     if not same_mesh(m1.times, m2.times):
         raise ValueError("paths live on different meshes")
-    return max(_pair_distance(a, b, exact_budget, projections, seed)
-               for a, b in zip(m1.measures, m2.measures))
+    _require_compatible(m1, m2)
+    method = w1_method(m1.N, max(m1.M, m2.M), exact_budget)
+    clouds = [c for a, b in zip(m1.measures, m2.measures) for c in _common_size(a, b, seed)]
+    pairs = [(2 * t, 2 * t + 1) for t in range(len(m1.measures))]
+    return float(_pair_distances(clouds, pairs, method, projections, seed).max())
 
 
 @dataclass
 class ModulusTable:
     """Pairs (|t-s|, d_1(m(t), m(s))) plus the fitted envelope constant C in
-    d_1 <= C (sqrt|t-s| + |t-s|)."""
+    d_1 <= C (sqrt|t-s| + |t-s|), and the `w1_method` the distances took."""
 
     gaps: np.ndarray
     dists: np.ndarray
     constant: float
-    method: str = "exact"
+    method: str
 
 
 def path_modulus(path, max_pairs=250, exact_budget=512, projections=64, seed=0):
     """Tabulate W1 against time gaps over mesh pairs (budgeted subsample) and
-    fit the envelope constant of the sqrt-plus-linear modulus.
-
-    Pairs the dispatcher settles by sorting go through `_sorted_pair_gaps`,
-    which sorts each mesh time once per block of two row times; each pair's
-    distance is bit for bit what `_pair_distance` returns for it."""
+    fit the envelope constant of the sqrt-plus-linear modulus."""
     J = len(path.measures)
     if J < 2:
         raise ValueError("need at least two mesh points")
@@ -378,45 +399,9 @@ def path_modulus(path, max_pairs=250, exact_budget=512, projections=64, seed=0):
         pairs = [pairs[i] for i in np.sort(keep)]
     gaps = np.array([path.times[j] - path.times[i] for i, j in pairs])
     method = w1_method(path.N, path.M, exact_budget)
-    if method == "sliced":
-        dists = _sorted_pair_gaps(path.points, pairs,
-                                  _slice_directions(seed, projections, path.N))
-    elif path.N == 1:
-        dists = _sorted_pair_gaps(path.points, pairs, _UNIT)
-    else:
-        dists = np.array([_pair_distance(path.measures[i], path.measures[j],
-                                         exact_budget, projections, seed)
-                          for i, j in pairs])
+    dists = _pair_distances(path.measures, pairs, method, projections, seed)
     constant = float(np.max(dists / (np.sqrt(gaps) + gaps)))
     return ModulusTable(gaps=gaps, dists=dists, constant=constant, method=method)
-
-
-def _sorted_pair_gaps(points, pairs, dirs):
-    """Sorted-coupling distances along `dirs` of the clouds `points[i]`,
-    `points[j]` for each pair (i, j), i < j, in (i, j) order.
-
-    The pairs are taken in blocks of two row times i in {b, b + 1}.  A
-    block holds its row profiles and streams each later time its pairs
-    need, once, so each such time is sorted once per block and at most four
-    profile-sized arrays are live: two rows, one streamed time and the gap
-    buffer."""
-    buf = np.empty((len(dirs), points.shape[1]))
-    dists = np.empty(len(pairs))
-    for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
-        partners = {}  # time -> (pair index, row time) of the pairs ending there
-        for n, (i, j) in block:
-            partners.setdefault(i, [])
-            partners.setdefault(j, []).append((n, i))
-        last_row = i  # the pairs come in (i, j) order
-        held = {}
-        for t in sorted(partners):
-            profile = _sorted_profile(points[t], dirs)
-            for n, row in partners[t]:
-                dists[n] = _gap(held[row], profile, out=buf)
-            if t <= last_row:
-                held[t] = profile
-            del profile  # a streamed time is dropped before the next is sorted
-    return dists
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +417,10 @@ def _pool_indices(M, lam, seed):
 
 def mixture_paths(path_a, path_b, lam, seed=0):
     """Poolwise mixture of two paths; one index selection is reused across
-    all mesh times so pooled trajectories stay time-coherent."""
+    all mesh times so pooled trajectories stay time-coherent.  `lam` is the
+    share drawn from path_a, in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:  # refuses nan too
+        raise ValueError("lam: must lie in [0, 1], got %r" % (lam,))
     if not same_mesh(path_a.times, path_b.times):
         raise ValueError("paths live on different meshes")
     M = path_a.M

@@ -183,6 +183,9 @@ def fixed_point_iterate(problem, config, initial=None):
     else:
         if not same_mesh(initial.times, config.mesh()):
             raise ValueError("initial path does not live on the config mesh")
+        if initial.M != config.particles:
+            raise ValueError("initial path has %d particles, config.particles is %d"
+                             % (initial.M, config.particles))
         m = initial
 
     theta = float(config.damping)

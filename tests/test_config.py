@@ -70,3 +70,20 @@ def test_config_refuses_a_w1_count_below_its_least(name, bad):
     solve, with a message that leads with the field."""
     with pytest.raises(ValueError, match="^%s: must be >= " % name):
         CFG.with_(**{name: bad})
+
+
+COUNTS = ("particles", "grid_points", "quad_nodes", "tau_nodes", "picard_max",
+          "fp_max", "exact_w1_budget", "sliced_projections")
+
+
+@pytest.mark.parametrize("bad", [300.7, 10.5, 4.0, True, "8"])
+@pytest.mark.parametrize("name", COUNTS)
+def test_config_refuses_a_count_that_is_not_an_integer(name, bad):
+    """A count is an int, not a float that would be truncated late nor a
+    bool that would run as 1, refused when the config is built."""
+    with pytest.raises(ValueError, match="^%s: must be an integer$" % name):
+        CFG.with_(**{name: bad})
+
+
+def test_config_takes_numpy_integer_counts():
+    assert CFG.with_(particles=np.int64(7), grid_points=np.int32(5)).particles == 7

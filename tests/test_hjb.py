@@ -305,6 +305,15 @@ def test_mesh_mismatch_and_bad_shapes_rejected():
                        values=np.full((2, 5), np.nan), grads=np.zeros((1, 5, 1)))
 
 
+
+def test_value_solve_refuses_a_path_of_another_mode_count(monkeypatch):
+    """A one-mode path against the two-mode cap2d_f2 spectrum is refused
+    before the grid is built: F2's particle statistic would broadcast."""
+    H, G, _, spec, cfg = two_mode_solve()
+    monkeypatch.setattr(hjb.ValueGrid, "build", lambda *args: pytest.fail("grid built"))
+    with pytest.raises(ValueError, match="measure path has 1 modes, the spectrum 2"):
+        solve_hjb_mild(H, G, ou_path(cfg), spec, cfg)
+
 def test_separated_hamiltonian_composes_h0_minus_coupling():
     sep = SeparatedHamiltonian(
         h0=lambda X, P: np.sum(P**2, axis=-1) / (1.0 + np.sum(P**2, axis=-1)),

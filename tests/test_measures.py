@@ -25,7 +25,6 @@ from hilbert_mfg.measures import (
     w1_method,
     wasserstein1,
     wasserstein1_sliced,
-    _pair_distance,
     _pool_indices,
 )
 
@@ -218,17 +217,20 @@ def test_path_sup_distance_follows_the_w1_method_rule():
             want(a, b) for a, b in zip(m1.measures, m2.measures))
 
 
-def test_two_mode_path_sup_distance_calls_the_sliced_surrogate_per_mesh_time(monkeypatch):
-    """Above the budget each mesh time is one call of the public surrogate,
-    looked up on the module, so wrapping it counts every sliced pair."""
+def test_two_mode_sliced_path_sup_distance_draws_directions_once(monkeypatch):
+    """Above the budget the paths' 11 mesh-time pairs share one draw of
+    directions and sort each of their 22 clouds once."""
     gen = np.random.default_rng(6)
-    m1, m2 = (MeasurePath(times=np.linspace(0.0, 1.0, 4),
-                          points=gen.standard_normal((4, 40, 2))) for _ in range(2))
-    sliced, calls = measures.wasserstein1_sliced, []
-    monkeypatch.setattr(measures, "wasserstein1_sliced",
-                        lambda *args, **kw: calls.append(1) or sliced(*args, **kw))
+    m1, m2 = (MeasurePath(times=np.linspace(0.0, 1.0, 11),
+                          points=gen.standard_normal((11, 40, 2))) for _ in range(2))
+    calls = {"_sorted_profile": 0, "_slice_directions": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(measures, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(measures, name, counted)
     path_sup_distance(m1, m2, exact_budget=16, projections=8)
-    assert len(calls) == 4
+    assert calls == {"_sorted_profile": 22, "_slice_directions": 1}
 
 
 # coordinates mix a continuum with a few repeated values, so clouds tie
@@ -324,18 +326,34 @@ def small_paths(draw):
                        points=points)
 
 
+def direction_major_sliced(mu, nu, projections, seed):
+    """The sliced surrogate written in the (P, M) layout: both clouds'
+    projections `dirs @ points.T`, each row sorted, the gaps averaged."""
+    dirs = measures._slice_directions(seed, projections, mu.N)
+    mu, nu = measures._common_size(mu, nu, seed)
+    a, b = dirs @ mu.points.T, dirs @ nu.points.T
+    a.sort(axis=-1)
+    b.sort(axis=-1)
+    return float(np.abs(a - b).mean())
+
+
 def assert_modulus_matches_dispatcher(path, table, budget, projections, seed):
-    """Each tabulated distance is, bit for bit, what the one W1 dispatcher
-    returns for its pair; the pairs are recovered from the pairwise-distinct
-    time gaps and must come in (i, j) order."""
+    """Each tabulated distance is, bit for bit, the written-out W1 its
+    method names: the sorted 1-D gap on one mode, assignment within the
+    budget, the direction-major sliced formula beyond.  The pairs are
+    recovered from the pairwise-distinct time gaps and must come in (i, j)
+    order."""
     J = len(path.times)
     pair_of = {path.times[j] - path.times[i]: (i, j) for i in range(J) for j in range(i + 1, J)}
     pairs = [pair_of[g] for g in table.gaps]
     assert pairs == sorted(set(pairs))
-    want = [_pair_distance(path.measures[i], path.measures[j], budget, projections, seed)
-            for i, j in pairs]
-    assert np.array_equal(table.dists, want)
     assert table.method == w1_method(path.N, path.M, budget)
+    if table.method == "sliced":
+        oracle = lambda mu, nu: direction_major_sliced(mu, nu, projections, seed)
+    else:
+        oracle = sorted_gap_1d if path.N == 1 else wasserstein1
+    want = [oracle(path.measures[i], path.measures[j]) for i, j in pairs]
+    assert table.dists.tolist() == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -361,17 +379,6 @@ def sliced_path_pairs(draw):
                         points=np.round(gen.standard_normal((n_times, M, n_modes)), decimals))
             for M in draw(st.lists(st.sampled_from([1, 7, 48, 89, 97, 300, 1000]),
                                    min_size=2, max_size=2))]
-
-
-def direction_major_sliced(mu, nu, projections, seed):
-    """The sliced surrogate written in the (P, M) layout: both clouds'
-    projections `dirs @ points.T`, each row sorted, the gaps averaged."""
-    dirs = measures._slice_directions(seed, projections, mu.N)
-    mu, nu = measures._common_size(mu, nu, seed)
-    a, b = dirs @ mu.points.T, dirs @ nu.points.T
-    a.sort(axis=-1)
-    b.sort(axis=-1)
-    return float(np.abs(a - b).mean())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -429,9 +436,12 @@ def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(mo
     # two row profiles, one streamed time and the gap buffer; caching every
     # time would hold 11, and sorting per pair peaked at 4
     assert peak_bytes(lambda: path_modulus(path, exact_budget=512, projections=P)) <= 5 * profile
-    # the two profiles, the gap written into the first
+    # the two profiles, the gap written into the streamed one
     assert peak_bytes(lambda: wasserstein1_sliced(*path.measures[:2], projections=P)) \
         <= 2.1 * profile
+    # one pair at a time, the same two profiles
+    assert peak_bytes(lambda: path_sup_distance(path, path, exact_budget=512,
+                                                projections=P)) <= 2.1 * profile
 
     sorted_profile = measures._sorted_profile
     calls = []
@@ -506,6 +516,24 @@ def test_mixture_paths_equal_the_per_time_vstack():
         for j in range(len(times)):
             assert np.array_equal(mix.points[j],
                                   np.vstack([pa.points[j][ia], pb.points[j][ib]]))
+
+
+@pytest.mark.parametrize("lam", [1.5, -0.5, float("nan")])
+def test_mixture_refuses_a_share_outside_the_unit_interval(lam):
+    pa = MeasurePath(times=[0.0], points=np.zeros((1, 10, 1)))
+    with pytest.raises(ValueError, match="^lam: must lie in \\[0, 1\\]"):
+        mixture_paths(pa, pa, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_mixture_at_the_ends_keeps_the_particle_count(lam):
+    gen = np.random.default_rng(5)
+    pa, pb = (MeasurePath(times=[0.0], points=gen.standard_normal((1, 10, 1)))
+              for _ in range(2))
+    mix = mixture_paths(pa, pb, lam, seed=2)
+    assert mix.M == 10
+    whole = pa if lam == 1.0 else pb
+    assert np.array_equal(np.sort(mix.points, axis=1), np.sort(whole.points, axis=1))
 
 
 # ---------------------------------------------------------------------------

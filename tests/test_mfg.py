@@ -312,6 +312,19 @@ def test_initial_path_must_live_on_config_mesh():
         fixed_point_iterate(prob, CFG, initial=start)
 
 
+
+def test_initial_path_must_hold_config_particles(monkeypatch):
+    """An initial path of another particle count is refused before the
+    first value solve, not in the pooling after a solve and a transport."""
+    import hilbert_mfg.mfg as mfg_mod
+
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild",
+                        lambda *args, **kwargs: pytest.fail("value solve ran"))
+    prob = make_model("cap1d_monotone")
+    start = propagate(DriftField.zero(1), prob.m0, prob.spectrum, CFG.with_(particles=50))
+    with pytest.raises(ValueError, match="initial path has 50 particles"):
+        fixed_point_iterate(prob, CFG, initial=start)
+
 SMALL = CFG.with_(particles=1000, grid_points=16, tau_nodes=9, fp_max=3)
 
 
