@@ -11,7 +11,7 @@
 import numpy as np
 
 from hilbert_mfg import (
-    F1Coupling,
+    RankOneCoupling,
     SolverConfig,
     assumption_check,
     make_model,
@@ -34,8 +34,8 @@ print("  min pairing over %d pairs: %.3e  (3 se = %.3e)"
 print("  closed-form identity gap: %.2e   verdict: %s"
       % (rep.identity_gap, "monotone" if rep.passed else "NOT monotone"))
 
-bad = F1Coupling(h1=coupling.h1, weight=-coupling.weight,
-                 lip=coupling.lip, bound=coupling.bound, label="sign-flipped")
+bad = RankOneCoupling(h=coupling.h, weight=-coupling.weight,
+                      lip=coupling.lip, bound=coupling.bound, label="sign-flipped")
 rep_bad = monotonicity_check(bad, trials=500, seed=1)
 print("sign-flipped control: min pairing %.3e, passed=%s"
       % (rep_bad.min_pairing, rep_bad.passed))

@@ -260,8 +260,6 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     seed = seed_override
     if seed is None:
         seed = get("run", "seed", int, required="(there is no entropy default)")
-    if not 0 <= seed < 2 ** 128:  # the Philox key range
-        raise ConfigError("[run] seed: must be an integer in [0, 2**128)")
     out = out_override
     if out is None:
         out = get("run", "out", str, required="(or pass --out)")
@@ -270,7 +268,7 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     try:
         solver = SolverConfig(horizon=horizon, seed=seed, **num)
     except ValueError as exc:  # the message leads with the offending key
-        raise ConfigError("[numerics] %s" % exc)
+        raise ConfigError("[%s] %s" % ("run" if str(exc).startswith("seed:") else "numerics", exc))
     source = "zero-drift"
     if command == "solve-hjb":
         source = get("problem", "measure_source", str, default=source)

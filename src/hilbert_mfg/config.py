@@ -45,6 +45,9 @@ class SolverConfig:
                 raise ValueError("%s: must be an integer" % name)
             if value < least:
                 raise ValueError("%s: must be >= %d" % (name, least))
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= int(self.seed) < 2 ** 128):  # the Philox key range
+            raise ValueError("seed: must be an integer in [0, 2**128)")
 
     @property
     def n_steps(self):

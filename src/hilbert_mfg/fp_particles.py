@@ -35,6 +35,7 @@ simulates (the equivalent statement with -<w, .> describes the flow driven
 by -w).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,13 @@ from .measures import Dirac, MeasurePath, ProductGaussian
 from .spectrum import SpectrumSpec, covariance_diag, semigroup_factors
 
 _TAG_BOOTSTRAP = 0xB5
+_BOOTSTRAP_DRAWS = 200  # resamples behind each bootstrap standard error
 
 
 @dataclass
 class DriftField:
     """Bounded vector field w(t, x); the bound is checked at every
-    evaluation and a violation is fatal."""
+    evaluation and a violation, or a non-finite value, is fatal."""
 
     fn: object
     bound: float
@@ -60,6 +62,8 @@ class DriftField:
         if w.shape != X.shape:
             raise ValueError("drift returned shape %s for points %s" % (w.shape, X.shape))
         worst = float(np.max(np.linalg.norm(w, axis=-1))) if w.size else 0.0
+        if not math.isfinite(worst):  # np.max carries a nan through, and nan > bound is False
+            raise FloatingPointError("drift %r returned a non-finite value" % self.label)
         if worst > self.bound + 1e-9:
             raise ValueError(
                 "drift bound violated: |w| = %.6g exceeds declared %.6g" % (worst, self.bound)
@@ -193,11 +197,11 @@ def weak_form_residual(path, w, phi, t, spec):
     return float(np.mean(weak_residual_profile(path, w, phi, t, spec)))
 
 
-def bootstrap_stderr(values, n_boot=200, seed=0):
+def bootstrap_stderr(values, seed=0):
     """Standard error of the mean of `values` by deterministic bootstrap."""
     values = np.asarray(values, dtype=float)
     g = rng.generator(seed, _TAG_BOOTSTRAP)
-    idx = g.integers(0, len(values), size=(n_boot, len(values)))
+    idx = g.integers(0, len(values), size=(_BOOTSTRAP_DRAWS, len(values)))
     return float(np.std(values[idx].mean(axis=1)))
 
 

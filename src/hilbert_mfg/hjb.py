@@ -324,14 +324,14 @@ class SeparatedHamiltonian:
         return np.asarray(self.h0_p(X, P), dtype=float)
 
 
-def zero_hamiltonian(n_modes, label="zero"):
+def zero_hamiltonian(n_modes):
     return GeneralHamiltonian(
         value_fn=lambda X, P, mu: np.zeros(X.shape[:-1]),
         grad_p_fn=lambda X, P, mu: np.zeros(X.shape[:-1] + (X.shape[-1],)),
         bound_Hp=0.0,
         lip_p=0.0,
         lip_mu=0.0,
-        label=label,
+        label="zero",
     )
 
 

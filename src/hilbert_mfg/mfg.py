@@ -338,8 +338,6 @@ class UniquenessReport:
     value_sup_distance: float
     status_a: str
     status_b: str
-    psi_residual_a: float
-    psi_residual_b: float
 
     @property
     def both_converged(self):
@@ -349,15 +347,21 @@ class UniquenessReport:
 def uniqueness_experiment(problem, start_a, start_b, config):
     """Run the damped iteration from two starts with independent seed
     streams and report how far apart the answers land.  Non-convergence of
-    either run is part of the report, never an exception."""
-    seed_a = rng.derive_seed(config.seed, _TAG_START_A)
-    seed_b = rng.derive_seed(config.seed, _TAG_START_B)
-    sol_a = fixed_point_iterate(problem, config.with_(seed=seed_a), initial=start_a)
-    sol_b = fixed_point_iterate(problem, config.with_(seed=seed_b), initial=start_b)
-    rho = _distance(sol_a.m, sol_b.m, config,
-                    rng.derive_seed(config.seed, _TAG_DIST, 0xA, 0xB))
-    vsup = float(np.max(np.abs(sol_a.v.values - sol_b.v.values)))
-    return UniquenessReport(rho_between=rho, value_sup_distance=vsup,
-                            status_a=sol_a.status, status_b=sol_b.status,
-                            psi_residual_a=sol_a.psi_residual,
-                            psi_residual_b=sol_b.psi_residual), sol_a, sol_b
+    either run is part of the report, never an exception: a run whose inner
+    value solve stalls has status "value-solve-stalled" and solution None,
+    and the two distances are then NaN."""
+    sols = []
+    for tag, start in ((_TAG_START_A, start_a), (_TAG_START_B, start_b)):
+        try:
+            sols.append(fixed_point_iterate(
+                problem, config.with_(seed=rng.derive_seed(config.seed, tag)), initial=start))
+        except ValueSolveStalled:
+            sols.append(None)
+    sol_a, sol_b = sols
+    rho = vsup = math.nan
+    if sol_a is not None and sol_b is not None:
+        rho = _distance(sol_a.m, sol_b.m, config,
+                        rng.derive_seed(config.seed, _TAG_DIST, 0xA, 0xB))
+        vsup = float(np.max(np.abs(sol_a.v.values - sol_b.v.values)))
+    status = ["value-solve-stalled" if sol is None else sol.status for sol in sols]
+    return UniquenessReport(rho, vsup, *status), sol_a, sol_b

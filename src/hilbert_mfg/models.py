@@ -11,9 +11,9 @@ supremum sits at the interior stationary point, above it the cap binds.
 An optional bounded drift offset b0 enters the Hamiltonian linearly, so
 the full gradient is DH1(p) - b0(x) and stays bounded by R + |b0|.
 
-Couplings are rank-one products h(x) int h dmu (scalar and vector
-variants), whose monotonicity pairing collapses to the exact square
-|int h d(mu1 - mu2)|^2 even at the empirical level.
+Every coupling is the rank-one product w <h(x), int h dmu>, one class for
+any number of components of h, whose monotonicity pairing collapses to the
+exact square w |int h d(mu1 - mu2)|^2 even at the empirical level.
 
 The checkers are samplers, not proofs: they report worst observed ratios
 against declared constants, and the monotonicity verdict is a minimum over
@@ -150,56 +150,28 @@ class CappedControlHamiltonian:
 
 
 @dataclass
-class F1Coupling:
-    """F(x, mu) = weight * h1(x) int h1 dmu for scalar bounded Lipschitz h1.
-    weight < 0 flips the pairing sign (the anti-monotone negative control)."""
+class RankOneCoupling:
+    """F(x, mu) = weight * <h(x), int h dmu> for bounded Lipschitz h with a
+    component axis, h(X) of shape (..., C).  weight < 0 flips the pairing
+    sign (the anti-monotone negative control)."""
 
-    h1: object
+    h: object
     lip: float
     bound: float
     weight: float = 1.0
-    label: str = "F1"
+    label: str = ""
 
     def statistic(self, mu):
-        """int h1 dmu over the particles of mu."""
-        return float(np.mean(self.h1(mu.points)))
+        """int h dmu over the particles of mu, one entry per component."""
+        return np.mean(np.asarray(self.h(mu.points), dtype=float), axis=0)
 
     def __call__(self, X, mu):
-        h1 = np.asarray(self.h1(np.asarray(X, dtype=float)), dtype=float)
-        return self.weight * h1 * self.statistic(mu)
+        h = np.asarray(self.h(np.asarray(X, dtype=float)), dtype=float)
+        return _mode_sum(self.weight * h * self.statistic(mu))
 
     def closed_pairing(self, mu1, mu2):
         gap = self.statistic(mu1) - self.statistic(mu2)
-        return self.weight * gap * gap
-
-
-@dataclass
-class F2Coupling:
-    """F(x, mu) = weight * <h2(x), int h2 dmu> for vector h2."""
-
-    h2: object
-    lip: float
-    bound: float
-    weight: float = 1.0
-    label: str = "F2"
-
-    def statistic(self, mu):
-        """int h2 dmu over the particles of mu, one entry per component."""
-        return np.mean(np.asarray(self.h2(mu.points), dtype=float), axis=0)
-
-    def __call__(self, X, mu):
-        h2 = np.asarray(self.h2(np.asarray(X, dtype=float)), dtype=float)
-        return self.weight * _mode_sum(h2 * self.statistic(mu))
-
-    def closed_pairing(self, mu1, mu2):
-        gap = self.statistic(mu1) - self.statistic(mu2)
-        return self.weight * float(gap @ gap)
-
-
-def coupling_value(coupling, x, mu):
-    """Evaluate a coupling at a single point x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.asarray(coupling(x[None, :], mu)).reshape(-1)[0])
+        return float((self.weight * gap) @ gap)
 
 
 def default_pair_sampler(n_modes, M=64):
@@ -240,12 +212,12 @@ class MonotonicityReport:
     zero_nondegenerate: int = 0
 
 
-def monotonicity_check(coupling, sampler=None, trials=1000, seed=0, n_modes=1):
+def monotonicity_check(coupling, trials=1000, seed=0, n_modes=1):
     """Evaluate the pairing int [F(x,mu1) - F(x,mu2)] (mu1 - mu2)(dx) on
     randomized pairs, as the difference of empirical means over the two
     supports.  PASS means no pairing fell below -1e-9 minus 3 bootstrap
     standard errors."""
-    sampler = sampler or default_pair_sampler(n_modes)
+    sampler = default_pair_sampler(n_modes)
     closed = getattr(coupling, "closed_pairing", None)
     min_pairing, min_se = np.inf, 0.0
     identity_gap = 0.0 if closed else None
@@ -339,19 +311,17 @@ def assumption_check(hamiltonian, n_modes, trials=200, seed=0):
 MODEL_NAMES = ("cap1d_monotone", "cap1d_antimonotone", "cap2d_f2")
 
 
-def make_model(name, coupling_weight=None):
+def make_model(name):
     """Shipped presets wiring the capped Hamiltonian to a coupling, a
     bounded terminal, an initial law, and a spectrum that certifies the
     trace condition."""
     if name == "cap1d_monotone" or name == "cap1d_antimonotone":
-        weight = coupling_weight
-        if weight is None:
-            weight = 1.0 if name == "cap1d_monotone" else -3.0
+        weight = 1.0 if name == "cap1d_monotone" else -3.0
         spec = SpectrumSpec(eigenvalues=(-1.0,), delta=0.5, family=("power", 1.0, 3.0))
         cap = CappedControlHamiltonian(R=1.0)
-        coupling = F1Coupling(h1=lambda X: 0.8 * np.tanh(X[..., 0]),
-                              lip=0.8 * abs(weight), bound=0.8 * abs(weight),
-                              weight=weight)
+        coupling = RankOneCoupling(h=lambda X: 0.8 * np.tanh(X[..., :1]),
+                                   lip=0.8 * abs(weight), bound=0.8 * abs(weight),
+                                   weight=weight, label="F1")
         terminal = lambda X, mu: 0.4 * np.tanh(X[..., 0])
         ham = cap.separated(coupling, label=name)
         return MFGProblem(spectrum=spec, hamiltonian=ham, terminal=terminal,
@@ -360,8 +330,9 @@ def make_model(name, coupling_weight=None):
         spec = SpectrumSpec(eigenvalues=(-1.0, -4.0), delta=0.25, family=("power", 1.0, 2.0))
         b0 = lambda X: 0.3 * np.tanh(X)
         cap = CappedControlHamiltonian(R=1.0, b0=b0, b0_bound=0.3 * math.sqrt(2.0))
-        coupling = F2Coupling(h2=lambda X: 0.5 * np.tanh(X),
-                              lip=0.5 * math.sqrt(2.0), bound=0.5 * math.sqrt(2.0))
+        coupling = RankOneCoupling(h=lambda X: 0.5 * np.tanh(X),
+                                   lip=0.5 * math.sqrt(2.0), bound=0.5 * math.sqrt(2.0),
+                                   label="F2")
         terminal = lambda X, mu: 0.3 * np.cos(X[..., 0] + X[..., 1])
         ham = cap.separated(coupling, label=name)
         m0 = ProductGaussian(mean=[0.2, 0.0], var=[0.2, 0.1])

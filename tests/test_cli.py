@@ -310,6 +310,34 @@ def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):
     assert head == "iteration,rho_inf_change,psi_residual,wallclock"
 
 
+def test_check_reports_a_stalled_uniqueness_leg_and_exits_by_its_gates(tmp_path):
+    ini = """
+[problem]
+model = cap1d_monotone
+
+[numerics]
+dt = 0.25
+particles = 200
+grid_points = 9
+quad_nodes = 4
+tau_nodes = 5
+picard_max = 1
+picard_tol = 1e-12
+fp_max = 2
+
+[run]
+seed = 1
+"""
+    out = tmp_path / "chk"
+    assert main(["check", "--config", write_ini(tmp_path, ini),
+                 "--out", str(out)]) == EXIT_OK
+    rows = {r["metric"]: r for r in read_rows(out / "check.csv")}
+    assert rows["min_pairing"]["result"] == "pass" and rows["lip_mu"]["result"] == "pass"
+    assert rows["status"]["value"] == "value-solve-stalled/value-solve-stalled"
+    assert rows["rho_between"]["value"] == "nan"
+    assert rows["value_sup_distance"]["value"] == "nan"
+
+
 @pytest.mark.parametrize("key, text", [("damping", "damping = 1.5"),
                                        ("grid_points", "grid_points = 1"),
                                        ("box_scale", "box_scale = 0"),

@@ -87,3 +87,12 @@ def test_config_refuses_a_count_that_is_not_an_integer(name, bad):
 
 def test_config_takes_numpy_integer_counts():
     assert CFG.with_(particles=np.int64(7), grid_points=np.int32(5)).particles == 7
+    assert CFG.with_(seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3", -1, 2 ** 128, np.float64(2.0)])
+def test_config_refuses_a_seed_outside_the_philox_key_range(bad):
+    """A seed is an integer key of Philox, refused when the config is built,
+    not truncated to another seed nor failing at the first draw."""
+    with pytest.raises(ValueError, match=r"^seed: must be an integer in \[0, 2\*\*128\)$"):
+        CFG.with_(seed=bad)

@@ -237,6 +237,14 @@ def test_non_finite_drift_is_fatal():
         propagate(w, Dirac([0.0]), SPEC1, cfg)
 
 
+def test_non_finite_drift_in_the_weak_residual_is_fatal():
+    cfg = SolverConfig(horizon=0.5, dt=0.05, particles=10, seed=0)
+    path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    w = DriftField(fn=lambda t, X: np.full_like(X, np.nan), bound=1.0, label="broken")
+    with pytest.raises(FloatingPointError, match="'broken'"):
+        weak_form_residual(path, w, FourierTestFunction(h=[1.0]), 0.5, SPEC1)
+
+
 def test_off_mesh_time_rejected():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=50, seed=0)
     path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)

@@ -373,6 +373,20 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
     assert [r.index for r in info.value.iterations] == [1]
 
 
+def test_uniqueness_reports_a_stalled_value_solve_without_raising():
+    prob = make_model("cap1d_monotone")
+    cfg = SolverConfig(dt=0.25, particles=200, grid_points=9, quad_nodes=4, tau_nodes=5,
+                       picard_max=1, picard_tol=1e-12, fp_max=2, seed=1)
+    start_a = propagate(DriftField.zero(1), prob.m0, prob.spectrum, cfg.with_(seed=2))
+    start_b = propagate(DriftField.zero(1), ProductGaussian([0.0], [0.5]),
+                        prob.spectrum, cfg.with_(seed=3))
+    rep, sol_a, sol_b = uniqueness_experiment(prob, start_a, start_b, cfg)
+    assert (rep.status_a, rep.status_b) == ("value-solve-stalled",) * 2
+    assert sol_a is None and sol_b is None
+    assert math.isnan(rep.rho_between) and math.isnan(rep.value_sup_distance)
+    assert not rep.both_converged
+
+
 def test_importing_the_mfg_solver_loads_no_scipy_optimize():
     # only exact W1 on N >= 2 modes runs an assignment; it imports scipy.optimize itself
     src = str(Path(hilbert_mfg.__file__).resolve().parents[1])

@@ -13,14 +13,12 @@ from hilbert_mfg.hjb import GeneralHamiltonian
 from hilbert_mfg.measures import ParticleMeasure
 from hilbert_mfg.models import (
     CappedControlHamiltonian,
-    F1Coupling,
-    F2Coupling,
     MODEL_NAMES,
     QuadraticCost,
+    RankOneCoupling,
     _mode_sum,
     _radius,
     assumption_check,
-    coupling_value,
     eval_DH1,
     eval_H1,
     make_model,
@@ -108,19 +106,23 @@ def test_capped_hamiltonian_with_drift_offset():
 
 def test_f1_coupling_point_values():
     mu = ParticleMeasure(np.array([[1.0]]))
-    c = F1Coupling(h1=lambda X: np.tanh(X[..., 0]), lip=1.0, bound=1.0)
-    assert coupling_value(c, [0.5], mu) == pytest.approx(
+    c = RankOneCoupling(h=lambda X: np.tanh(X[..., :1]), lip=1.0, bound=1.0)
+    assert c(np.array([[0.5]]), mu).shape == (1,)
+    assert c(np.array([[0.5]]), mu)[0] == pytest.approx(
         math.tanh(0.5) * math.tanh(1.0), abs=1e-14)
-    ones = F1Coupling(h1=lambda X: np.ones(X.shape[:-1]), lip=0.0, bound=1.0)
-    assert coupling_value(ones, [0.3], mu) == pytest.approx(1.0, abs=1e-14)
+    ones = RankOneCoupling(h=lambda X: np.ones(X.shape[:-1] + (1,)), lip=0.0, bound=1.0)
+    assert ones(np.array([[0.3]]), mu)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_f2_coupling_reduces_to_scalar_product():
     mu = ParticleMeasure(np.array([[0.4, -0.6], [0.1, 0.2]]))
-    c = F2Coupling(h2=lambda X: np.tanh(X), lip=1.0, bound=math.sqrt(2.0))
+    c = RankOneCoupling(h=lambda X: np.tanh(X), lip=1.0, bound=math.sqrt(2.0), weight=-2.0)
     stat = np.tanh(mu.points).mean(axis=0)
     x = np.array([0.7, -0.1])
-    assert coupling_value(c, x, mu) == pytest.approx(float(np.tanh(x) @ stat), abs=1e-14)
+    assert c(x[None, :], mu)[0] == pytest.approx(-2.0 * float(np.tanh(x) @ stat), abs=1e-14)
+    other = ParticleMeasure(np.array([[0.0, 0.3]]))
+    gap = stat - np.tanh(other.points[0])
+    assert c.closed_pairing(mu, other) == pytest.approx(-2.0 * float(gap @ gap), abs=1e-14)
 
 
 def test_monotonicity_constant_coupling_is_flat():

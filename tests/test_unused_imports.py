@@ -1,11 +1,16 @@
-"""No module imports a name it never uses, and no private helper is orphaned.
+"""No module imports a name it never uses, no private helper is orphaned,
+and no defaulted parameter is a knob that no caller sets.
 
 No linter ships with the project, so this walks the syntax tree of every
 module in src/, tests/ and demos/.  A renamed or deleted export can hide
 behind a dead import line; the package __init__ is exempt, since its
 imports are its exports.  A module-level private function or class of src/
 (a leading underscore, dunders exempt) must be read somewhere in src/, so
-a helper that a refactor leaves without callers shows here.
+a helper that a refactor leaves without callers shows here.  A parameter
+with a default in a src/ function must be given, by keyword or by
+position, by some call in src/, tests/ or demos/; calls are matched by the
+called name alone, so a parameter that only a same-named function's
+caller sets passes too.
 """
 
 import ast
@@ -71,3 +76,72 @@ def test_every_private_helper_in_src_is_read():
     orphans = [(str(p.relative_to(ROOT)), line, name) for p, text in sorted(sources.items())
                for line, name in private_definitions(text) if name not in read]
     assert orphans == []
+
+
+def defaulted_parameters(source):
+    """(line, function, parameter, position) of each parameter with a default
+    of every function in source.  A method's position leaves out its first
+    parameter, a class's __init__ goes by the class name, and a keyword-only
+    parameter has position None."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = (args.posonlyargs + args.args)[cls is not None:]
+                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((child.lineno, name, arg.arg, i)
+                             for i, arg in enumerate(positional) if i >= first)
+                found.extend((child.lineno, name, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+            visit(child, child if isinstance(child, ast.ClassDef) else
+                  None if isinstance(child, ast.FunctionDef) else cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def given_arguments(source, given=None):
+    """Called name -> [most positional arguments of one call, keywords of any
+    call]; a *starred argument gives every position and a ** every keyword."""
+    given = {} if given is None else given
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            seen = given.setdefault(name, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            seen[0] = max(seen[0], float("inf") if starred else len(node.args))
+            seen[1] |= {"**" if k.arg is None else k.arg for k in node.keywords}
+    return given
+
+
+def never_given(definitions, given):
+    out = []
+    for line, name, param, position in definitions:
+        count, keywords = given.get(name, (0, set()))
+        if not (param in keywords or "**" in keywords
+                or (position is not None and count > position)):
+            out.append((line, name, param))
+    return out
+
+
+def test_the_scan_sees_set_and_unset_knobs():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "class K:\n    def __init__(self, x=0):\n        pass\n"
+              "    def m(self, y=0, z=1):\n        pass\n"
+              "def g(p=0):\n    pass\n"
+              "f(0, 5)\nK()\nobj.m(1)\ng(**opts)\n")
+    assert never_given(defaulted_parameters(source), given_arguments(source)) == [
+        (1, "f", "c"), (1, "f", "d"), (4, "K", "x"), (6, "m", "z")]
+
+
+def test_every_defaulted_parameter_in_src_is_given_by_some_call():
+    given = {}
+    for path in (p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")):
+        given_arguments(path.read_text(), given)
+    unset = [(str(p.relative_to(ROOT)),) + knob for p in sorted((ROOT / "src").rglob("*.py"))
+             for knob in never_given(defaulted_parameters(p.read_text()), given)]
+    assert unset == []
