@@ -435,6 +435,10 @@ def cmd_solve_mfg(cfg, cp):
         sol = fixed_point_iterate(cfg.problem, cfg.solver)
     except ValueSolveStalled as exc:
         write_iterations(exc.iterations)  # the outer iterations that did finish
+        _write_csv(d / "summary.csv", ["key", "value"], [
+            ["status", "value-solve-stalled"],
+            ["iterations", len(exc.iterations)],
+        ])
         raise
     write_iterations(sol.iterations)
     sol.v.to_dir(d / "v")

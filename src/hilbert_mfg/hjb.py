@@ -14,12 +14,15 @@ tau then converges at its usual rate.  At tau = 0 both integrands vanish
 quantity converging to the integrand's own spatial gradient), so the left
 endpoint contributes exactly zero.
 
-One ValueGrid holds the discretisation of a solve, built once from the
+One ValueGrid holds the discretisation of a run, built once from the
 spectrum and the config: the time mesh, the axes of the box [-L, L]^N with
-L = default_box(spec, None, box_scale), the tensor grid nodes, and the OU
-kernel at the config's quadrature.  Every sweep of the solve reads it;
-hjb_residual alone builds its own kernel, at twice the quadrature nodes, so
-that it stays an independent check.
+L = default_box(spec, None, box_scale), the tensor grid nodes, the OU
+kernel at the config's quadrature, and the plan of the time integral's
+nodes and their operators, built on its first read.  A solve given no grid
+builds its own; the fixed-point iteration builds one and hands it to every
+solve of its run.  Every sweep reads it; hjb_residual alone builds its own
+kernel, at twice the quadrature nodes, so that it stays an independent
+check.
 
 The gradient grid exists only for t < T: the smoothing representation is
 singular at the terminal time, and every consumer (drift assembly, norms)
@@ -48,8 +51,12 @@ applied as a mode product; gradient component k uses the weights
 w_q z_q Lambda_k in mode k and K_l in every other mode l.  Hat weights are
 nonnegative and each row of K_k sums to sum_q w_q = 1, so the applied
 operator averages: the image of a table is bounded by its sup norm.  The
-operators are built once per solve, when its plan is, and every sweep
-applies them.
+operators are built once per grid, when its plan is, and every sweep of
+every solve on that grid applies them.  The integrand depends on the
+measure only through m(s), one of the path's J + 1 measures, so a solve
+fixes each distinct measure once (H.at_measure: every term free of p, the
+coupling F(x, m(s)) of a separated H, computed on the grid nodes up front)
+and each sweep evaluates the stored function at its gradient table.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -59,6 +66,7 @@ sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,20 +94,30 @@ def _tensor_points(axes):
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """The discretisation of one value solve: mesh times (J+1,), per-mode
-    box axes, their tensor nodes (G^N, N) in C order, and the OU kernel."""
+    """The discretisation of the value solves of one run: mesh times
+    (J+1,), per-mode box axes, their tensor nodes (G^N, N) in C order, the
+    OU kernel, and the tau nodes per mesh interval of the time integral.
+    Its plan is built on first read and kept for the grid's lifetime, so
+    every solve handed the grid shares it."""
 
     times: np.ndarray
     axes: tuple
     nodes: np.ndarray
     kernel: OUKernel
+    tau_nodes: int
 
     @classmethod
     def build(cls, spec, config):
         box = default_box(spec, None, config.box_scale)
         axes = tuple(np.linspace(-box, box, int(config.grid_points)) for _ in range(spec.N))
         return cls(times=config.mesh(), axes=axes, nodes=_tensor_points(axes),
-                   kernel=OUKernel(spec, QuadratureRule(config.quad_nodes)))
+                   kernel=OUKernel(spec, QuadratureRule(config.quad_nodes)),
+                   tau_nodes=int(config.tau_nodes))
+
+    @cached_property
+    def plan(self):
+        """_plan at the grid's tau nodes, built on the first read."""
+        return _plan(self, self.tau_nodes)
 
     @property
     def shape(self):
@@ -297,8 +315,12 @@ class GeneralHamiltonian:
     lip_mu: float = None
     label: str = ""
 
+    def at_measure(self, X, mu):
+        """P -> H(X, P, mu); value_fn has no part to compute up front."""
+        return lambda P: np.asarray(self.value_fn(X, P, mu), dtype=float)
+
     def value(self, X, P, mu):
-        return np.asarray(self.value_fn(X, P, mu), dtype=float)
+        return self.at_measure(X, mu)(P)
 
     def grad_p(self, X, P, mu):
         return np.asarray(self.grad_p_fn(X, P, mu), dtype=float)
@@ -317,8 +339,13 @@ class SeparatedHamiltonian:
     lip_mu: float = None
     label: str = ""
 
+    def at_measure(self, X, mu):
+        """P -> H(X, P, mu) with the coupling F(X, mu) computed once."""
+        coupling = np.asarray(self.coupling(X, mu), dtype=float)
+        return lambda P: np.asarray(self.h0(X, P), dtype=float) - coupling
+
     def value(self, X, P, mu):
-        return np.asarray(self.h0(X, P), dtype=float) - np.asarray(self.coupling(X, mu), dtype=float)
+        return self.at_measure(X, mu)(P)
 
     def grad_p(self, X, P, mu):
         return np.asarray(self.h0_p(X, P), dtype=float)
@@ -375,10 +402,11 @@ class _Node:
 
 
 def _plan(grid, tau_nodes):
-    """The nodes of every sweep of a solve, per mesh time t_j < T: the tau
+    """The nodes of every sweep on a grid, per mesh time t_j < T: the tau
     nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
-    the integrand carries the factor 2 tau = 0).  Built once per solve,
-    operators included; it holds no measure."""
+    the integrand carries the factor 2 tau = 0).  It depends on the grid
+    alone, operators included, and holds no measure: ValueGrid.plan builds
+    it once per grid and every solve on the grid reads it."""
     times, axes = grid.times, grid.axes
     w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
     plan = []
@@ -461,7 +489,7 @@ def solve_kolmogorov(f, phi, spec, config):
     grid = ValueGrid.build(spec, config)
     values, grads = _terminal_sweep(grid, phi)
     if f is not None:
-        values, grads = _mild_sweep(grid, (values, grads), _plan(grid, config.tau_nodes),
+        values, grads = _mild_sweep(grid, (values, grads), grid.plan,
                                     lambda node: f(node.s, grid.nodes))
     return grid.field(values, grads, status="direct")
 
@@ -475,26 +503,38 @@ def weighted_gradient_change(a, b):
     return _weighted_sup(a.times, a.grads - b.grads)
 
 
-def solve_hjb_mild(H, G, m, spec, config):
+def solve_hjb_mild(H, G, m, spec, config, grid=None):
     """Nonlinear mild solve against a frozen measure path m.
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
     evaluates H once per (t_j, tau) node on the grid nodes, with the
     previous sweep's gradient table mixed in time and the measure path at
-    its nearest mesh point.  Stops on the weighted gradient change; a run
-    that exhausts the iteration budget is returned with status
-    "max-iterations" and the full change history.
+    its nearest mesh point, fixed once per distinct measure by
+    H.at_measure.  Stops on the weighted gradient change; a run that
+    exhausts the iteration budget is returned with status "max-iterations"
+    and the full change history.  grid is a ValueGrid.build(spec, config)
+    to share, with its plan, across solves; by default the solve builds
+    its own.
     """
     if m.N != spec.N:
         raise ValueError("measure path has %d modes, the spectrum %d" % (m.N, spec.N))
-    grid = ValueGrid.build(spec, config)
+    if grid is None:
+        grid = ValueGrid.build(spec, config)
     if not same_mesh(m.times, grid.times):
         raise ValueError("measure path mesh does not match the config mesh")
     mT = m.at_time(grid.times[-1])
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
     base = _terminal_sweep(grid, terminal)
-    plan = _plan(grid, config.tau_nodes)
+    plan = grid.plan
+    # H on the grid nodes against m(s), one per measure the nodes read
+    at_measure, at_node = {}, {}
+    for _, nodes in plan:
+        for node in nodes:
+            mu = m.at_time(node.s)
+            if id(mu) not in at_measure:
+                at_measure[id(mu)] = H.at_measure(grid.nodes, mu)
+            at_node[node.s] = at_measure[id(mu)]
     current = grid.field(*base)
     history = []
     status = "max-iterations"
@@ -503,7 +543,7 @@ def solve_hjb_mild(H, G, m, spec, config):
 
         def integrand(node):
             P = _at_time(prev.grads, *node.bracket, lambda tab: tab)
-            return H.value(grid.nodes, P.reshape(grid.nodes.shape), m.at_time(node.s))
+            return at_node[node.s](P.reshape(grid.nodes.shape))
 
         current = grid.field(*_mild_sweep(grid, base, plan, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))

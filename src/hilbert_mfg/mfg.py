@@ -33,7 +33,7 @@ import numpy as np
 from . import rng
 from .config import same_mesh
 from .fp_particles import DriftField, propagate
-from .hjb import solve_hjb_mild
+from .hjb import ValueGrid, solve_hjb_mild
 from .measures import (
     MeasurePath,
     mixture_paths,
@@ -126,11 +126,12 @@ class ValueSolveStalled(RuntimeError):
         self.iterations = tuple(iterations)
 
 
-def _best_response_value(problem, m, config, records=()):
-    """The value field against m, required to have converged; records are
-    the outer iterations done so far, handed on if the solve stalls."""
+def _best_response_value(problem, m, config, grid=None, records=()):
+    """The value field against m on grid (by default the solve's own),
+    required to have converged; records are the outer iterations done so
+    far, handed on if the solve stalls."""
     v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m,
-                       problem.spectrum, config)
+                       problem.spectrum, config, grid=grid)
     if v.status != "converged":
         raise ValueSolveStalled(
             "inner value solve stalled (weighted changes: %s)"
@@ -170,9 +171,10 @@ def fixed_point_iterate(problem, config, initial=None):
     value field is solved once against the final law path, and that one
     solve is both the returned value field and the value behind the three
     repeat best responses (fresh transport seeds) that certify the
-    fixed-point residual; the moment audit runs on the final path.  A
-    stalled inner value solve raises ValueSolveStalled carrying the
-    iteration records completed so far.
+    fixed-point residual; the moment audit runs on the final path.  Every
+    value solve of the run shares one ValueGrid, so the plan of the time
+    integral is built once.  A stalled inner value solve raises
+    ValueSolveStalled carrying the iteration records completed so far.
     """
     _check_config(problem, config)
     seed = int(config.seed)
@@ -188,6 +190,7 @@ def fixed_point_iterate(problem, config, initial=None):
                              % (initial.M, config.particles))
         m = initial
 
+    grid = ValueGrid.build(problem.spectrum, config)
     theta = float(config.damping)
     records = []
     status = "max-iterations"
@@ -196,7 +199,7 @@ def fixed_point_iterate(problem, config, initial=None):
     quiet = 0
     for j in range(1, config.fp_max + 1):
         t0 = time.perf_counter()
-        v = _best_response_value(problem, m, config, records)
+        v = _best_response_value(problem, m, config, grid, records)
         psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
         psi_res = _distance(psi_j, m, config, rng.derive_seed(seed, _TAG_DIST, j, 0))
         m_next = mixture_paths(m, psi_j, 1.0 - theta,
@@ -219,7 +222,7 @@ def fixed_point_iterate(problem, config, initial=None):
             status = "converged"
             break
 
-    v = _best_response_value(problem, m, config, records)
+    v = _best_response_value(problem, m, config, grid, records)
     repeats = []
     for r in range(3):
         psi_r = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))

@@ -310,6 +310,46 @@ def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):
     assert head == "iteration,rho_inf_change,psi_residual,wallclock"
 
 
+def test_inner_value_stall_writes_a_summary_with_its_status(tmp_path, monkeypatch):
+    """A value solve that stalls after one completed outer iteration leaves
+    summary.csv naming the stall and counting that iteration."""
+    import hilbert_mfg.mfg as mfg_mod
+    from hilbert_mfg.hjb import solve_hjb_mild
+
+    solves = []
+
+    def stall_second(*args, **kwargs):
+        solves.append(None)
+        v = solve_hjb_mild(*args, **kwargs)
+        if len(solves) == 2:
+            v.status = "max-iterations"
+        return v
+
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_second)
+    ini = """
+[problem]
+model = cap1d_monotone
+
+[numerics]
+dt = 0.25
+particles = 200
+grid_points = 9
+quad_nodes = 4
+tau_nodes = 5
+fp_max = 3
+
+[run]
+seed = 1
+"""
+    out = tmp_path / "r"
+    code = main(["solve-mfg", "--config", write_ini(tmp_path, ini), "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert len(solves) == 2
+    assert [r["iteration"] for r in read_rows(out / "iterations.csv")] == ["1"]
+    summary = {r["key"]: r["value"] for r in read_rows(out / "summary.csv")}
+    assert summary == {"status": "value-solve-stalled", "iterations": "1"}
+
+
 def test_check_reports_a_stalled_uniqueness_leg_and_exits_by_its_gates(tmp_path):
     ini = """
 [problem]

@@ -42,7 +42,7 @@ from hilbert_mfg.hjb import (
     zero_hamiltonian,
 )
 from hilbert_mfg.measures import Dirac, MeasurePath, ParticleMeasure
-from hilbert_mfg.models import make_model
+from hilbert_mfg.models import MODEL_NAMES, RankOneCoupling, make_model
 from hilbert_mfg.rng import normal_stream
 from hilbert_mfg.spectrum import SpectrumSpec
 
@@ -606,3 +606,78 @@ def test_value_solve_builds_each_node_operator_once(case, monkeypatch):
     assert len(v.history) > 1
     assert len(calls) == spec.N * n_times * (cfg.tau_nodes - 1)
     assert set(calls) == {cfg.grid_points}
+
+
+@pytest.mark.parametrize("name", ["cap1d_monotone", "cap2d_f2"])
+def test_value_solve_computes_the_coupling_statistic_once_per_measure(name, monkeypatch):
+    """A solve fixes the coupling once per distinct measure its nodes read,
+    at most J + 1 RankOneCoupling.statistic calls, however many sweeps it
+    runs."""
+    prob = make_model(name)
+    cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
+                       quad_nodes=5, tau_nodes=7)
+    path = propagate(DriftField.zero(prob.spectrum.N), prob.m0, prob.spectrum, cfg)
+    statistic, calls = RankOneCoupling.statistic, []
+
+    def counting(self, mu):
+        calls.append(mu)
+        return statistic(self, mu)
+
+    monkeypatch.setattr(RankOneCoupling, "statistic", counting)
+    v = solve_hjb_mild(prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg)
+    grid = ValueGrid.build(prob.spectrum, cfg)
+    picked = {id(path.at_time(node.s)) for _, nodes in grid.plan for node in nodes}
+    assert len(v.history) > 1
+    assert len(calls) == len(picked) <= len(grid.times)
+    assert {id(mu) for mu in calls} == picked
+
+
+def hamiltonian_cases():
+    """(label, H, the value formula written out, modes) for every shipped
+    preset and the direct GeneralHamiltonian forms."""
+    cases = []
+    for name in MODEL_NAMES:
+        prob = make_model(name)
+        H = prob.hamiltonian
+        cases.append((name, H, lambda X, P, mu, H=H: np.asarray(H.h0(X, P), dtype=float)
+                      - np.asarray(H.coupling(X, mu), dtype=float), prob.spectrum.N))
+    for label, H, n in (("tanh", tanh_hamiltonian(), 1), ("zero", zero_hamiltonian(2), 2)):
+        cases.append((label, H, lambda X, P, mu, H=H: np.asarray(H.value_fn(X, P, mu),
+                                                                    dtype=float), n))
+    return cases
+
+
+@pytest.mark.parametrize("label, H, formula, n", hamiltonian_cases(),
+                         ids=[case[0] for case in hamiltonian_cases()])
+def test_hamiltonian_at_a_fixed_measure_equals_its_value_bit_for_bit(label, H, formula, n):
+    """H.at_measure(X, mu) is P -> H.value(X, P, mu) bit for bit, on grid
+    nodes and on particle clouds, and one stored function serves every P."""
+    g = np.random.default_rng(7)
+    mu = ParticleMeasure(g.normal(0.3, 0.8, (500, n)))
+    spec = SpectrumSpec(eigenvalues=(-1.0, -4.0)[:n])
+    nodes = ValueGrid.build(spec, SolverConfig(dt=0.5, grid_points=9, quad_nodes=4)).nodes
+    for X in (nodes, g.normal(0.0, 1.5, (200, n)), g.normal(0.0, 1.5, (3, 40, n))):
+        at_mu = H.at_measure(X, mu)
+        for scale in (0.5, 4.0):
+            P = g.normal(0.0, scale, X.shape)
+            got = at_mu(P)
+            assert got.dtype == float and got.shape == X.shape[:-1]
+            assert np.array_equal(got, H.value(X, P, mu))
+            assert np.array_equal(got, formula(X, P, mu))
+
+
+@pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
+def test_value_solve_on_a_shared_grid_equals_a_solve_on_its_own(case):
+    """Handing solves one grid changes no byte: each equals the solve that
+    builds its own grid, also when the grid's plan served another measure
+    path first."""
+    H, G, m, spec, cfg = case()
+    other = propagate(DriftField.constant(np.full(spec.N, 0.5)), Dirac(np.zeros(spec.N)),
+                      spec, cfg.with_(seed=9))
+    grid = ValueGrid.build(spec, cfg)
+    for path in (m, other, m):
+        shared = solve_hjb_mild(H, G, path, spec, cfg, grid=grid)
+        own = solve_hjb_mild(H, G, path, spec, cfg)
+        assert np.array_equal(shared.values, own.values)
+        assert np.array_equal(shared.grads, own.grads)
+        assert (shared.status, shared.history) == (own.status, own.history)

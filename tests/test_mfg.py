@@ -4,10 +4,12 @@ These run at reduced particle counts and coarse meshes; the shipped-scale
 tolerances live in the acceptance suite.
 """
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,42 @@ def test_one_value_solve_per_law_path(monkeypatch):
     assert np.array_equal(sol.v.values, fresh.values)
     assert np.array_equal(sol.v.grads, fresh.grads)
     assert sol.v.history == fresh.history
+
+
+def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
+    """Every value solve of a run shares one grid and its plan: one
+    _hat_operators call per mode and (t_j, tau) node in the whole run,
+    however many solves read them, and the grid is released when the run
+    returns."""
+    import hilbert_mfg.hjb as hjb_mod
+    import hilbert_mfg.mfg as mfg_mod
+
+    hat_operators, calls, solves = hjb_mod._hat_operators, [], []
+    build, grids = hjb_mod.ValueGrid.build, []
+
+    def building(spec, config):
+        grid = build(spec, config)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    def counting(i, y, wq):
+        calls.append(len(i))
+        return hat_operators(i, y, wq)
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return hjb_mod.solve_hjb_mild(*args, **kwargs)
+
+    monkeypatch.setattr(hjb_mod, "_hat_operators", counting)
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", counted)
+    monkeypatch.setattr(hjb_mod.ValueGrid, "build", building)
+    prob = make_model("cap1d_monotone")
+    fixed_point_iterate(prob, SMALL)
+    assert len(solves) > 1
+    n_times = len(SMALL.mesh()) - 1
+    assert len(calls) == prob.spectrum.N * n_times * (SMALL.tau_nodes - 1)
+    gc.collect()
+    assert len(grids) == 1 and grids[0]() is None
 
 
 def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
