@@ -387,15 +387,11 @@ def cmd_solve_fp(cfg, cp):
                ["time", "mode", "second_moment", "ou_variance", "stderr3"], rows)
 
     T = float(m.times[-1])
-    rrows = []
-    for k in range(1, spec.N + 1):
-        h = [0.0] * spec.N
-        h[k - 1] = 1.0
-        phi = FourierTestFunction(h=h)
-        prof = weak_residual_profile(m, w, phi, T, spec)
-        rrows.append(["weak_form_residual", "cos(x_%d)" % k,
-                      _fmt(float(np.mean(prof))),
-                      _fmt(3.0 * bootstrap_stderr(prof, seed=cfg.seed))])
+    phis = [FourierTestFunction(h=h) for h in np.eye(spec.N)]
+    prof = weak_residual_profile(m, w, phis, T, spec)
+    se = bootstrap_stderr(prof, seed=cfg.seed)
+    rrows = [["weak_form_residual", "cos(x_%d)" % (k + 1), _fmt(float(np.mean(prof[k]))),
+              _fmt(3.0 * float(se[k]))] for k in range(spec.N)]
     _write_csv(d / "residuals.csv", ["op", "test_function", "value", "stderr3"],
                rrows)
     print("solve-fp: %d mesh times, artifacts in %s" % (len(m.times), d))

@@ -32,7 +32,9 @@ directly: for test functions phi in the Fourier class,
 with L0 phi = <x, A Dphi> + 1/2 Tr D^2 phi.  The drift pairing carries the
 sign of the forward generator of the SDE above, which is what propagate
 simulates (the equivalent statement with -<w, .> describes the flow driven
-by -w).
+by -w).  weak_residual_profile audits K test functions in one pass, with one
+drift evaluation per mesh time for all of them, and bootstrap_stderr gives
+its K rows one shared resample draw.
 """
 
 import math
@@ -61,7 +63,7 @@ class DriftField:
         w = np.asarray(self.fn(t, X), dtype=float)
         if w.shape != X.shape:
             raise ValueError("drift returned shape %s for points %s" % (w.shape, X.shape))
-        worst = float(np.max(np.linalg.norm(w, axis=-1))) if w.size else 0.0
+        worst = float(np.sqrt(np.max(np.einsum("...i,...i->...", w, w)))) if w.size else 0.0
         if not math.isfinite(worst):  # np.max carries a nan through, and nan > bound is False
             raise FloatingPointError("drift %r returned a non-finite value" % self.label)
         if worst > self.bound + 1e-9:
@@ -166,43 +168,60 @@ def _mesh_index(path, t):
     return idx
 
 
-def weak_residual_profile(path, w, phi, t, spec):
-    """Per-particle contributions R_i to the weak-form residual at time t.
+def weak_residual_profile(path, w, phis, t, spec):
+    """Per-particle contributions R_ki to the weak-form residual at time t:
+    a (K, M) array, row k for test function phis[k].
 
-    The residual is mean(R_i); the spread of the R_i feeds the bootstrap
-    error bar.  Reads particle i's trajectory as row i of every mesh time,
-    which is what propagate writes.
+    Row k's residual is its mean; its spread feeds the bootstrap error bar.
+    Reads particle i's trajectory as row i of every mesh time, which is what
+    propagate writes.  Each mesh time evaluates the drift once and forms one
+    (M, K) phase matrix X H^T + theta for all the test functions.
     """
     jt = _mesh_index(path, t)
-    times = path.times[: jt + 1]
-    X_0 = path.points[0]
-    boundary = phi.value(t, path.points[jt]) - phi.value(0.0, X_0)
-    integrand = np.empty((X_0.shape[0], jt + 1))
-    for j in range(jt + 1):
-        s = path.times[j]
-        X = path.points[j]
-        integrand[:, j] = (
-            phi.dt(s, X)
-            + phi.l0(spec, s, X)
-            + np.sum(w(s, X) * phi.gradient(s, X), axis=-1)
-        )
+    H = np.array([phi.h for phi in phis])
+    theta = np.array([phi.theta for phi in phis])
+    is_cos = np.array([phi.kind == "cos" for phi in phis])
+    neg_sq = -np.array([float(phi.h @ phi.h) for phi in phis])
+
+    def trig(X):  # phi / psi and the radial factor of Dphi / (psi h), per kind
+        U = X @ H.T + theta
+        cos_u, sin_u = np.cos(U), np.sin(U)
+        return np.where(is_cos, cos_u, sin_u), np.where(is_cos, -sin_u, cos_u)
+
+    def profile(s):  # psi(s) and dpsi(s) of every test function
+        return np.array([[phi._psi(s), phi._dpsi(s)] for phi in phis]).T
+
+    boundary = (profile(t)[0] * trig(path.points[jt])[0]
+                - profile(0.0)[0] * trig(path.points[0])[0]).T
     if jt == 0:
         return boundary
-    return boundary - np.trapezoid(integrand, x=times, axis=1)
+    integrand = np.empty((len(phis), path.points.shape[1], jt + 1))
+    for j in range(jt + 1):
+        s, X = path.times[j], path.points[j]
+        (psi, dpsi), (value, radial) = profile(s), trig(X)
+        psi_radial = psi * radial
+        l0 = ((X * spec.lam) @ H.T) * psi_radial + 0.5 * (neg_sq * (psi * value))
+        integrand[:, :, j] = (dpsi * value + l0 + (w(s, X) @ H.T) * psi_radial).T
+    # a trapezoid per row sums each row as a one-function call would, and
+    # makes no temporary over the whole (K, M, jt + 1) block
+    return boundary - np.array([np.trapezoid(row, x=path.times[: jt + 1], axis=1)
+                                for row in integrand])
 
 
 def weak_form_residual(path, w, phi, t, spec):
     """Signed residual of the weak identity at mesh time t; vanishes (within
     Monte Carlo noise plus O(h) splitting bias) on paths from propagate."""
-    return float(np.mean(weak_residual_profile(path, w, phi, t, spec)))
+    return float(np.mean(weak_residual_profile(path, w, [phi], t, spec)[0]))
 
 
 def bootstrap_stderr(values, seed=0):
-    """Standard error of the mean of `values` by deterministic bootstrap."""
+    """Standard error of the mean of `values` by deterministic bootstrap; a
+    (K, M) array gets one error per row, every row reading the same draw."""
     values = np.asarray(values, dtype=float)
     g = rng.generator(seed, _TAG_BOOTSTRAP)
-    idx = g.integers(0, len(values), size=(_BOOTSTRAP_DRAWS, len(values)))
-    return float(np.std(values[idx].mean(axis=1)))
+    idx = g.integers(0, values.shape[-1], size=(_BOOTSTRAP_DRAWS, values.shape[-1]))
+    se = np.array([np.std(row[idx].mean(axis=1)) for row in np.atleast_2d(values)])
+    return float(se[0]) if values.ndim == 1 else se
 
 
 @dataclass(frozen=True)

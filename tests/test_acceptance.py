@@ -166,7 +166,7 @@ def test_criterion_05_weak_form_residual():
         for tag, M, h in (("c", 10_000, 0.01), ("f", 40_000, 0.005)):
             cfg = SolverConfig(horizon=1.0, dt=h, particles=M, seed=case.seed)
             path = propagate(case.w, case.m0, case.spec, cfg)
-            prof = weak_residual_profile(path, case.w, case.phi, 1.0, case.spec)
+            prof = weak_residual_profile(path, case.w, [case.phi], 1.0, case.spec)[0]
             out[tag] = (float(np.mean(prof)), bootstrap_stderr(prof, seed=1))
         (rc, sec), (rf, sef) = out["c"], out["f"]
         fitted = abs(rc - rf) / 0.005

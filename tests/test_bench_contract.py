@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbert_mfg import cli
+from hilbert_mfg import cli, fp_particles
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +50,21 @@ def test_workload_config_parses(name, tmp_path):
     cfg, _ = cli.parse_run_config(str(prep["ini"]), COMMANDS[type(wl)],
                                   out_override=str(tmp_path / "out"))
     assert cfg.seed == 11 and not (tmp_path / "out").exists()
+
+
+def test_solve_fp_audits_every_test_function_in_one_traced_call(tmp_path, monkeypatch):
+    # the fp_particles.weak_residual span wraps this name; solve-fp must
+    # resolve it, once, for all of its test functions
+    calls = []
+    original = fp_particles.weak_residual_profile
+
+    def counting(path, w, phis, t, spec):
+        calls.append(len(phis))
+        return original(path, w, phis, t, spec)
+
+    monkeypatch.setattr(fp_particles, "weak_residual_profile", counting)
+    ini = tmp_path / "fp.ini"
+    ini.write_text("[problem]\neigenvalues = -1 -4\nhorizon = 0.5\ndrift = const 0.3 -0.2\n\n"
+                   "[numerics]\ndt = 0.1\nparticles = 200\n\n[run]\nseed = 1\n")
+    assert cli.main(["solve-fp", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [2]

@@ -117,7 +117,7 @@ def test_weak_residual_zero_at_initial_time():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=200, seed=1)
     path = propagate(DriftField.zero(1), Dirac([0.4]), SPEC1, cfg)
     phi = FourierTestFunction(h=[1.0])
-    prof = weak_residual_profile(path, DriftField.zero(1), phi, 0.0, SPEC1)
+    prof = weak_residual_profile(path, DriftField.zero(1), [phi], 0.0, SPEC1)[0]
     assert np.all(prof == 0.0)
 
 
@@ -134,7 +134,7 @@ def test_weak_residual_stationary_invariant_law():
 
     cfg = SolverConfig(horizon=1.0, dt=0.01, particles=10_000, seed=case.seed)
     path = propagate(case.w, case.m0, case.spec, cfg)
-    prof = weak_residual_profile(path, case.w, case.phi, 1.0, case.spec)
+    prof = weak_residual_profile(path, case.w, [case.phi], 1.0, case.spec)[0]
     assert abs(prof.mean()) <= 3 * bootstrap_stderr(prof, seed=1)
 
 
@@ -154,7 +154,7 @@ def test_weak_residual_shrinks_under_refinement():
         for tag, M, h in (("coarse", 10_000, 0.01), ("fine", 40_000, 0.005)):
             cfg = SolverConfig(horizon=1.0, dt=h, particles=M, seed=case.seed)
             path = propagate(case.w, case.m0, case.spec, cfg)
-            prof = weak_residual_profile(path, case.w, case.phi, 1.0, case.spec)
+            prof = weak_residual_profile(path, case.w, [case.phi], 1.0, case.spec)[0]
             res[tag], se[tag] = abs(prof.mean()), bootstrap_stderr(prof, seed=1)
         assert res["fine"] < res["coarse"], case.label
         assert se["fine"] < se["coarse"], case.label
@@ -164,8 +164,61 @@ def test_residual_equals_profile_mean():
     case = residual_audit_cases()[0]
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=300, seed=2)
     path = propagate(case.w, case.m0, case.spec, cfg)
-    prof = weak_residual_profile(path, case.w, case.phi, 0.5, case.spec)
+    prof = weak_residual_profile(path, case.w, [case.phi], 0.5, case.spec)[0]
     assert weak_form_residual(path, case.w, case.phi, 0.5, case.spec) == pytest.approx(prof.mean())
+
+
+def _pointwise_profile(path, w, phi, t, spec):
+    """The weak residual of one test function from its pointwise methods."""
+    jt = int(np.argmin(np.abs(path.times - t)))
+    integrand = np.stack([
+        phi.dt(s, X) + phi.l0(spec, s, X) + np.sum(w(s, X) * phi.gradient(s, X), axis=-1)
+        for s, X in zip(path.times[: jt + 1], path.points[: jt + 1])], axis=1)
+    boundary = phi.value(t, path.points[jt]) - phi.value(0.0, path.points[0])
+    return boundary - np.trapezoid(integrand, x=path.times[: jt + 1], axis=1)
+
+
+def test_weak_residual_rows_equal_the_pointwise_closed_form():
+    spec = SpectrumSpec(eigenvalues=(-1.0, -4.0, -9.0))
+    cfg = SolverConfig(horizon=0.6, dt=0.05, particles=500, seed=3)
+    w = DriftField(fn=lambda t, X: 0.3 * np.cos(X + t), bound=0.6)
+    path = propagate(w, ProductGaussian(mean=[0.2, 0.0, -0.1], var=[0.2, 0.1, 0.05]),
+                     spec, cfg)
+    unit = [FourierTestFunction(h=h) for h in np.eye(3)]
+    prof = weak_residual_profile(path, w, unit, 0.6, spec)
+    assert prof.shape == (3, 500)
+    for row, phi in zip(prof, unit):
+        assert np.array_equal(row, _pointwise_profile(path, w, phi, 0.6, spec))
+    mixed = [FourierTestFunction(h=[0.7, -1.2, 0.4], theta=0.3, kind="sin",
+                                 psi=lambda t: np.exp(-t), dpsi=lambda t: -np.exp(-t)),
+             FourierTestFunction(h=[1.5, 0.0, 2.0], theta=-0.2),
+             FourierTestFunction(h=[0.0, 0.5, -0.3], kind="sin")]
+    prof = weak_residual_profile(path, w, mixed, 0.5, spec)
+    for row, phi in zip(prof, mixed):
+        assert np.allclose(row, _pointwise_profile(path, w, phi, 0.5, spec),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_weak_residual_evaluates_the_drift_once_per_mesh_time():
+    calls = []
+
+    def fn(t, X):
+        calls.append(t)
+        return np.zeros_like(X)
+
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0))
+    cfg = SolverConfig(horizon=0.5, dt=0.05, particles=40, seed=0)
+    path = propagate(DriftField.zero(3), Dirac([0.0, 0.0, 0.0]), spec, cfg)
+    phis = [FourierTestFunction(h=h) for h in np.eye(3)]
+    weak_residual_profile(path, DriftField(fn=fn, bound=0.0), phis, 0.3, spec)
+    assert calls == list(path.times[:7])
+
+
+def test_bootstrap_of_rows_equals_one_call_per_row():
+    values = np.random.default_rng(0).normal(size=(3, 257))
+    rows = bootstrap_stderr(values, seed=11)
+    assert rows.shape == (3,)
+    assert [float(x) for x in rows] == [bootstrap_stderr(v, seed=11) for v in values]
 
 
 def test_moment_bounds_hold_across_drift_sizes():
@@ -235,6 +288,20 @@ def test_non_finite_drift_is_fatal():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=10, seed=0)
     with pytest.raises(FloatingPointError):
         propagate(w, Dirac([0.0]), SPEC1, cfg)
+
+
+def test_infinite_drift_value_is_fatal():
+    w = DriftField(fn=lambda t, X: np.where(X > 0.5, np.inf, 0.0), bound=1.0)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        w(0.0, np.array([[0.0, 0.0], [0.0, 0.7]]))
+
+
+def test_drift_breaking_its_bound_on_one_row_is_fatal():
+    w = DriftField(fn=lambda t, X: X, bound=1.0)
+    X = np.array([[0.6, 0.8], [0.1, 0.2], [0.6, 0.81]])
+    assert np.array_equal(w(0.0, X[:2]), X[:2])  # |w| = 1 on the first row is allowed
+    with pytest.raises(ValueError, match="bound violated"):
+        w(0.0, X)
 
 
 def test_non_finite_drift_in_the_weak_residual_is_fatal():
