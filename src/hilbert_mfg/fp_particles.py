@@ -65,7 +65,12 @@ class DriftField:
             raise ValueError("drift returned shape %s for points %s" % (w.shape, X.shape))
         worst = float(np.sqrt(np.max(np.einsum("...i,...i->...", w, w)))) if w.size else 0.0
         if not math.isfinite(worst):  # np.max carries a nan through, and nan > bound is False
-            raise FloatingPointError("drift %r returned a non-finite value" % self.label)
+            if not np.isfinite(w).all():
+                raise FloatingPointError("drift %r returned a non-finite value" % self.label)
+            # a finite drift above ~1.3e154 overflows when squared: rescale first
+            scale = float(np.max(np.abs(w)))
+            u = w / scale
+            worst = scale * float(np.sqrt(np.max(np.einsum("...i,...i->...", u, u))))
         if worst > self.bound + 1e-9:
             raise ValueError(
                 "drift bound violated: |w| = %.6g exceeds declared %.6g" % (worst, self.bound)

@@ -8,14 +8,17 @@ that array.  Every moment audit reads one routine, `moments`, which takes
 any (..., M, N) stack of clouds.  A path directory holds `times.csv` and
 that array as one `points.npy` (NumPy .npy format, no pickles).
 
-Every W1 goes through one dispatcher over pairs, `_pair_distances`, and
-each caller names the method once by one rule, `w1_method`.  On one mode
-the sorted coupling is optimal, so W1 is exact for any particle count at
-the cost of a sort.  On N >= 2 modes exact W1 between equal-count clouds
-is the linear assignment problem with Euclidean ground cost; beyond the
-configured budget a sliced surrogate (average of 1-D sorted-coupling
-distances over random unit directions) is used.  All randomized
-surrogates are deterministic functions of their seed.
+Every distance compares two clouds, or two paths, of one mode count and
+one particle count, and refuses any other pair through one check,
+`_require_compatible`.  Every W1 goes through one dispatcher over pairs,
+`_pair_distances`, and each caller names the method once by one rule,
+`w1_method`.  Between equal-weight clouds of one count W1 is an
+assignment problem.  On one mode the sorted coupling solves it, so W1 is
+exact at the cost of a sort.  On N >= 2 modes exact W1 is the linear
+assignment with Euclidean ground cost; beyond the configured budget a
+sliced surrogate (average of 1-D sorted-coupling distances over random
+unit directions) is used.  All randomized surrogates are deterministic
+functions of their seed.
 
 Every sorted distance has one layout.  A cloud's profile is its
 projections `dirs @ points.T` on P unit directions, a (P, M) array with
@@ -24,8 +27,8 @@ mode is the case of the single direction [[1.0]], whose projection is the
 coordinate itself.  The dispatcher draws the directions once per call and,
 in a working set of two row times, sorts each cloud once per block of rows
 instead of twice per pair: `path_modulus` hands it the mesh times and
-their pairs, `path_sup_distance` the reconciled clouds of both paths
-interleaved with the pairs (2t, 2t + 1), `wasserstein1_sliced` one pair.
+their pairs, `path_sup_distance` the clouds of both paths interleaved
+with the pairs (2t, 2t + 1), `wasserstein1_sliced` one pair.
 """
 
 import itertools
@@ -39,11 +42,7 @@ from . import rng
 from .config import same_mesh
 from .tables import write_table
 
-# Resampling cap when reconciling unequal particle counts to a common size.
-_COMMON_SIZE_CAP = 4096
-
 # Stream tags for the auxiliary randomness consumers in this module.
-_TAG_RESAMPLE = 0xC0
 _TAG_SLICE = 0x51
 _TAG_POOL_A = 0xA0
 _TAG_POOL_B = 0xB0
@@ -105,7 +104,7 @@ class MeasurePath:
         pts = np.ascontiguousarray(self.points, dtype=float)
         if pts.ndim != 3 or t.ndim != 1 or len(t) != len(pts):
             raise ValueError("points must be a (J+1, M, N) array aligned with the times")
-        if len(t) < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        if len(t) < 1 or t[0] != 0.0 or not (np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
             raise ValueError("times must start at 0 and increase strictly")
         t.flags.writeable = False
         pts.flags.writeable = False
@@ -234,37 +233,24 @@ class ProductGaussian:
 # Wasserstein-1
 
 
-def _require_compatible(mu, nu):
-    if mu.N != nu.N:
-        raise ValueError("mode count mismatch: %d vs %d" % (mu.N, nu.N))
+def _require_compatible(a, b):
+    """The one check of two clouds or two paths: one mode count and one
+    particle count."""
+    if a.N != b.N:
+        raise ValueError("mode count mismatch: %d vs %d" % (a.N, b.N))
+    if a.M != b.M:
+        raise ValueError("particle count mismatch: %d vs %d" % (a.M, b.M))
 
 
-def _common_size(mu, nu, seed):
-    """Reconcile unequal counts: exact lcm replication when it fits the cap,
-    deterministic bootstrap to the cap otherwise."""
-    if mu.M == nu.M:
-        return mu, nu
-    common = math.lcm(mu.M, nu.M)
-    if common <= _COMMON_SIZE_CAP:
-        a = np.repeat(mu.points, common // mu.M, axis=0)
-        b = np.repeat(nu.points, common // nu.M, axis=0)
-    else:
-        g = rng.generator(seed, _TAG_RESAMPLE)
-        a = mu.points[g.integers(0, mu.M, _COMMON_SIZE_CAP)]
-        b = nu.points[g.integers(0, nu.M, _COMMON_SIZE_CAP)]
-    return ParticleMeasure(a), ParticleMeasure(b)
-
-
-def wasserstein1(mu, nu, seed=0):
-    """Exact W1 between equal-weight clouds: linear assignment with Euclidean
-    ground cost.  Unequal counts are first reconciled to a common size."""
+def wasserstein1(mu, nu):
+    """Exact W1 between equal-weight clouds of one particle count: linear
+    assignment with Euclidean ground cost."""
     # imported here: only exact W1 on N >= 2 modes runs an assignment, and
     # importing scipy.optimize is about a third of `import hilbert_mfg.mfg`
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
     _require_compatible(mu, nu)
-    mu, nu = _common_size(mu, nu, seed)
     cost = cdist(mu.points, nu.points)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
@@ -305,8 +291,8 @@ def _gap(a, b, out):
 
 
 def w1_method(n_modes, n_points, exact_budget):
-    """The one rule for how W1 between clouds of up to `n_points` points is
-    taken: "exact" on one mode (the sorted coupling, optimal at any count)
+    """The one rule for how W1 between clouds of `n_points` points each is
+    taken: "exact" on one mode (the sorted coupling, an optimal assignment)
     and within the budget on N >= 2 modes (assignment), "sliced" beyond."""
     return "exact" if n_modes == 1 or n_points <= exact_budget else "sliced"
 
@@ -325,7 +311,7 @@ def _pair_distances(clouds, pairs, method, projections, seed):
     otherwise, so a single pair holds two profiles and no call more than
     four: two rows, one streamed time and the buffer."""
     if method == "exact" and clouds[0].N > 1:
-        return np.array([wasserstein1(clouds[i], clouds[j], seed=seed) for i, j in pairs])
+        return np.array([wasserstein1(clouds[i], clouds[j]) for i, j in pairs])
     dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, clouds[0].N)
     dists, buf = np.empty(len(pairs)), None
     for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
@@ -352,8 +338,7 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     """Sliced surrogate: average over random unit directions of the 1-D
     sorted-coupling W1 of the projected samples."""
     _require_compatible(mu, nu)
-    return float(_pair_distances(_common_size(mu, nu, seed), [(0, 1)], "sliced",
-                                 projections, seed)[0])
+    return float(_pair_distances((mu, nu), [(0, 1)], "sliced", projections, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +347,12 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
 
 def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
     """sup over mesh points of d_1(m1(t), m2(t)), each taken as `w1_method`
-    names for the larger particle count: on N >= 2 modes the sliced
-    surrogate beyond the exact budget."""
+    names: on N >= 2 modes the sliced surrogate beyond the exact budget."""
     if not same_mesh(m1.times, m2.times):
         raise ValueError("paths live on different meshes")
     _require_compatible(m1, m2)
-    method = w1_method(m1.N, max(m1.M, m2.M), exact_budget)
-    clouds = [c for a, b in zip(m1.measures, m2.measures) for c in _common_size(a, b, seed)]
+    method = w1_method(m1.N, m1.M, exact_budget)
+    clouds = [c for pair in zip(m1.measures, m2.measures) for c in pair]
     pairs = [(2 * t, 2 * t + 1) for t in range(len(m1.measures))]
     return float(_pair_distances(clouds, pairs, method, projections, seed).max())
 
@@ -423,10 +407,8 @@ def mixture_paths(path_a, path_b, lam, seed=0):
         raise ValueError("lam: must lie in [0, 1], got %r" % (lam,))
     if not same_mesh(path_a.times, path_b.times):
         raise ValueError("paths live on different meshes")
-    M = path_a.M
-    if M != path_b.M:
-        raise ValueError("pooling requires equal particle counts")
-    ia, ib = _pool_indices(M, lam, seed)
+    _require_compatible(path_a, path_b)
+    ia, ib = _pool_indices(path_a.M, lam, seed)
     points = np.concatenate([path_a.points[:, ia], path_b.points[:, ib]], axis=1)
     return MeasurePath(times=path_a.times, points=points)
 

@@ -77,8 +77,8 @@ def validate_spectrum(spec):
     lam = spec.lam
     if spec.N < 1:
         violations.append("eigenvalues: empty spectrum (N must be >= 1)")
-    if np.any(lam >= 0):
-        violations.append("eigenvalues: all must be negative")
+    if not np.all(np.isfinite(lam) & (lam < 0)):
+        violations.append("eigenvalues: all must be finite and negative")
     if np.any(np.diff(lam) > 0):
         violations.append("eigenvalues: must be non-increasing (lambda_1 >= lambda_2 >= ...), "
                           "got %s" % " ".join("%g" % l for l in lam))

@@ -296,6 +296,16 @@ def test_infinite_drift_value_is_fatal():
         w(0.0, np.array([[0.0, 0.0], [0.0, 0.7]]))
 
 
+def test_a_drift_too_large_to_square_is_checked_against_its_bound():
+    X = np.zeros((2, 1))
+    huge = lambda t, X: np.full_like(X, 1e200)
+    assert np.array_equal(DriftField(fn=huge, bound=1e300)(0.0, X), np.full((2, 1), 1e200))
+    with pytest.raises(ValueError, match="drift bound violated"):
+        DriftField(fn=huge, bound=1e100)(0.0, X)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        DriftField(fn=lambda t, X: np.full_like(X, np.nan), bound=1e300)(0.0, X)
+
+
 def test_drift_breaking_its_bound_on_one_row_is_fatal():
     w = DriftField(fn=lambda t, X: X, bound=1.0)
     X = np.array([[0.6, 0.8], [0.1, 0.2], [0.6, 0.81]])

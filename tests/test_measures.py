@@ -1,7 +1,6 @@
 """Measure kit: exact/sliced W1, moments, path functionals, pooling
 mixtures, and path-directory round trips."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -84,13 +83,20 @@ def test_w1_matches_sorted_formula_in_1d():
         assert exact == pytest.approx(sorted_formula, abs=1e-10)
 
 
-def test_w1_unequal_counts_lcm_replication():
-    mu = ParticleMeasure([[0.0], [1.0]])
-    nu = ParticleMeasure([[0.0], [0.5], [1.0]])
-    # lcm = 6; sorted coupling of the replicated clouds
-    a = np.sort(np.repeat([0.0, 1.0], 3))
-    b = np.sort(np.repeat([0.0, 0.5, 1.0], 2))
-    assert wasserstein1(mu, nu) == pytest.approx(np.mean(np.abs(a - b)), abs=1e-12)
+def zero_path(M, N=1):
+    """A path of M particles at the origin of N modes over two mesh times."""
+    return MeasurePath(times=[0.0, 1.0], points=np.zeros((2, M, N)))
+
+
+@pytest.mark.parametrize("distance", [
+    lambda a, b: wasserstein1(a.measures[0], b.measures[0]),
+    lambda a, b: wasserstein1_sliced(a.measures[0], b.measures[0]),
+    path_sup_distance,
+    lambda a, b: mixture_paths(a, b, 0.5),
+], ids=["wasserstein1", "wasserstein1_sliced", "path_sup_distance", "mixture_paths"])
+def test_distances_refuse_unequal_particle_counts(distance):
+    with pytest.raises(ValueError, match="particle count mismatch: 2 vs 3"):
+        distance(zero_path(2), zero_path(3))
 
 
 def test_w1_mode_mismatch_rejected():
@@ -103,6 +109,13 @@ def test_empty_measure_rejected():
         ParticleMeasure(np.empty((0, 1)))
     with pytest.raises(ValueError):
         ParticleMeasure([[np.nan]])
+
+
+@pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]],
+                         ids=["nan", "inf"])
+def test_measure_path_refuses_non_finite_times(times):
+    with pytest.raises(ValueError, match="times must start at 0 and increase strictly"):
+        MeasurePath(times=times, points=np.zeros((3, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +252,15 @@ _COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.5, 0.0, 0.25, 2.
 
 @st.composite
 def one_mode_paths(draw):
-    """Two 1-D paths over three mesh times, at most 200 points per cloud;
-    each path has one particle count, the two counts share a factor, so
-    unequal counts meet by exact lcm replication."""
-    base = draw(st.integers(1, 50))
-    return [draw(arrays(np.float64, (3, base * draw(st.integers(1, 4)), 1),
-                        elements=_COORDS))
-            for _ in range(2)]
+    """Two 1-D paths over three mesh times of one particle count, at most
+    200 points per cloud."""
+    M = draw(st.integers(1, 50)) * draw(st.integers(1, 4))
+    return [draw(arrays(np.float64, (3, M, 1), elements=_COORDS)) for _ in range(2)]
 
 
 def sorted_gap_1d(mu, nu):
-    """1-D W1 written out: the mean gap of the sorted coordinates, unequal
-    counts replicated to their lcm."""
-    common = math.lcm(mu.M, nu.M)
-    x = np.repeat(mu.points[:, 0], common // mu.M)
-    y = np.repeat(nu.points[:, 0], common // nu.M)
-    return np.abs(np.sort(x) - np.sort(y)).mean()
+    """1-D W1 written out: the mean gap of the sorted coordinates."""
+    return np.abs(np.sort(mu.points[:, 0]) - np.sort(nu.points[:, 0])).mean()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -330,7 +336,6 @@ def direction_major_sliced(mu, nu, projections, seed):
     """The sliced surrogate written in the (P, M) layout: both clouds'
     projections `dirs @ points.T`, each row sorted, the gaps averaged."""
     dirs = measures._slice_directions(seed, projections, mu.N)
-    mu, nu = measures._common_size(mu, nu, seed)
     a, b = dirs @ mu.points.T, dirs @ nu.points.T
     a.sort(axis=-1)
     b.sort(axis=-1)
@@ -366,19 +371,17 @@ def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
 
 @st.composite
 def sliced_path_pairs(draw):
-    """Two paths of N in {2, 3} modes over 5 to 7 mesh times whose time
-    gaps differ pairwise.  Their particle counts may differ, with lcm
-    replication and the bootstrap beyond the common-size cap both
-    reached; coordinates are rounded to a drawn number of decimals, so
-    some tie."""
+    """Two paths of N in {2, 3} modes and one particle count over 5 to 7
+    mesh times whose time gaps differ pairwise; coordinates are rounded to
+    a drawn number of decimals, so some tie."""
     n_times, n_modes = draw(st.integers(5, 7)), draw(st.integers(2, 3))
     times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(n_times - 1)])
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     decimals = draw(st.integers(0, 6))
+    M = draw(st.sampled_from([1, 7, 48, 89, 97, 300, 1000]))
     return [MeasurePath(times=times,
                         points=np.round(gen.standard_normal((n_times, M, n_modes)), decimals))
-            for M in draw(st.lists(st.sampled_from([1, 7, 48, 89, 97, 300, 1000]),
-                                   min_size=2, max_size=2))]
+            for _ in range(2)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -523,6 +526,11 @@ def test_mixture_refuses_a_share_outside_the_unit_interval(lam):
     pa = MeasurePath(times=[0.0], points=np.zeros((1, 10, 1)))
     with pytest.raises(ValueError, match="^lam: must lie in \\[0, 1\\]"):
         mixture_paths(pa, pa, lam)
+
+
+def test_mixture_refuses_a_mode_mismatch():
+    with pytest.raises(ValueError, match="mode count mismatch: 1 vs 2"):
+        mixture_paths(zero_path(4, 1), zero_path(4, 2), 0.5)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

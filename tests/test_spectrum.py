@@ -53,6 +53,8 @@ def test_validate_positive_eigenvalue_rejected():
     (SpectrumSpec((-1.0,), family=("power", -1.0, 2.0)), "family"),
     (SpectrumSpec((-1.0,), family=("power", 1.0, -2.0)), "family"),
     (SpectrumSpec((-1.0, -2.0), family=("power", 1.0, 2.0)), "family"),
+    (SpectrumSpec((float("nan"),)), "eigenvalues"),
+    (SpectrumSpec((-float("inf"),)), "eigenvalues"),
 ])
 def test_each_violation_leads_with_its_config_key(spec, key):
     rep = validate_spectrum(spec)

@@ -4,9 +4,10 @@ and no defaulted parameter is a knob that no caller sets.
 No linter ships with the project, so this walks the syntax tree of every
 module in src/, tests/ and demos/.  A renamed or deleted export can hide
 behind a dead import line; the package __init__ is exempt, since its
-imports are its exports.  A module-level private function or class of src/
-(a leading underscore, dunders exempt) must be read somewhere in src/, so
-a helper that a refactor leaves without callers shows here.  A parameter
+imports are its exports.  A module-level private function, class or
+constant of src/ (a leading underscore, dunders exempt) must be read
+somewhere in src/, so a helper or a constant that a refactor leaves
+without readers shows here.  A parameter
 with a default in a src/ function must be given, by keyword or by
 position, by some call in src/, tests/ or demos/; calls are matched by the
 called name alone, so a parameter that only a same-named function's
@@ -50,24 +51,35 @@ def test_every_imported_name_is_used(path):
 
 
 def private_definitions(source):
-    """(line, name) of each module-level private function and class."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+    """(line, name) of each module-level private function, class and
+    assigned name."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def read_names(source):
-    """Every name an expression reads, bare or as an attribute."""
+    """Every name an expression reads, bare or as an attribute; a bare name
+    that is only assigned is not read."""
     tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def test_the_scan_sees_read_and_orphaned_helpers():
     source = ("def _used():\n    pass\ndef _orphan():\n    pass\nclass _Cls:\n    pass\n"
-              "def __dunder__():\n    pass\ndef public():\n    return _used() + m._Cls\n")
+              "def __dunder__():\n    pass\ndef public():\n    return _used() + m._Cls + _READ\n"
+              "_READ = 1\n_ORPHAN: int = 2\n__all__ = []\n")
     read = read_names(source)
-    assert [d for d in private_definitions(source) if d[1] not in read] == [(3, "_orphan")]
+    assert [d for d in private_definitions(source) if d[1] not in read] == [
+        (3, "_orphan"), (12, "_ORPHAN")]
 
 
 def test_every_private_helper_in_src_is_read():
