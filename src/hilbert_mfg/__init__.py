@@ -36,7 +36,8 @@ _EXPORTS = {
     "measures": (
         "Dirac", "MeasurePath", "ParticleMeasure", "ProductGaussian",
         "mixture_paths", "path_from_dir", "path_modulus", "path_sup_distance",
-        "path_to_dir", "w1_method", "wasserstein1", "wasserstein1_sliced",
+        "path_sup_distances", "path_to_dir", "w1_method", "wasserstein1",
+        "wasserstein1_sliced",
     ),
     "mfg": (
         "MFGProblem", "MFGSolution", "calibrate_c0", "drift_from_gradient",

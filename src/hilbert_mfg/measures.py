@@ -26,9 +26,11 @@ each row sorted, and a distance is the mean |a - b| of two profiles.  One
 mode is the case of the single direction [[1.0]], whose projection is the
 coordinate itself.  The dispatcher draws the directions once per call and,
 in a working set of two row times, sorts each cloud once per block of rows
-instead of twice per pair: `path_modulus` hands it the mesh times and
-their pairs, `path_sup_distance` the clouds of both paths interleaved
-with the pairs (2t, 2t + 1), `wasserstein1_sliced` one pair.
+instead of twice per pair, projecting into profile buffers it reuses for
+the length of the call: `path_modulus` hands it the mesh times and their
+pairs, `path_sup_distances` the clouds [ref(t), o_1(t), ...] of a
+reference path and its others with the pairs from ref(t), so each ref(t)
+is sorted once for all the others, and `wasserstein1_sliced` one pair.
 """
 
 import itertools
@@ -273,12 +275,13 @@ def _slice_directions(seed, projections, n_modes):
 _UNIT = np.ones((1, 1))
 
 
-def _sorted_profile(points, dirs):
-    """One cloud's sorted profile: its projections `dirs @ points.T` on the
-    (P, N) unit directions, (P, M), each row sorted in contiguous memory."""
-    profile = dirs @ points.T
-    profile.sort(axis=-1)
-    return profile
+def _sorted_profile(points, dirs, out):
+    """One cloud's sorted profile, written into the (P, M) buffer `out`: its
+    projections `dirs @ points.T` on the (P, N) unit directions, each row
+    sorted in place."""
+    np.matmul(dirs, points.T, out=out)
+    out.sort(axis=-1)
+    return out
 
 
 def _gap(a, b, out):
@@ -307,13 +310,20 @@ def _pair_distances(clouds, pairs, method, projections, seed):
     The pairs are taken in blocks of two row times i in {b, b + 1}.  A
     block holds its row profiles and streams each later time its pairs
     need, once, so each cloud is sorted once per block.  A gap is written
-    into the streamed profile at its last use and into one buffer
-    otherwise, so a single pair holds two profiles and no call more than
-    four: two rows, one streamed time and the buffer."""
+    into the streamed profile at its last use and into a scratch profile
+    otherwise.  A profile no longer read goes back to a free list that the
+    next one is projected into, so a single pair holds two profiles and no
+    call more than four: two rows, one streamed time and the scratch."""
     if method == "exact" and clouds[0].N > 1:
         return np.array([wasserstein1(clouds[i], clouds[j]) for i, j in pairs])
     dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, clouds[0].N)
-    dists, buf = np.empty(len(pairs)), None
+    shape = (len(dirs), clouds[0].M)
+    free = []  # profiles no longer read, for the length of this call
+
+    def take():
+        return free.pop() if free else np.empty(shape)
+
+    dists = np.empty(len(pairs))
     for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
         partners = {}  # time -> (pair index, row time) of the pairs ending there
         for n, (i, j) in block:
@@ -322,15 +332,18 @@ def _pair_distances(clouds, pairs, method, projections, seed):
         last_row = i  # the pairs come in (i, j) order
         held = {}
         for t in sorted(partners):
-            profile = _sorted_profile(clouds[t].points, dirs)
+            profile = _sorted_profile(clouds[t].points, dirs, take())
             for n, row in partners[t]:
                 last_use = t > last_row and n == partners[t][-1][0]
-                if not last_use and buf is None:
-                    buf = np.empty_like(profile)
-                dists[n] = _gap(held[row], profile, out=profile if last_use else buf)
+                out = profile if last_use else take()
+                dists[n] = _gap(held[row], profile, out=out)
+                if not last_use:
+                    free.append(out)
             if t <= last_row:
                 held[t] = profile
-            del profile  # a streamed time is dropped before the next is sorted
+            else:
+                free.append(profile)  # a streamed time is done before the next is sorted
+        free.extend(held.values())
     return dists
 
 
@@ -345,16 +358,27 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
 # Path functionals
 
 
+def path_sup_distances(ref, others, exact_budget=512, projections=64, seed=0):
+    """[sup over mesh points of d_1(ref(t), o(t)) for each path o in others],
+    each d_1 taken as `w1_method` names: on N >= 2 modes the sliced
+    surrogate beyond the exact budget.  One dispatcher call, so one draw
+    of directions serves every other path and each ref(t) is sorted once."""
+    for o in others:
+        if not same_mesh(ref.times, o.times):
+            raise ValueError("paths live on different meshes")
+        _require_compatible(ref, o)
+    K = len(others)
+    method = w1_method(ref.N, ref.M, exact_budget)
+    clouds = [c for row in zip(ref.measures, *(o.measures for o in others)) for c in row]
+    pairs = [(base, base + 1 + k) for base in range(0, len(clouds), K + 1) for k in range(K)]
+    dists = _pair_distances(clouds, pairs, method, projections, seed)
+    return dists.reshape(len(ref.times), K).max(axis=0).tolist()
+
+
 def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
-    """sup over mesh points of d_1(m1(t), m2(t)), each taken as `w1_method`
-    names: on N >= 2 modes the sliced surrogate beyond the exact budget."""
-    if not same_mesh(m1.times, m2.times):
-        raise ValueError("paths live on different meshes")
-    _require_compatible(m1, m2)
-    method = w1_method(m1.N, m1.M, exact_budget)
-    clouds = [c for pair in zip(m1.measures, m2.measures) for c in pair]
-    pairs = [(2 * t, 2 * t + 1) for t in range(len(m1.measures))]
-    return float(_pair_distances(clouds, pairs, method, projections, seed).max())
+    """sup over mesh points of d_1(m1(t), m2(t)): `path_sup_distances` with
+    the one other path m2."""
+    return path_sup_distances(m1, [m2], exact_budget, projections, seed)[0]
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .measures import (
     moments,
     path_modulus,
     path_sup_distance,
+    path_sup_distances,
     w1_method,
 )
 from .spectrum import stationary_variances
@@ -94,7 +95,7 @@ class MFGSolution:
     status: str
     iterations: tuple
     psi_residual: float
-    psi_residual_stderr: float
+    psi_residual_stderr: float  # of the three repeats; they share one sliced direction draw
     audit: object
     w1_method: str  # "exact" or "sliced": how the certificate distances were taken
 
@@ -155,11 +156,6 @@ def psi_map(problem, m, config, fp_seed=None):
     return _transport(problem, _best_response_value(problem, m, config), m, config, seed)
 
 
-def _distance(a, b, config, seed):
-    return path_sup_distance(a, b, exact_budget=config.exact_w1_budget,
-                             projections=config.sliced_projections, seed=seed)
-
-
 def fixed_point_iterate(problem, config, initial=None):
     """Damped iteration of the best-response map.
 
@@ -175,6 +171,13 @@ def fixed_point_iterate(problem, config, initial=None):
     value solve of the run shares one ValueGrid, so the plan of the time
     integral is built once.  A stalled inner value solve raises
     ValueSolveStalled carrying the iteration records completed so far.
+
+    Each iteration takes the psi residual and the change in one
+    `path_sup_distances` call from m_j, and the certificate takes its three
+    repeats in one call from the final path, so each reference path is
+    sorted once per round.  The three repeats share one draw of sliced
+    directions: their stderr measures transport noise only, and direction
+    noise cannot widen the budget fp_tol + 3 stderr.
     """
     _check_config(problem, config)
     seed = int(config.seed)
@@ -201,10 +204,11 @@ def fixed_point_iterate(problem, config, initial=None):
         t0 = time.perf_counter()
         v = _best_response_value(problem, m, config, grid, records)
         psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
-        psi_res = _distance(psi_j, m, config, rng.derive_seed(seed, _TAG_DIST, j, 0))
         m_next = mixture_paths(m, psi_j, 1.0 - theta,
                                seed=rng.derive_seed(seed, _TAG_MIX, j))
-        change = _distance(m_next, m, config, rng.derive_seed(seed, _TAG_DIST, j, 1))
+        psi_res, change = path_sup_distances(
+            m, [psi_j, m_next], config.exact_w1_budget, config.sliced_projections,
+            rng.derive_seed(seed, _TAG_DIST, j))
         records.append(IterationRecord(index=j, rho_change=change,
                                        psi_residual=psi_res, theta=theta,
                                        wallclock=time.perf_counter() - t0))
@@ -223,10 +227,10 @@ def fixed_point_iterate(problem, config, initial=None):
             break
 
     v = _best_response_value(problem, m, config, grid, records)
-    repeats = []
-    for r in range(3):
-        psi_r = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
-        repeats.append(_distance(psi_r, m, config, rng.derive_seed(seed, _TAG_DIST, 0, r)))
+    psis = [_transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
+            for r in range(3)]
+    repeats = path_sup_distances(m, psis, config.exact_w1_budget, config.sliced_projections,
+                                 rng.derive_seed(seed, _TAG_DIST, 0))
     psi_residual = float(np.mean(repeats))
     psi_stderr = float(np.std(repeats) / math.sqrt(len(repeats)))
     audit = moment_bound_audit(problem, m, config)
@@ -363,8 +367,9 @@ def uniqueness_experiment(problem, start_a, start_b, config):
     sol_a, sol_b = sols
     rho = vsup = math.nan
     if sol_a is not None and sol_b is not None:
-        rho = _distance(sol_a.m, sol_b.m, config,
-                        rng.derive_seed(config.seed, _TAG_DIST, 0xA, 0xB))
+        rho = path_sup_distance(sol_a.m, sol_b.m, config.exact_w1_budget,
+                                config.sliced_projections,
+                                rng.derive_seed(config.seed, _TAG_DIST, 0xA, 0xB))
         vsup = float(np.max(np.abs(sol_a.v.values - sol_b.v.values)))
     status = ["value-solve-stalled" if sol is None else sol.status for sol in sols]
     return UniquenessReport(rho, vsup, *status), sol_a, sol_b

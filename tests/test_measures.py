@@ -20,6 +20,7 @@ from hilbert_mfg.measures import (
     path_from_dir,
     path_modulus,
     path_sup_distance,
+    path_sup_distances,
     path_to_dir,
     w1_method,
     wasserstein1,
@@ -246,6 +247,34 @@ def test_two_mode_sliced_path_sup_distance_draws_directions_once(monkeypatch):
     assert calls == {"_sorted_profile": 22, "_slice_directions": 1}
 
 
+@pytest.mark.parametrize("M, N, budget", [(30, 1, 8), (40, 2, 16), (40, 2, 512)],
+                         ids=["one-mode", "two-mode-sliced", "two-mode-exact"])
+def test_path_sup_distances_equal_one_path_at_a_time(M, N, budget):
+    """One call against several paths returns, bit for bit, what one call
+    per path at the same seed returns."""
+    gen = np.random.default_rng(7)
+    ref, a, b = (MeasurePath(times=np.linspace(0.0, 1.0, 4),
+                             points=gen.standard_normal((4, M, N)) + shift)
+                 for shift in (0.0, 0.3, -0.5))
+    for seed in (0, 5):
+        got = path_sup_distances(ref, [a, b], exact_budget=budget, projections=8, seed=seed)
+        assert got == [path_sup_distance(ref, other, exact_budget=budget, projections=8,
+                                         seed=seed) for other in (a, b)]
+
+
+def test_path_sup_distances_check_every_other_path():
+    times = np.linspace(0.0, 1.0, 3)
+    ref = MeasurePath(times=times, points=np.zeros((3, 2, 1)))
+    fine = MeasurePath(times=np.linspace(0.0, 1.0, 5), points=np.zeros((5, 2, 1)))
+    for bad, message in ((fine, "paths live on different meshes"),
+                         (MeasurePath(times=times, points=np.zeros((3, 3, 1))),
+                          "particle count mismatch: 2 vs 3"),
+                         (MeasurePath(times=times, points=np.zeros((3, 2, 2))),
+                          "mode count mismatch: 1 vs 2")):
+        with pytest.raises(ValueError, match=message):
+            path_sup_distances(ref, [ref, bad])
+
+
 # coordinates mix a continuum with a few repeated values, so clouds tie
 _COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.5, 0.0, 0.25, 2.0]))
 
@@ -445,6 +474,10 @@ def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(mo
     # one pair at a time, the same two profiles
     assert peak_bytes(lambda: path_sup_distance(path, path, exact_budget=512,
                                                 projections=P)) <= 2.1 * profile
+    # the reference profile and one other at a time, each projected into a
+    # reused buffer
+    assert peak_bytes(lambda: path_sup_distances(path, [path, path, path], exact_budget=512,
+                                                 projections=P)) <= 2.1 * profile
 
     sorted_profile = measures._sorted_profile
     calls = []

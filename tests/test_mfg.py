@@ -30,6 +30,7 @@ from hilbert_mfg.measures import (
     moments,
     path_modulus,
     path_sup_distance,
+    path_sup_distances,
 )
 from hilbert_mfg.mfg import (
     MFGProblem,
@@ -352,6 +353,49 @@ def test_one_value_solve_per_law_path(monkeypatch):
     assert np.array_equal(sol.v.values, fresh.values)
     assert np.array_equal(sol.v.grads, fresh.grads)
     assert sol.v.history == fresh.history
+
+
+def test_a_sliced_fixed_point_sorts_each_reference_path_once_per_round(monkeypatch):
+    """Each iteration sorts m_j, psi_j and m_{j+1} once, the certificate
+    the final path and its three repeats once: (J+1)(3 iterations + 4)
+    sorted profiles, plus those of the audit's modulus."""
+    from hilbert_mfg import measures
+
+    cfg = SolverConfig(dt=0.25, particles=300, grid_points=12, quad_nodes=6, tau_nodes=9,
+                       fp_tol=5e-2, fp_max=4, exact_w1_budget=64, sliced_projections=8,
+                       seed=3)
+    sorted_profile, calls = measures._sorted_profile, []
+    monkeypatch.setattr(measures, "_sorted_profile",
+                        lambda *args: calls.append(1) or sorted_profile(*args))
+    sol = fixed_point_iterate(make_model("cap2d_f2"), cfg)
+    assert sol.w1_method == "sliced" and len(sol.iterations) >= 2
+    run_sorts = len(calls)
+    calls.clear()
+    path_modulus(sol.m, exact_budget=cfg.exact_w1_budget, projections=cfg.sliced_projections)
+    n_times = len(cfg.mesh())
+    assert run_sorts == n_times * (3 * len(sol.iterations) + 4) + len(calls)
+
+
+def test_one_mode_records_equal_the_pairwise_path_distances(monkeypatch):
+    """On one mode the round's one call returns what a call per pair does:
+    the records and the certificate read the pairwise sup distances."""
+    import hilbert_mfg.mfg as mfg_mod
+
+    rounds = []
+
+    def recording(ref, others, *args):
+        rounds.append((ref, list(others)))
+        return path_sup_distances(ref, others, *args)
+
+    monkeypatch.setattr(mfg_mod, "path_sup_distances", recording)
+    sol = fixed_point_iterate(make_model("cap1d_monotone"), SMALL)
+    assert len(rounds) == len(sol.iterations) + 1
+    for rec, (m, (psi, m_next)) in zip(sol.iterations, rounds):
+        assert rec.psi_residual == path_sup_distance(m, psi)
+        assert rec.rho_change == path_sup_distance(m, m_next)
+    m, psis = rounds[-1]
+    assert m is sol.m and len(psis) == 3
+    assert sol.psi_residual == float(np.mean([path_sup_distance(m, p) for p in psis]))
 
 
 def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
