@@ -37,26 +37,28 @@ each point's cell and hat weights once and shares them across both time
 slices and every gradient component, and interpolates one mode at a time,
 mode 0 first, each step (1 - y) lo + y hi.
 
-A sweep reads no point cloud.  At each (t_j, tau) node it tabulates the
-integrand H(x, Dv(s, x), m(s)) once, on the G^N grid nodes, with Dv the
-stored gradient table mixed in time, and applies the semigroup to the
-multilinear interpolant of that table.  The images of the grid nodes form
-a tensor product (in mode k the (G, Q) table decay_k x_i + sd_k z_q), so
-the quadrature of the interpolant factorises into one (G, G) operator per
-mode,
+A sweep reads no point cloud.  Per mesh time t_j it tabulates the
+integrand H(x, Dv(s, x), m(s)) on the G^N grid nodes at all n tau nodes at
+once, with Dv the stored gradient table mixed in time, and applies the
+semigroup to the multilinear interpolant of each node's table.  The images
+of the grid nodes form a tensor product (in mode k the (G, Q) table
+decay_k x_i + sd_k z_q), so the quadrature of the interpolant factorises
+into one (G, G) operator per mode,
 
     K_k[i, i'] = sum_q w_q hat_{i'}(clip(decay_k x_i + sd_k z_q)),
 
 applied as a mode product; gradient component k uses the weights
 w_q z_q Lambda_k in mode k and K_l in every other mode l.  Hat weights are
 nonnegative and each row of K_k sums to sum_q w_q = 1, so the applied
-operator averages: the image of a table is bounded by its sup norm.  The
-operators are built once per grid, when its plan is, and every sweep of
-every solve on that grid applies them.  The integrand depends on the
-measure only through m(s), one of the path's J + 1 measures, so a solve
-fixes each distinct measure once (H.at_measure: every term free of p, the
-coupling F(x, m(s)) of a separated H, computed on the grid nodes up front)
-and each sweep evaluates the stored function at its gradient table.
+operator averages: the image of a table is bounded by its sup norm.  Per
+mesh time and mode the plan stacks the operators of its n nodes, built
+once per grid by one bincount, and a sweep applies each stack to the n
+tables by one matmul.  The integrand depends on the measure only through
+m(s), one of the path's J + 1 measures, so a solve fixes each distinct
+measure once (H.at_measure: every term free of p, the coupling F(x, m(s))
+of a separated H, computed on the grid nodes up front) and each sweep
+evaluates the stored function once per run of consecutive nodes that read
+one measure, on their stacked gradient tables.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -64,6 +66,7 @@ sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -131,12 +134,18 @@ def _cell(ax, x):
     """Grid cell and hat fraction of each coordinate of x along the axis ax,
     after clipping it to the axis: the lower node index i (the interval
     ax[i] <= x < ax[i+1], the last one closed) and the fraction
-    (x - ax[i]) / (ax[i+1] - ax[i])."""
+    (x - ax[i]) / (ax[i+1] - ax[i]).  The cell guessed from the mean node
+    spacing is checked against the nodes; a point outside it is bisected."""
     x = np.clip(x, ax[0], ax[-1])
-    # the count of interior nodes at or below the clipped x
-    i = np.searchsorted(ax[1:-1], x, side="right")
-    lo = ax[i]
-    return i, (x - lo) / (ax[i + 1] - lo)
+    top = len(ax) - 2
+    i = np.clip(((x - ax[0]) * ((top + 1) / (ax[-1] - ax[0]))).astype(np.intp), 0, top)
+    lo, hi = ax[i], ax[i + 1]
+    off = (x < lo) | ((x >= hi) & (i < top))
+    if off.any():
+        # the count of interior nodes at or below x
+        i[off] = np.searchsorted(ax[1:-1], x[off], side="right")
+        lo, hi = ax[i], ax[i + 1]
+    return i, (x - lo) / (hi - lo)
 
 
 def _corners(axes, pts):
@@ -172,11 +181,10 @@ def _interp(corners, table):
 
 
 def _bracket(times, t):
-    """Mesh interval j and weight w = (t - t_j) / (t_{j+1} - t_j) of t,
-    clipped to [0, T]."""
-    t = float(np.clip(t, 0.0, times[-1]))
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    j = min(max(j, 0), len(times) - 2)
+    """Mesh interval j and weight w = (t - t_j) / (t_{j+1} - t_j) of t, or
+    of each entry of an array t, clipped to [0, T]."""
+    t = np.clip(t, 0.0, times[-1])
+    j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     return j, (t - times[j]) / (times[j + 1] - times[j])
 
 
@@ -316,8 +324,10 @@ class GeneralHamiltonian:
     label: str = ""
 
     def at_measure(self, X, mu):
-        """P -> H(X, P, mu); value_fn has no part to compute up front."""
-        return lambda P: np.asarray(self.value_fn(X, P, mu), dtype=float)
+        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), X
+        broadcast to P's shape once per shape; value_fn fixes nothing."""
+        spread = functools.lru_cache(lambda shape: np.broadcast_to(X, shape))
+        return lambda P: np.asarray(self.value_fn(spread(P.shape), P, mu), dtype=float)
 
     def value(self, X, P, mu):
         return self.at_measure(X, mu)(P)
@@ -340,9 +350,11 @@ class SeparatedHamiltonian:
     label: str = ""
 
     def at_measure(self, X, mu):
-        """P -> H(X, P, mu) with the coupling F(X, mu) computed once."""
+        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), X
+        broadcast to P's shape once per shape, the coupling F(X, mu) once."""
         coupling = np.asarray(self.coupling(X, mu), dtype=float)
-        return lambda P: np.asarray(self.h0(X, P), dtype=float) - coupling
+        spread = functools.lru_cache(lambda shape: np.broadcast_to(X, shape))
+        return lambda P: np.asarray(self.h0(spread(P.shape), P), dtype=float) - coupling
 
     def value(self, X, P, mu):
         return self.at_measure(X, mu)(P)
@@ -387,75 +399,68 @@ def _terminal_sweep(grid, terminal):
     return values, grads
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One (t_j, tau) node of the time integral: s = t_j + tau^2, its mesh
-    bracket (j, w), and per mode k the (2, G, G) stack of the node's
-    operators at t = tau^2: the value operator K_k (weights w_q) and the
-    gradient operator (weights w_q z_q Lambda_k, Lambda_k = decay_k / sd_k
-    as in the likelihood-ratio gradient)."""
-
-    tau: float
-    s: float
-    bracket: tuple
-    ops: tuple
-
-
 def _plan(grid, tau_nodes):
-    """The nodes of every sweep on a grid, per mesh time t_j < T: the tau
-    nodes on [0, (T - t_j)^{1/2}] and a _Node for each tau > 0 (at tau = 0
-    the integrand carries the factor 2 tau = 0).  It depends on the grid
-    alone, operators included, and holds no measure: ValueGrid.plan builds
-    it once per grid and every solve on the grid reads it."""
+    """The nodes of every sweep on a grid, per mesh time t_j < T a tuple
+    (taus, s, brackets, ops): the tau nodes on [0, (T - t_j)^{1/2}], the
+    times s = t_j + tau^2 of the n = tau_nodes - 1 nodes with tau > 0 (at
+    tau = 0 the integrand carries the factor 2 tau = 0), their mesh
+    brackets as the arrays (j, w) of _bracket, and per mode k the
+    (n, 2, G, G) stack of the nodes' operators at t = tau^2: the value
+    operator K_k (weights w_q) and the gradient operator (weights
+    w_q z_q Lambda_k, Lambda_k = decay_k / sd_k as in the likelihood-ratio
+    gradient).  It depends on the grid alone and holds no measure:
+    ValueGrid.plan builds it once per grid for every solve on the grid."""
     times, axes = grid.times, grid.axes
     w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
     plan = []
     for j in range(len(times) - 1):
         taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), tau_nodes)
-        nodes = []
-        for tau in taus[1:]:
-            s = times[j] + tau * tau
-            decay, sd = grid.kernel.factors(tau * tau)
-            lam = decay / sd
-            ops = []
-            for k, ax in enumerate(axes):
-                # the cells of mode k's (G, Q) image table decay_k x_i + sd_k z_q
-                i, y = _cell(ax, (ax * decay[k])[:, None] + sd[k] * z[None, :])
-                ops.append(_hat_operators(i, y, np.stack([w, w * z * lam[k]])))
-            nodes.append(_Node(tau, s, _bracket(times, s), tuple(ops)))
-        plan.append((taus, nodes))
+        s = times[j] + taus[1:] * taus[1:]
+        decay, sd = grid.kernel.factors((taus[1:] * taus[1:])[:, None])
+        lam = decay / sd
+        ops = []
+        for k, ax in enumerate(axes):
+            # the cells of mode k's (n, G, Q) image tables decay_k x_i + sd_k z_q
+            i, y = _cell(ax, (ax * decay[:, k, None])[:, :, None] + (sd[:, k, None] * z)[:, None])
+            grad = w * z * lam[:, k, None]
+            ops.append(_hat_operators(i, y, np.stack([np.broadcast_to(w, grad.shape), grad], axis=1)))
+        plan.append((taus, s, _bracket(times, s), tuple(ops)))
     return plan
 
 
 def _hat_operators(i, y, wq):
-    """The (C, G, G) matrices sum_q wq[c, q] hat_{i'}(x_gq) of an image
-    table whose clipped entries x_gq lie in the cells (i, y), both (G, Q):
-    row g spreads each weight over the two nodes of its cell, all C
-    matrices by one bincount of 2 C G Q entries."""
-    g, c = len(i), len(wq)
-    lower = (np.arange(g)[:, None] * g + i).ravel()
-    index = (np.concatenate([lower, lower + 1]) + g * g * np.arange(c)[:, None]).ravel()
-    weights = np.concatenate([(1.0 - y) * wq[:, None, :], y * wq[:, None, :]], axis=1)
-    return np.bincount(index, weights.ravel(), minlength=c * g * g).reshape(c, g, g)
+    """The (n, C, G, G) matrices sum_q wq[a, c, q] hat_{i'}(x_agq) of n image
+    tables whose clipped entries x_agq lie in the cells (i, y), both
+    (n, G, Q): row g spreads each weight over the two nodes of its cell,
+    all by one bincount of 2 n C G Q entries, laid out node-major so that
+    each matrix sums in the order of a one-node build."""
+    n, g, _ = i.shape
+    c = wq.shape[1]
+    lower = (np.arange(g)[:, None] * g + i).reshape(n, 1, -1)
+    index = np.concatenate([lower, lower + 1], axis=2) + g * g * np.arange(n * c).reshape(n, c, 1)
+    weights = np.concatenate([(1.0 - y)[:, None], y[:, None]], axis=2) * wq[:, :, None, :]
+    return np.bincount(index.ravel(), weights.ravel(), minlength=n * c * g * g).reshape(n, c, g, g)
 
 
 def _along(op, stack, k):
-    """op (G_k, G_k) applied along grid mode k of a stack of tables
-    (C, *grid), by one matmul over the (G_k, rest) matrices of the stack."""
+    """n operators op (n, G_k, G_k) applied along grid mode k of n stacks of
+    tables (n, C, *grid), each to its own, by one matmul over the
+    (G_k, rest) matrices of the stacks."""
     shape = stack.shape
-    rest = math.prod(shape[k + 2:])
-    return np.matmul(op, stack.reshape(-1, shape[k + 1], rest)).reshape(shape)
+    rest = math.prod(shape[k + 3:])
+    return np.matmul(op[:, None], stack.reshape(shape[0], -1, shape[k + 2], rest)).reshape(shape)
 
 
-def _node_semigroup(node, tab):
-    """R_t h and the N components of D R_t h on the grid, stacked
-    (N + 1, *grid), at the node's t = tau^2 for h the multilinear
-    interpolant of the grid table tab.  The stack holds the value so far
-    and the gradient components begun; in mode k all of them take K_k, and
-    the value so far begins component k by taking the gradient operator."""
-    stack = tab[None]
-    for k, (value, grad) in enumerate(node.ops):
-        stack = np.concatenate([_along(value, stack, k), _along(grad, stack[:1], k)])
+def _semigroup(ops, tabs):
+    """R_t h and D R_t h on the grid, (n, N + 1, *grid), at n nodes with
+    per-mode operators ops (n, 2, G, G), for h the interpolant of each
+    node's table in tabs (n, *grid).  The stack holds the value so far and
+    the gradient components begun; in mode k all of them take K_k, and the
+    value so far begins component k by taking the gradient operator."""
+    stack = tabs[:, None]
+    for k, op in enumerate(ops):
+        stack = np.concatenate([_along(op[:, 0], stack, k), _along(op[:, 1], stack[:, :1], k)],
+                               axis=1)
     return stack
 
 
@@ -464,18 +469,18 @@ def _mild_sweep(grid, base, plan, integrand):
 
     base is the (values, grads) pair of _terminal_sweep, computed once per
     solve and shared by every sweep; this subtracts the time integral of
-    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(node)
-    returns the integrand on the grid nodes, shape (G^N,); it is evaluated
-    once per node for both reductions.
+    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(j, s)
+    returns the integrand on the grid nodes at the node times s of mesh
+    time t_j, shape (n, G^N); it is evaluated once per mesh time for both
+    reductions and all n nodes.
     """
     shape = grid.shape
     values, grads = base[0].copy(), base[1].copy()
-    for j, (taus, nodes) in enumerate(plan):
+    for j, (taus, s, _, ops) in enumerate(plan):
+        tabs = np.asarray(integrand(j, s), dtype=float).reshape((len(s),) + shape)
         # per tau node the value (entry 0) and the gradient components
         out = np.zeros((len(taus), len(shape) + 1) + shape)
-        for i, node in enumerate(nodes, start=1):
-            tab = np.asarray(integrand(node), dtype=float).reshape(shape)
-            out[i] = 2.0 * node.tau * _node_semigroup(node, tab)
+        out[1:] = (2.0 * taus[1:]).reshape((-1,) + (1,) * (len(shape) + 1)) * _semigroup(ops, tabs)
         integral = np.trapezoid(out, x=taus, axis=0)
         values[j] -= integral[0]
         grads[j] -= np.moveaxis(integral[1:], 0, -1)
@@ -490,7 +495,7 @@ def solve_kolmogorov(f, phi, spec, config):
     values, grads = _terminal_sweep(grid, phi)
     if f is not None:
         values, grads = _mild_sweep(grid, (values, grads), grid.plan,
-                                    lambda node: f(node.s, grid.nodes))
+                                    lambda j, s: np.stack([f(t, grid.nodes) for t in s]))
     return grid.field(values, grads, status="direct")
 
 
@@ -507,10 +512,11 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     """Nonlinear mild solve against a frozen measure path m.
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
-    evaluates H once per (t_j, tau) node on the grid nodes, with the
+    evaluates H at every (t_j, tau) node on the grid nodes, with the
     previous sweep's gradient table mixed in time and the measure path at
     its nearest mesh point, fixed once per distinct measure by
-    H.at_measure.  Stops on the weighted gradient change; a run that
+    H.at_measure, in one call per run of a mesh time's nodes that read one
+    measure.  Stops on the weighted gradient change; a run that
     exhausts the iteration budget is returned with status "max-iterations"
     and the full change history.  grid is a ValueGrid.build(spec, config)
     to share, with its plan, across solves; by default the solve builds
@@ -527,23 +533,31 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
 
     base = _terminal_sweep(grid, terminal)
     plan = grid.plan
-    # H on the grid nodes against m(s), one per measure the nodes read
-    at_measure, at_node = {}, {}
-    for _, nodes in plan:
-        for node in nodes:
-            mu = m.at_time(node.s)
+    last = len(grid.times) - 2
+    # per mesh time: the gradient slices each node mixes as _at_time does, and
+    # the runs of consecutive nodes that read one measure, H fixed at each once
+    at_measure, reads = {}, []
+    for _, s, (js, ws), _ in plan:
+        mus = [m.at_time(x) for x in s]
+        for mu in mus:
             if id(mu) not in at_measure:
                 at_measure[id(mu)] = H.at_measure(grid.nodes, mu)
-            at_node[node.s] = at_measure[id(mu)]
+        cuts = [0] + [a for a in range(1, len(s)) if mus[a] is not mus[a - 1]] + [len(s)]
+        mix = (js < last) & (ws > 1e-12)
+        reads.append((js, js[mix] + 1, mix, ws[mix].reshape((-1,) + (1,) * (len(grid.shape) + 1)),
+                      [(a, b, at_measure[id(mus[a])]) for a, b in zip(cuts, cuts[1:])]))
     current = grid.field(*base)
     history = []
     status = "max-iterations"
     for _ in range(config.picard_max):
         prev = current
 
-        def integrand(node):
-            P = _at_time(prev.grads, *node.bracket, lambda tab: tab)
-            return at_node[node.s](P.reshape(grid.nodes.shape))
+        def integrand(j, s):
+            lo, hi, mix, w, runs = reads[j]
+            P = prev.grads[lo]
+            P[mix] = (1.0 - w) * P[mix] + w * prev.grads[hi]
+            P = P.reshape((len(s),) + grid.nodes.shape)
+            return np.concatenate([h(P[a:b]) for a, b, h in runs])
 
         current = grid.field(*_mild_sweep(grid, base, plan, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))

@@ -72,8 +72,9 @@ class OUKernel:
         self.rule = rule if rule is not None else QuadratureRule()
 
     def factors(self, t):
-        """(decay, sd) per mode at t > 0: e^{lambda_k t} and q_k(t)^{1/2}."""
-        if t <= 0:
+        """(decay, sd) per mode at t > 0: e^{lambda_k t} and q_k(t)^{1/2};
+        times (n, 1) give (n, N) arrays."""
+        if np.any(np.asarray(t) <= 0):
             raise ValueError("gradient representation is singular at t = 0; differentiate phi directly")
         return semigroup_factors(self.spec, t), np.sqrt(covariance_diag(self.spec, t))
 

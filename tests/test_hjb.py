@@ -8,9 +8,11 @@ quadrature.
 """
 
 import gc
+import math
 import os
 import subprocess
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +31,13 @@ from hilbert_mfg.hjb import (
     GridValueField,
     SeparatedHamiltonian,
     ValueGrid,
+    _cell,
     _corners,
+    _hat_operators,
     _interp,
-    _node_semigroup,
+    _mild_sweep,
     _plan,
+    _semigroup,
     _terminal_sweep,
     default_box,
     hjb_residual,
@@ -525,87 +530,193 @@ def test_tensor_read_solve_equals_the_cloud_read_solve(case):
     assert np.max(np.abs(v.grads - want.grads)) <= rounding(n, want.grads)
 
 
-@pytest.mark.parametrize("n_modes", [1, 2, 3])
-def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
-    """At every (t_j, tau) node of a plan, the per-mode application to a
-    random grid table equals the tensor quadrature of its interpolant read
-    at the node's images.  The box is narrow enough that some images lie
-    outside it and read its faces."""
+def narrow_grid(n_modes, tau_nodes=4):
+    """A ValueGrid on a box narrow enough that some images lie outside it
+    and read its faces, with its config."""
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
     cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
-                       quad_nodes=4, tau_nodes=4, box_scale=2.0)
-    grid = ValueGrid.build(spec, cfg)
+                       quad_nodes=4, tau_nodes=tau_nodes, box_scale=2.0)
+    return ValueGrid.build(spec, cfg), cfg
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
+    """At every (t_j, tau) node of a plan, the per-mode application of the
+    node's slice of the operator stacks to a random grid table equals the
+    tensor quadrature of its interpolant read at the node's images, also
+    where images clip to the faces of the box."""
+    grid, cfg = narrow_grid(n_modes)
     gen = np.random.default_rng(n_modes)
     clipped = 0
-    for taus, nodes in _plan(grid, cfg.tau_nodes):
-        for node in nodes:
-            t = node.tau * node.tau
+    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+        tables = gen.uniform(-1.0, 1.0, (len(s),) + grid.shape)
+        got = _semigroup(ops, tables)
+        assert got.shape == (len(s), n_modes + 1) + grid.shape
+        for tau, table, node in zip(taus[1:], tables, got):
+            t = tau * tau
             clipped += int(np.sum(np.abs(grid.kernel.images(t, grid.nodes)) > grid.axes[0][-1]))
-            table = gen.uniform(-1.0, 1.0, grid.shape)
-            got = _node_semigroup(node, table)
             want_v, want_g = grid.kernel.apply_with_gradient(interpolant(grid, table), t, grid.nodes)
-            assert got.shape == (n_modes + 1,) + grid.shape
-            assert np.max(np.abs(got[0].ravel() - want_v)) <= rounding(n_modes, table)
-            assert np.max(np.abs(got[1:].reshape(n_modes, -1).T - want_g)) \
+            assert np.max(np.abs(node[0].ravel() - want_v)) <= rounding(n_modes, table)
+            assert np.max(np.abs(node[1:].reshape(n_modes, -1).T - want_g)) \
                 <= rounding(n_modes, want_g)
     assert clipped > 0
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_mode_operators_average(n_modes):
-    """Every value operator K_k is nonnegative with unit row sums, so the
-    applied semigroup averages; images clip on this narrow box."""
-    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0)[:n_modes])
-    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0, grid_points=7,
-                       quad_nodes=4, tau_nodes=4, box_scale=2.0)
-    grid = ValueGrid.build(spec, cfg)
-    for taus, nodes in _plan(grid, cfg.tau_nodes):
-        for node in nodes:
-            assert len(node.ops) == n_modes
-            for K, _ in node.ops:
-                assert K.shape == (7, 7)
-                assert np.all(K >= 0.0)
-                assert np.all(np.abs(K.sum(axis=1) - 1.0) <= 4 * np.finfo(float).eps)
+    """Every value operator K_k of every node's slice of a stack is
+    nonnegative with unit row sums, so the applied semigroup averages;
+    images clip on this narrow box."""
+    grid, cfg = narrow_grid(n_modes)
+    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+        assert len(ops) == n_modes
+        for op in ops:
+            assert op.shape == (cfg.tau_nodes - 1, 2, 7, 7)
+            K = op[:, 0]
+            assert np.all(K >= 0.0)
+            assert np.all(np.abs(K.sum(axis=-1) - 1.0) <= 4 * np.finfo(float).eps)
+
+
+def measure_runs(grid, m):
+    """Per mesh time of the grid's plan, the (length, measure id) of each
+    run of consecutive tau nodes that read one measure of the path m."""
+    runs = []
+    for _, s, _, _ in grid.plan:
+        ids = [id(m.at_time(x)) for x in s]
+        runs.append([(len(list(group)), key) for key, group in groupby(ids)])
+    return runs
 
 
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
 def test_value_solve_evaluates_the_hamiltonian_once_per_node_on_the_grid(case):
-    """Each sweep calls H.value once per (t_j, tau) node, on the G^N grid
-    nodes only."""
+    """Each sweep evaluates H once at every (t_j, tau) node, on the G^N grid
+    nodes only, in one call per run of consecutive nodes of a mesh time
+    that read one measure, with X and P stacked (run length, G^N, N)."""
     H, G, m, spec, cfg = case()
-    sizes = []
+    calls = []
 
     def value(X, P, mu):
-        sizes.append((X.shape, P.shape))
+        calls.append((X.shape, P.shape, id(mu)))
         return H.value(X, P, mu)
 
     counting = GeneralHamiltonian(value_fn=value, grad_p_fn=H.grad_p, bound_Hp=H.bound_Hp)
     v = solve_hjb_mild(counting, G, m, spec, cfg)
     grid = ValueGrid.build(spec, cfg)
-    nodes = sum(len(nodes) for _, nodes in _plan(grid, cfg.tau_nodes))
-    assert nodes == (len(grid.times) - 1) * (cfg.tau_nodes - 1)
-    assert len(sizes) == len(v.history) * nodes
-    assert set(sizes) == {(grid.nodes.shape, grid.nodes.shape)}
+    runs = [run for per_time in measure_runs(grid, m) for run in per_time]
+    assert sum(length for length, _ in runs) == (len(grid.times) - 1) * (cfg.tau_nodes - 1)
+    assert len(runs) < (len(grid.times) - 1) * (cfg.tau_nodes - 1)
+    want = [((n,) + grid.nodes.shape, (n,) + grid.nodes.shape, key) for n, key in runs]
+    assert calls == want * len(v.history)
+    points = sum(math.prod(shape[:-1]) for shape, _, _ in calls)
+    assert points == len(v.history) * sum(n for n, _ in runs) * len(grid.nodes)
 
 
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
 def test_value_solve_builds_each_node_operator_once(case, monkeypatch):
     """The plan builds the operators of every (t_j, tau) node once per
-    solve, one _hat_operators call per mode and node, however many Picard
-    sweeps apply them."""
+    solve, one _hat_operators call per mode and mesh time over all its tau
+    nodes, however many Picard sweeps apply them."""
     H, G, m, spec, cfg = case()
     hat_operators, calls = hjb._hat_operators, []
 
     def counting(i, y, wq):
-        calls.append(len(i))
+        calls.append(i.shape)
         return hat_operators(i, y, wq)
 
     monkeypatch.setattr(hjb, "_hat_operators", counting)
     v = solve_hjb_mild(H, G, m, spec, cfg)
     n_times = len(cfg.mesh()) - 1
     assert len(v.history) > 1
-    assert len(calls) == spec.N * n_times * (cfg.tau_nodes - 1)
-    assert set(calls) == {cfg.grid_points}
+    assert len(calls) == spec.N * n_times
+    assert set(calls) == {(cfg.tau_nodes - 1, cfg.grid_points, cfg.quad_nodes)}
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_each_stack_slice_equals_a_one_node_build_bit_for_bit(n_modes):
+    """Slice a of a plan's operator stack is, bit for bit, the one-node
+    _hat_operators build from node a's own image table."""
+    grid, cfg = narrow_grid(n_modes, tau_nodes=5)
+    w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
+    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+        for a, tau in enumerate(taus[1:]):
+            decay, sd = grid.kernel.factors(tau * tau)
+            for k, ax in enumerate(grid.axes):
+                i, y = _cell(ax, (ax * decay[k])[:, None] + sd[k] * z[None, :])
+                wq = np.stack([w, w * z * (decay[k] / sd[k])])
+                one = _hat_operators(i[None], y[None], wq[None])
+                assert one.shape == (1, 2, 7, 7)
+                assert np.array_equal(one[0], ops[k][a])
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_sweep_over_all_nodes_equals_one_node_applications_bit_for_bit(n_modes):
+    """The sweep's one application of every stack to the n tables of a mesh
+    time equals n one-node applications bit for bit, and the sweep equals
+    the per-node sweep written out: 2 tau times each node's stack, then
+    the trapezoid rule in tau."""
+    grid, cfg = narrow_grid(n_modes, tau_nodes=5)
+    gen = np.random.default_rng(10 + n_modes)
+    plan = _plan(grid, cfg.tau_nodes)
+    tables = [gen.uniform(-1.0, 1.0, (len(s), len(grid.nodes))) for _, s, _, _ in plan]
+    base = (gen.normal(size=(len(grid.times),) + grid.shape),
+            gen.normal(size=(len(grid.times) - 1,) + grid.shape + (n_modes,)))
+    values, grads = base[0].copy(), base[1].copy()
+    for j, (taus, s, _, ops) in enumerate(plan):
+        tabs = tables[j].reshape((len(s),) + grid.shape)
+        out = np.zeros((len(taus), n_modes + 1) + grid.shape)
+        for a in range(len(s)):
+            one = _semigroup(tuple(op[a:a + 1] for op in ops), tabs[a:a + 1])
+            assert np.array_equal(one[0], _semigroup(ops, tabs)[a])
+            out[a + 1] = 2.0 * taus[a + 1] * one[0]
+        integral = np.trapezoid(out, x=taus, axis=0)
+        values[j] -= integral[0]
+        grads[j] -= np.moveaxis(integral[1:], 0, -1)
+    got = _mild_sweep(grid, base, plan, lambda j, s: tables[j])
+    assert np.array_equal(got[0], values)
+    assert np.array_equal(got[1], grads)
+
+
+def test_cell_equals_searchsorted_bit_for_bit():
+    """The arithmetic cell lookup finds the cell and fraction searchsorted
+    finds, bit for bit: at the nodes and their floating-point neighbours,
+    at points clipped to either face, at random points, and on an axis
+    that is not uniform."""
+    def bisected(ax, x):
+        x = np.clip(x, ax[0], ax[-1])
+        i = np.searchsorted(ax[1:-1], x, side="right")
+        return i, (x - ax[i]) / (ax[i + 1] - ax[i])
+
+    gen = np.random.default_rng(3)
+    axes = [np.linspace(-b, b, g) for g in (2, 3, 7, 14, 32) for b in (0.7, 3.1, 5.0)]
+    axes += [np.linspace(0.2, 9.7, 33), np.sort(gen.uniform(-4.0, 4.0, 12)),
+             np.array([-3.0, -2.9, -0.5, 0.0, 0.01, 2.0, 4.5]), np.geomspace(1e-3, 10.0, 20)]
+    for ax in axes:
+        x = np.concatenate([ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf),
+                            [ax[0] - 1.0, ax[-1] + 1.0, -np.inf, np.inf],
+                            gen.uniform(ax[0] - 1.0, ax[-1] + 1.0, 2000)])
+        for pts in (x, x.reshape(1, -1), x[:2000].reshape(10, 20, 10)):
+            i, y = _cell(ax, pts)
+            want_i, want_y = bisected(ax, pts)
+            assert i.shape == want_i.shape == pts.shape
+            assert np.array_equal(i, want_i)
+            assert np.array_equal(y, want_y)
+
+
+def test_value_solve_hands_the_hamiltonian_x_and_p_of_one_shape():
+    """A Hamiltonian that refuses X and P of different shapes still solves,
+    to the numbers of one that does not check."""
+    H, G, m, spec, cfg = two_mode_solve()
+
+    def strict(X, P, mu):
+        assert X.shape == P.shape
+        return H.value(X, P, mu)
+
+    checked = solve_hjb_mild(GeneralHamiltonian(value_fn=strict, grad_p_fn=H.grad_p,
+                                                bound_Hp=H.bound_Hp), G, m, spec, cfg)
+    plain = solve_hjb_mild(H, G, m, spec, cfg)
+    assert checked.status == "converged"
+    assert np.array_equal(checked.values, plain.values)
+    assert np.array_equal(checked.grads, plain.grads)
 
 
 @pytest.mark.parametrize("name", ["cap1d_monotone", "cap2d_f2"])
@@ -626,7 +737,7 @@ def test_value_solve_computes_the_coupling_statistic_once_per_measure(name, monk
     monkeypatch.setattr(RankOneCoupling, "statistic", counting)
     v = solve_hjb_mild(prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg)
     grid = ValueGrid.build(prob.spectrum, cfg)
-    picked = {id(path.at_time(node.s)) for _, nodes in grid.plan for node in nodes}
+    picked = {id(path.at_time(x)) for _, s, _, _ in grid.plan for x in s}
     assert len(v.history) > 1
     assert len(calls) == len(picked) <= len(grid.times)
     assert {id(mu) for mu in calls} == picked
@@ -664,6 +775,8 @@ def test_hamiltonian_at_a_fixed_measure_equals_its_value_bit_for_bit(label, H, f
             assert got.dtype == float and got.shape == X.shape[:-1]
             assert np.array_equal(got, H.value(X, P, mu))
             assert np.array_equal(got, formula(X, P, mu))
+        stack = g.normal(0.0, 1.0, (3,) + X.shape)
+        assert np.array_equal(at_mu(stack), np.stack([at_mu(P) for P in stack]))
 
 
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])

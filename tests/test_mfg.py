@@ -400,9 +400,9 @@ def test_one_mode_records_equal_the_pairwise_path_distances(monkeypatch):
 
 def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
     """Every value solve of a run shares one grid and its plan: one
-    _hat_operators call per mode and (t_j, tau) node in the whole run,
-    however many solves read them, and the grid is released when the run
-    returns."""
+    _hat_operators call per mode and mesh time, over all its tau nodes, in
+    the whole run, however many solves read them, and the grid is released
+    when the run returns."""
     import hilbert_mfg.hjb as hjb_mod
     import hilbert_mfg.mfg as mfg_mod
 
@@ -415,7 +415,7 @@ def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
         return grid
 
     def counting(i, y, wq):
-        calls.append(len(i))
+        calls.append(i.shape)
         return hat_operators(i, y, wq)
 
     def counted(*args, **kwargs):
@@ -429,7 +429,8 @@ def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
     fixed_point_iterate(prob, SMALL)
     assert len(solves) > 1
     n_times = len(SMALL.mesh()) - 1
-    assert len(calls) == prob.spectrum.N * n_times * (SMALL.tau_nodes - 1)
+    assert len(calls) == prob.spectrum.N * n_times
+    assert set(calls) == {(SMALL.tau_nodes - 1, SMALL.grid_points, SMALL.quad_nodes)}
     gc.collect()
     assert len(grids) == 1 and grids[0]() is None
 
