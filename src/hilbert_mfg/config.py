@@ -65,3 +65,11 @@ def same_mesh(a, b):
     """Whether two arrays of mesh times are one mesh: equal length, then
     np.allclose (so meshes of different lengths never reach numpy)."""
     return len(a) == len(b) and bool(np.allclose(a, b))
+
+
+def check_mesh(times):
+    """Refuse mesh times that are not a 1-D array starting at 0 and
+    increasing strictly to a finite T (a nan anywhere fails the increase)."""
+    if (np.ndim(times) != 1 or len(times) < 1 or times[0] != 0.0
+            or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1]))):
+        raise ValueError("times must start at 0 and increase strictly")

@@ -167,7 +167,7 @@ def propagate(w, m0, spec, config):
 
 
 def _mesh_index(path, t):
-    idx = int(np.argmin(np.abs(path.times - t)))
+    idx = path.index_at(t)
     if abs(path.times[idx] - t) > 1e-12:
         raise ValueError("t = %g is not a mesh time" % t)
     return idx

@@ -51,14 +51,14 @@ applied as a mode product; gradient component k uses the weights
 w_q z_q Lambda_k in mode k and K_l in every other mode l.  Hat weights are
 nonnegative and each row of K_k sums to sum_q w_q = 1, so the applied
 operator averages: the image of a table is bounded by its sup norm.  Per
-mesh time and mode the plan stacks the operators of its n nodes, built
-once per grid by one bincount, and a sweep applies each stack to the n
-tables by one matmul.  The integrand depends on the measure only through
-m(s), one of the path's J + 1 measures, so a solve fixes each distinct
-measure once (H.at_measure: every term free of p, the coupling F(x, m(s))
-of a separated H, computed on the grid nodes up front) and each sweep
-evaluates the stored function once per run of consecutive nodes that read
-one measure, on their stacked gradient tables.
+mesh time the plan, built once per grid, holds each mode's operators of
+its n nodes, stacked by one bincount and applied by a sweep in one matmul,
+and the nodes' gradient reads by _mixes, the one slice-mix rule.  A solve
+asks MeasurePath.index_at once per mesh time which measure m(s) its n
+nodes read, fixes each measure read once (H.at_measure: every term free
+of p, the coupling F(x, m(s)) of a separated H, on the grid nodes up
+front), and each sweep evaluates the stored function once per run of
+consecutive nodes that read one measure, on their stacked gradient tables.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -74,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import same_mesh
+from .config import check_mesh, same_mesh
 from .ou_kernel import OUKernel, QuadratureRule
 from .spectrum import stationary_variances
 from .tables import FLOAT_FMT, write_table
@@ -119,8 +119,8 @@ class ValueGrid:
 
     @cached_property
     def plan(self):
-        """_plan at the grid's tau nodes, built on the first read."""
-        return _plan(self, self.tau_nodes)
+        """_plan of the grid, built on the first read."""
+        return _plan(self)
 
     @property
     def shape(self):
@@ -188,14 +188,16 @@ def _bracket(times, t):
     return j, (t - times[j]) / (times[j + 1] - times[j])
 
 
+def _mixes(j, w, n):
+    """Whether a read at the bracket (j, w) of n slices mixes in slice j + 1,
+    for scalars or arrays: where w > 1e-12 and j is short of the last."""
+    return (j < n - 1) & (w > 1e-12)
+
+
 def _at_time(slices, j, w, read):
-    """read(slice) mixed linearly in time at the bracket (j, w); at or past
-    the last slice (the gradient stops one short of T) the last is read."""
-    last = len(slices) - 1
-    if j >= last:
-        return read(slices[last])
+    """read(slice j) mixed linearly in time with slice j + 1 where _mixes."""
     out = read(slices[j])
-    if w > 1e-12:
+    if _mixes(j, w, len(slices)):
         out = (1.0 - w) * out + w * read(slices[j + 1])
     return out
 
@@ -220,6 +222,11 @@ class GridValueField:
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values, dtype=float)
         self.grads = np.asarray(self.grads, dtype=float)
+        check_mesh(self.times)
+        for ax in self.axes:
+            if not (ax.ndim == 1 and len(ax) >= 2 and np.all(np.isfinite(ax))
+                    and np.all(np.diff(ax) > 0)):
+                raise ValueError("each axis needs two or more finite, strictly increasing nodes")
         J = len(self.times) - 1
         shape = tuple(len(a) for a in self.axes)
         if self.values.shape != (J + 1,) + shape:
@@ -297,12 +304,16 @@ class GridValueField:
     @classmethod
     def from_dir(cls, path):
         """Read a directory `to_dir` wrote; the arrays are loaded without
-        pickle support and checked by the constructor."""
+        pickle support, refused unless float64, and checked by the
+        constructor."""
         d = Path(path)
         times = np.loadtxt(d / "times.csv", skiprows=1, ndmin=1)
         axes = np.loadtxt(d / "axes.csv", skiprows=1, delimiter=",", ndmin=2)
         values = np.load(d / "values.npy", allow_pickle=False)
         grads = np.load(d / "grads.npy", allow_pickle=False)
+        for name, arr in (("values.npy", values), ("grads.npy", grads)):
+            if arr.dtype != np.float64:
+                raise ValueError("%s holds %s, not float64" % (name, arr.dtype))
         meta = {}
         with open(d / "metadata.csv", newline="") as fh:
             for row in csv.DictReader(fh):
@@ -399,23 +410,26 @@ def _terminal_sweep(grid, terminal):
     return values, grads
 
 
-def _plan(grid, tau_nodes):
+def _plan(grid):
     """The nodes of every sweep on a grid, per mesh time t_j < T a tuple
-    (taus, s, brackets, ops): the tau nodes on [0, (T - t_j)^{1/2}], the
-    times s = t_j + tau^2 of the n = tau_nodes - 1 nodes with tau > 0 (at
-    tau = 0 the integrand carries the factor 2 tau = 0), their mesh
-    brackets as the arrays (j, w) of _bracket, and per mode k the
+    (taus, s, reads, ops): the grid's tau nodes on [0, (T - t_j)^{1/2}], the
+    times s = t_j + tau^2 of the n nodes with tau > 0 (at tau = 0 the
+    integrand carries the factor 2 tau = 0), their gradient reads
+    (lo, hi, mix, w): the slice lo of each and, where _mixes, hi = lo + 1
+    and the weight w shaped to scale a slice; and per mode k the
     (n, 2, G, G) stack of the nodes' operators at t = tau^2: the value
     operator K_k (weights w_q) and the gradient operator (weights
-    w_q z_q Lambda_k, Lambda_k = decay_k / sd_k as in the likelihood-ratio
-    gradient).  It depends on the grid alone and holds no measure:
-    ValueGrid.plan builds it once per grid for every solve on the grid."""
+    w_q z_q Lambda_k, Lambda_k = decay_k / sd_k).  It depends on the grid
+    alone and holds no measure: ValueGrid.plan builds it once per grid."""
     times, axes = grid.times, grid.axes
     w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
     plan = []
     for j in range(len(times) - 1):
-        taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), tau_nodes)
+        taus = np.linspace(0.0, np.sqrt(times[-1] - times[j]), grid.tau_nodes)
         s = times[j] + taus[1:] * taus[1:]
+        lo, ws = _bracket(times, s)
+        mix = _mixes(lo, ws, len(times) - 1)
+        reads = (lo, lo[mix] + 1, mix, ws[mix].reshape((-1,) + (1,) * (len(axes) + 1)))
         decay, sd = grid.kernel.factors((taus[1:] * taus[1:])[:, None])
         lam = decay / sd
         ops = []
@@ -424,7 +438,7 @@ def _plan(grid, tau_nodes):
             i, y = _cell(ax, (ax * decay[:, k, None])[:, :, None] + (sd[:, k, None] * z)[:, None])
             grad = w * z * lam[:, k, None]
             ops.append(_hat_operators(i, y, np.stack([np.broadcast_to(w, grad.shape), grad], axis=1)))
-        plan.append((taus, s, _bracket(times, s), tuple(ops)))
+        plan.append((taus, s, reads, tuple(ops)))
     return plan
 
 
@@ -464,19 +478,19 @@ def _semigroup(ops, tabs):
     return stack
 
 
-def _mild_sweep(grid, base, plan, integrand):
+def _mild_sweep(grid, base, integrand):
     """One evaluation of the mild right-hand side on the full grid.
 
     base is the (values, grads) pair of _terminal_sweep, computed once per
     solve and shared by every sweep; this subtracts the time integral of
-    R_{s-t} H and D R_{s-t} H over the plan's nodes.  integrand(j, s)
+    R_{s-t} H and D R_{s-t} H over the nodes of grid.plan.  integrand(j, s)
     returns the integrand on the grid nodes at the node times s of mesh
     time t_j, shape (n, G^N); it is evaluated once per mesh time for both
     reductions and all n nodes.
     """
     shape = grid.shape
     values, grads = base[0].copy(), base[1].copy()
-    for j, (taus, s, _, ops) in enumerate(plan):
+    for j, (taus, s, _, ops) in enumerate(grid.plan):
         tabs = np.asarray(integrand(j, s), dtype=float).reshape((len(s),) + shape)
         # per tau node the value (entry 0) and the gradient components
         out = np.zeros((len(taus), len(shape) + 1) + shape)
@@ -494,7 +508,7 @@ def solve_kolmogorov(f, phi, spec, config):
     grid = ValueGrid.build(spec, config)
     values, grads = _terminal_sweep(grid, phi)
     if f is not None:
-        values, grads = _mild_sweep(grid, (values, grads), grid.plan,
+        values, grads = _mild_sweep(grid, (values, grads),
                                     lambda j, s: np.stack([f(t, grid.nodes) for t in s]))
     return grid.field(values, grads, status="direct")
 
@@ -513,14 +527,16 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
 
     Iterates the right-hand side from v = R_{T-t} G(., m(T)); each sweep
     evaluates H at every (t_j, tau) node on the grid nodes, with the
-    previous sweep's gradient table mixed in time and the measure path at
-    its nearest mesh point, fixed once per distinct measure by
-    H.at_measure, in one call per run of a mesh time's nodes that read one
-    measure.  Stops on the weighted gradient change; a run that
-    exhausts the iteration budget is returned with status "max-iterations"
-    and the full change history.  grid is a ValueGrid.build(spec, config)
-    to share, with its plan, across solves; by default the solve builds
-    its own.
+    previous sweep's gradient table mixed in time by the plan's reads and
+    the measure path at its nearest mesh point.  Per mesh time the solve
+    asks m.index_at once for the indices of all n nodes, from m.times (they
+    may differ from the grid's by rounding that same_mesh admits, and some
+    nodes are ties), fixes H once per index read by H.at_measure, and cuts
+    the nodes into runs where the index changes: a sweep makes one H call
+    per run.  Stops on the weighted gradient change; a run that exhausts
+    the iteration budget is returned with status "max-iterations" and the
+    full change history.  grid is a ValueGrid.build(spec, config) to share,
+    with its plan, across solves; by default the solve builds its own.
     """
     if m.N != spec.N:
         raise ValueError("measure path has %d modes, the spectrum %d" % (m.N, spec.N))
@@ -532,20 +548,11 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
     base = _terminal_sweep(grid, terminal)
-    plan = grid.plan
-    last = len(grid.times) - 2
-    # per mesh time: the gradient slices each node mixes as _at_time does, and
-    # the runs of consecutive nodes that read one measure, H fixed at each once
-    at_measure, reads = {}, []
-    for _, s, (js, ws), _ in plan:
-        mus = [m.at_time(x) for x in s]
-        for mu in mus:
-            if id(mu) not in at_measure:
-                at_measure[id(mu)] = H.at_measure(grid.nodes, mu)
-        cuts = [0] + [a for a in range(1, len(s)) if mus[a] is not mus[a - 1]] + [len(s)]
-        mix = (js < last) & (ws > 1e-12)
-        reads.append((js, js[mix] + 1, mix, ws[mix].reshape((-1,) + (1,) * (len(grid.shape) + 1)),
-                      [(a, b, at_measure[id(mus[a])]) for a, b in zip(cuts, cuts[1:])]))
+    # per mesh time the runs of nodes that read one measure, H fixed once at each
+    idx = [m.index_at(s) for _, s, _, _ in grid.plan]
+    fixed = {i: H.at_measure(grid.nodes, m.measures[i]) for i in np.unique(np.concatenate(idx))}
+    cuts = [[*np.flatnonzero(np.diff(per, prepend=-1)), len(per)] for per in idx]
+    runs = [[(a, b, fixed[per[a]]) for a, b in zip(c, c[1:])] for per, c in zip(idx, cuts)]
     current = grid.field(*base)
     history = []
     status = "max-iterations"
@@ -553,13 +560,13 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
         prev = current
 
         def integrand(j, s):
-            lo, hi, mix, w, runs = reads[j]
+            lo, hi, mix, w = grid.plan[j][2]
             P = prev.grads[lo]
             P[mix] = (1.0 - w) * P[mix] + w * prev.grads[hi]
             P = P.reshape((len(s),) + grid.nodes.shape)
-            return np.concatenate([h(P[a:b]) for a, b, h in runs])
+            return np.concatenate([h(P[a:b]) for a, b, h in runs[j]])
 
-        current = grid.field(*_mild_sweep(grid, base, plan, integrand))
+        current = grid.field(*_mild_sweep(grid, base, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))
         if history[-1] < config.picard_tol:
             status = "converged"
@@ -584,13 +591,11 @@ def hjb_residual(v, H, G, m, samples, spec, config):
         horizon = v.T - t
         rhs = kernel.apply_Rt(terminal, horizon, x)
         taus = np.linspace(0.0, np.sqrt(horizon), tau_nodes)
+        s = t + taus * taus
         vals = np.zeros(tau_nodes)
-        for i in range(1, tau_nodes):
-            tau = taus[i]
-            s = t + tau * tau
-            mu = m.at_time(s)
-            fld = lambda X: H.value(X, v.grad_at(s, X), mu)
-            vals[i] = 2.0 * tau * kernel.apply_Rt(fld, tau * tau, x)
+        for i, k in enumerate(m.index_at(s)[1:], start=1):
+            fld = lambda X: H.value(X, v.grad_at(s[i], X), m.measures[k])
+            vals[i] = 2.0 * taus[i] * kernel.apply_Rt(fld, taus[i] * taus[i], x)
         rhs = rhs - np.trapezoid(vals, x=taus)
         worst = max(worst, abs(v.value_at(t, x) - rhs))
     return float(worst)

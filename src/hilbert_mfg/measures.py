@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .config import same_mesh
+from .config import check_mesh, same_mesh
 from .tables import write_table
 
 # Stream tags for the auxiliary randomness consumers in this module.
@@ -95,7 +95,7 @@ class MeasurePath:
 
     A C-contiguous float array is taken without a copy and marked read-only;
     `measures` holds one ParticleMeasure view per mesh time, checked once
-    here, so `at_time` neither copies nor checks.
+    here, so `at_time`, the measure at `index_at`, neither copies nor checks.
     """
 
     times: np.ndarray
@@ -106,8 +106,7 @@ class MeasurePath:
         pts = np.ascontiguousarray(self.points, dtype=float)
         if pts.ndim != 3 or t.ndim != 1 or len(t) != len(pts):
             raise ValueError("points must be a (J+1, M, N) array aligned with the times")
-        if len(t) < 1 or t[0] != 0.0 or not (np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
-            raise ValueError("times must start at 0 and increase strictly")
+        check_mesh(t)
         t.flags.writeable = False
         pts.flags.writeable = False
         self.times, self.points = t, pts
@@ -121,9 +120,13 @@ class MeasurePath:
     def N(self):
         return self.points.shape[2]
 
+    def index_at(self, t):
+        """Nearest mesh index of t or of each entry of t, the earlier at a tie."""
+        return np.argmin(np.abs(self.times - np.asarray(t)[..., None]), axis=-1)
+
     def at_time(self, t):
         """Measure at the mesh point nearest to t."""
-        return self.measures[int(np.argmin(np.abs(self.times - t)))]
+        return self.measures[self.index_at(t)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """What the benchmark in perfbench/ needs of the program, checked without
-running a workload: every name `spans.Tracer` wraps still exists, and every
-workload config that goes through the CLI still parses."""
+running a workload: every name `spans.Tracer` wraps still exists, every
+workload config that goes through the CLI still parses, and BENCHMARK.json
+declares the workloads and per-layer metrics the harness defines."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -26,6 +28,14 @@ spans = load("spans")
 workloads = load("workloads")
 
 COMMANDS = {workloads.MfgWorkload: "solve-mfg", workloads.FpWorkload: "solve-fp"}
+
+
+def test_benchmark_json_declares_the_harness_workloads_and_layer_metrics():
+    # run.py is not imported: it sets the thread variables when imported
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    assert [wl["name"] for wl in declared["workloads"]] == list(workloads.WORKLOADS)
+    assert ([(metric["name"], metric["unit"]) for metric in declared["per_layer"]]
+            == [(name, unit) for name, (unit, _) in spans.LAYER_METRICS.items()])
 
 
 def test_tracer_wraps_every_target_and_puts_the_originals_back():

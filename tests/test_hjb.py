@@ -31,11 +31,14 @@ from hilbert_mfg.hjb import (
     GridValueField,
     SeparatedHamiltonian,
     ValueGrid,
+    _at_time,
+    _bracket,
     _cell,
     _corners,
     _hat_operators,
     _interp,
     _mild_sweep,
+    _mixes,
     _plan,
     _semigroup,
     _terminal_sweep,
@@ -310,6 +313,61 @@ def test_mesh_mismatch_and_bad_shapes_rejected():
                        values=np.full((2, 5), np.nan), grads=np.zeros((1, 5, 1)))
 
 
+TIMES_MESSAGE = "times must start at 0 and increase strictly"
+AXIS_MESSAGE = "each axis needs two or more finite, strictly increasing nodes"
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.6, 0.4, 1.0], [0.0, np.nan, 0.5, 1.0],
+                                   [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, 1.0, np.inf]],
+                         ids=["unsorted", "nan", "late-start", "inf"])
+def test_value_field_refuses_a_malformed_mesh(times):
+    with pytest.raises(ValueError, match=TIMES_MESSAGE):
+        GridValueField(times=times, axes=(np.linspace(-1.0, 1.0, 5),),
+                       values=np.zeros((4, 5)), grads=np.zeros((3, 5, 1)))
+
+
+@pytest.mark.parametrize("axis", [[-1.0, 0.5, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0], [0.0],
+                                  [-1.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]],
+                         ids=["unsorted", "repeated", "one-node", "nan", "inf"])
+def test_value_field_refuses_a_malformed_axis(axis):
+    n = len(axis)
+    with pytest.raises(ValueError, match=AXIS_MESSAGE):
+        GridValueField(times=[0.0, 0.5, 1.0], axes=(np.linspace(-1.0, 1.0, 3), axis),
+                       values=np.zeros((3, 3, n)), grads=np.zeros((2, 3, n, 2)))
+
+
+def test_value_field_from_dir_refuses_edited_files(tmp_path):
+    """A directory to_dir wrote is refused after its times.csv rows are
+    swapped, its axes.csv reversed, or an array saved in another dtype."""
+    gen = np.random.default_rng(4)
+    field = GridValueField(times=np.linspace(0.0, 1.0, 4), axes=(np.linspace(-1.0, 1.0, 5),),
+                           values=gen.normal(size=(4, 5)), grads=gen.normal(size=(3, 5, 1)))
+
+    def edited(name, edit):
+        d = tmp_path / name
+        field.to_dir(d)
+        edit(d)
+        return d
+
+    def swap_rows(path, a, b):
+        lines = path.read_text().splitlines()
+        lines[a], lines[b] = lines[b], lines[a]
+        path.write_text("\n".join(lines) + "\n")
+
+    assert np.array_equal(GridValueField.from_dir(edited("clean", lambda d: None)).values,
+                          field.values)
+    cases = [
+        ("times", lambda d: swap_rows(d / "times.csv", 2, 3), TIMES_MESSAGE),
+        ("axes", lambda d: swap_rows(d / "axes.csv", 1, 5), AXIS_MESSAGE),
+        ("values", lambda d: np.save(d / "values.npy", field.values.astype(np.float32)),
+         "values.npy holds float32, not float64"),
+        ("grads", lambda d: np.save(d / "grads.npy", np.round(field.grads).astype(np.int64)),
+         "grads.npy holds int64, not float64"),
+    ]
+    for name, edit, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GridValueField.from_dir(edited(name, edit))
+
 
 def test_value_solve_refuses_a_path_of_another_mode_count(monkeypatch):
     """A one-mode path against the two-mode cap2d_f2 spectrum is refused
@@ -548,7 +606,7 @@ def test_tensor_read_equals_the_cloud_read_at_clipped_images(n_modes):
     grid, cfg = narrow_grid(n_modes)
     gen = np.random.default_rng(n_modes)
     clipped = 0
-    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+    for taus, s, _, ops in _plan(grid):
         tables = gen.uniform(-1.0, 1.0, (len(s),) + grid.shape)
         got = _semigroup(ops, tables)
         assert got.shape == (len(s), n_modes + 1) + grid.shape
@@ -568,7 +626,7 @@ def test_mode_operators_average(n_modes):
     nonnegative with unit row sums, so the applied semigroup averages;
     images clip on this narrow box."""
     grid, cfg = narrow_grid(n_modes)
-    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+    for taus, s, _, ops in _plan(grid):
         assert len(ops) == n_modes
         for op in ops:
             assert op.shape == (cfg.tau_nodes - 1, 2, 7, 7)
@@ -637,7 +695,7 @@ def test_each_stack_slice_equals_a_one_node_build_bit_for_bit(n_modes):
     _hat_operators build from node a's own image table."""
     grid, cfg = narrow_grid(n_modes, tau_nodes=5)
     w, z = grid.kernel.rule.weights, grid.kernel.rule.nodes
-    for taus, s, _, ops in _plan(grid, cfg.tau_nodes):
+    for taus, s, _, ops in _plan(grid):
         for a, tau in enumerate(taus[1:]):
             decay, sd = grid.kernel.factors(tau * tau)
             for k, ax in enumerate(grid.axes):
@@ -656,7 +714,7 @@ def test_sweep_over_all_nodes_equals_one_node_applications_bit_for_bit(n_modes):
     the trapezoid rule in tau."""
     grid, cfg = narrow_grid(n_modes, tau_nodes=5)
     gen = np.random.default_rng(10 + n_modes)
-    plan = _plan(grid, cfg.tau_nodes)
+    plan = grid.plan
     tables = [gen.uniform(-1.0, 1.0, (len(s), len(grid.nodes))) for _, s, _, _ in plan]
     base = (gen.normal(size=(len(grid.times),) + grid.shape),
             gen.normal(size=(len(grid.times) - 1,) + grid.shape + (n_modes,)))
@@ -671,7 +729,7 @@ def test_sweep_over_all_nodes_equals_one_node_applications_bit_for_bit(n_modes):
         integral = np.trapezoid(out, x=taus, axis=0)
         values[j] -= integral[0]
         grads[j] -= np.moveaxis(integral[1:], 0, -1)
-    got = _mild_sweep(grid, base, plan, lambda j, s: tables[j])
+    got = _mild_sweep(grid, base, lambda j, s: tables[j])
     assert np.array_equal(got[0], values)
     assert np.array_equal(got[1], grads)
 
@@ -741,6 +799,95 @@ def test_value_solve_computes_the_coupling_statistic_once_per_measure(name, monk
     assert len(v.history) > 1
     assert len(calls) == len(picked) <= len(grid.times)
     assert {id(mu) for mu in calls} == picked
+
+
+# the value-solve numerics of the bench mfg-1d and mfg-2d workloads, and the
+# plan nodes of each whose two nearest mesh times are exactly as far
+BENCH_SOLVES = {
+    "cap1d_monotone": (dict(dt=0.1, particles=4000, grid_points=32, quad_nodes=8,
+                            tau_nodes=17), [0.55]),
+    "cap2d_f2": (dict(dt=0.2, particles=3000, grid_points=14, quad_nodes=5,
+                      tau_nodes=7), [0.7000000000000001]),
+}
+
+
+def bench_grid(name):
+    """The ValueGrid of a bench workload, a path of one particle on its mesh,
+    and the nodes that are exact ties."""
+    prob = make_model(name)
+    numerics, ties = BENCH_SOLVES[name]
+    grid = ValueGrid.build(prob.spectrum, SolverConfig(horizon=prob.horizon, **numerics))
+    path = MeasurePath(times=grid.times, points=np.zeros((len(grid.times), 1, prob.spectrum.N)))
+    return grid, path, ties
+
+
+@pytest.mark.parametrize("name", list(BENCH_SOLVES))
+def test_index_at_equals_at_time_at_every_plan_node(name):
+    """index_at over the n nodes of a mesh time picks, entry by entry, the
+    measure at_time picks for that node alone, also at the nodes that lie
+    exactly halfway between two mesh times, which read the earlier one."""
+    grid, path, ties = bench_grid(name)
+    seen = []
+    for _, s, _, _ in grid.plan:
+        idx = path.index_at(s)
+        assert idx.shape == s.shape
+        for k, x in zip(idx, s):
+            assert k == np.argmin(np.abs(grid.times - x))
+            assert path.measures[k] is path.at_time(x)
+            assert path.index_at(x) == k
+            if k + 1 < len(grid.times) and x - grid.times[k] == grid.times[k + 1] - x:
+                seen.append(x)
+    assert seen == ties
+
+
+@pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
+def test_value_solve_asks_the_path_once_per_mesh_time(case, monkeypatch):
+    """A solve reads the terminal measure by at_time and asks index_at once
+    per mesh time t_j < T for all the tau nodes of t_j, never per node."""
+    H, G, m, spec, cfg = case()
+    index_at, at_time, calls = MeasurePath.index_at, MeasurePath.at_time, []
+
+    def counting_index_at(self, t):
+        calls.append(np.shape(t))
+        return index_at(self, t)
+
+    def counting_at_time(self, t):
+        calls.append("at_time")
+        return at_time(self, t)
+
+    monkeypatch.setattr(MeasurePath, "index_at", counting_index_at)
+    monkeypatch.setattr(MeasurePath, "at_time", counting_at_time)
+    v = solve_hjb_mild(H, G, m, spec, cfg)
+    assert len(v.history) > 1
+    assert calls == ["at_time", ()] + [(cfg.tau_nodes - 1,)] * (len(cfg.mesh()) - 1)
+
+
+@pytest.mark.parametrize("name", list(BENCH_SOLVES))
+def test_plan_reads_make_the_scalar_read_decision_at_every_node(name):
+    """At every node of a plan, the stored read takes the slices _at_time
+    takes for that node alone, with its weight, and the stacked read of a
+    gradient table equals grad_at on the grid nodes bit for bit."""
+    grid, _, _ = bench_grid(name)
+    gen = np.random.default_rng(8)
+    J, n = len(grid.times) - 1, len(grid.axes)
+    field = grid.field(gen.normal(size=(J + 1,) + grid.shape),
+                       gen.normal(size=(J,) + grid.shape + (n,)))
+    mixed = 0
+    for _, s, (lo, hi, mix, w), _ in grid.plan:
+        assert np.array_equal(hi, lo[mix] + 1)
+        assert w.shape == (len(hi),) + (1,) * (n + 1)
+        P = field.grads[lo]
+        P[mix] = (1.0 - w) * P[mix] + w * field.grads[hi]
+        for a, x in enumerate(s):
+            j, y = _bracket(grid.times, x)
+            taken = []  # the slices _at_time reads, by index
+            _at_time(np.arange(J), j, y, lambda k: taken.append(k) or 0.0)
+            assert lo[a] == j and taken == [j, j + 1][:1 + mix[a]]
+            assert mix[a] == _mixes(j, y, J)
+            assert np.array_equal(P[a].reshape(-1, n), field.grad_at(x, grid.nodes))
+        assert np.array_equal(w.ravel(), _bracket(grid.times, s[mix])[1])
+        mixed += int(mix.sum())
+    assert 0 < mixed < J * (grid.tau_nodes - 1)
 
 
 def hamiltonian_cases():
