@@ -35,7 +35,7 @@ print("  closed-form identity gap: %.2e   verdict: %s"
       % (rep.identity_gap, "monotone" if rep.passed else "NOT monotone"))
 
 bad = RankOneCoupling(h=coupling.h, weight=-coupling.weight,
-                      lip=coupling.lip, bound=coupling.bound, label="sign-flipped")
+                      lip=coupling.lip, label="sign-flipped")
 rep_bad = monotonicity_check(bad, trials=500, seed=1)
 print("sign-flipped control: min pairing %.3e, passed=%s"
       % (rep_bad.min_pairing, rep_bad.passed))

@@ -45,9 +45,9 @@ _EXPORTS = {
         "uniqueness_experiment",
     ),
     "models": (
-        "MODEL_NAMES", "CappedControlHamiltonian", "QuadraticCost",
-        "RankOneCoupling", "assumption_check", "default_pair_sampler",
-        "eval_DH1", "eval_H1", "make_model", "monotonicity_check",
+        "MODEL_NAMES", "CappedControlHamiltonian", "RankOneCoupling",
+        "assumption_check", "default_pair_sampler", "eval_DH1", "eval_H1",
+        "make_model", "monotonicity_check",
     ),
     "ou_kernel": (
         "OUKernel", "QuadratureRule",

@@ -225,8 +225,8 @@ def bootstrap_stderr(values, seed=0):
     values = np.asarray(values, dtype=float)
     g = rng.generator(seed, _TAG_BOOTSTRAP)
     idx = g.integers(0, values.shape[-1], size=(_BOOTSTRAP_DRAWS, values.shape[-1]))
-    se = np.array([np.std(row[idx].mean(axis=1)) for row in np.atleast_2d(values)])
-    return float(se[0]) if values.ndim == 1 else se
+    se = np.array([np.std(row[idx].mean(axis=1)) for row in values.reshape(-1, values.shape[-1])])
+    return se.reshape(values.shape[:-1])[()]
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ class GridValueField:
         corners = _corners(self.axes, pts)
         out = _at_time(self.values[..., None], *_bracket(self.times, t),
                        lambda tab: _interp(corners, tab))
-        return out[:, 0].reshape(lead) if lead else float(out[0, 0])
+        return out[:, 0].reshape(lead)[()]
 
     def grad_at(self, t, X):
         """Dv at time t; beyond the last stored slice the terminal-layer
@@ -275,7 +275,7 @@ class GridValueField:
         pts, lead = self._flat(X)
         corners = _corners(self.axes, pts)
         out = _at_time(self.grads, *_bracket(self.times, t), lambda tab: _interp(corners, tab))
-        return out.reshape(lead + (self.n_modes,)) if lead else out[0]
+        return out.reshape(lead + (self.n_modes,))
 
     def to_dir(self, path, extra=None):
         """Write the field as `times.csv`, `axes.csv` (one column per mode),
@@ -350,7 +350,9 @@ class GeneralHamiltonian:
 @dataclass
 class SeparatedHamiltonian:
     """H(x, p, mu) = H0(x, p) - F(x, mu); the separated shape is what the
-    monotonicity-based uniqueness argument needs."""
+    monotonicity-based uniqueness argument needs.  h0(X, P) and h0_p(X, P)
+    take points X (..., N) and gradients P that X broadcasts against, of
+    X's shape or stacked (n, *X.shape), and broadcast X themselves."""
 
     h0: object
     h0_p: object
@@ -361,11 +363,10 @@ class SeparatedHamiltonian:
     label: str = ""
 
     def at_measure(self, X, mu):
-        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), X
-        broadcast to P's shape once per shape, the coupling F(X, mu) once."""
+        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), the
+        coupling F(X, mu) fixed once; h0 reads X as given."""
         coupling = np.asarray(self.coupling(X, mu), dtype=float)
-        spread = functools.lru_cache(lambda shape: np.broadcast_to(X, shape))
-        return lambda P: np.asarray(self.h0(spread(P.shape), P), dtype=float) - coupling
+        return lambda P: np.asarray(self.h0(X, P), dtype=float) - coupling
 
     def value(self, X, P, mu):
         return self.at_measure(X, mu)(P)

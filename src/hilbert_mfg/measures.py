@@ -176,6 +176,8 @@ class Dirac:
 
     def __post_init__(self):
         self.point = np.atleast_1d(np.asarray(self.point, dtype=float))
+        if not np.all(np.isfinite(self.point)):
+            raise ValueError("point must be finite")
 
     @property
     def n_modes(self):
@@ -207,8 +209,10 @@ class ProductGaussian:
         self.var = np.atleast_1d(np.asarray(self.var, dtype=float))
         if self.mean.shape != self.var.shape:
             raise ValueError("mean and var must have equal length")
-        if np.any(self.var < 0):
-            raise ValueError("variances must be >= 0")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean must be finite")
+        if not np.all(np.isfinite(self.var) & (self.var >= 0)):
+            raise ValueError("var must be finite and >= 0")
 
     @property
     def n_modes(self):

@@ -1,15 +1,17 @@
 """Concrete capped-control Hamiltonian, measure couplings, and checkers.
 
 The control problem behind the shipped Hamiltonian caps the control in the
-ball of radius R and charges a uniformly convex running cost f1(|alpha|),
-which gives the closed forms
+ball of radius R and charges the uniformly convex running cost
+f1(|alpha|) with f1(s) = a s^2, a > 0, which gives the closed forms
 
-    H1(p) = s(|p|) |p| - f1(s(|p|)),   DH1(p) = s(|p|) p / |p|,
+    H1(p) = s(|p|) |p| - a s(|p|)^2,   DH1(p) = s(|p|) p / |p|,
 
-with s(r) = min((f1')^{-1}(r), R): below the kink at |p| = f1'(R) the
+with s(r) = min(r / (2a), R): below the kink at |p| = f1'(R) = 2aR the
 supremum sits at the interior stationary point, above it the cap binds.
 An optional bounded drift offset b0 enters the Hamiltonian linearly, so
-the full gradient is DH1(p) - b0(x) and stays bounded by R + |b0|.
+the full gradient is DH1(p) - b0(x) and stays bounded by R + |b0|.  Every
+pointwise function takes points of shape (..., N) and returns (...)
+values; one point, shape (N,), is a batch whose lead shape is ().
 
 Every coupling is the rank-one product w <h(x), int h dmu>, one class for
 any number of components of h, whose monotonicity pairing collapses to the
@@ -21,7 +23,7 @@ randomized measure pairs with bootstrap error bars.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,31 +40,6 @@ _TAG_CHECK = 0x2C
 _TAG_BOOT = 0x2D
 
 
-@dataclass(frozen=True)
-class QuadraticCost:
-    """f1(s) = a s^2; the derivative and its inverse are the linear maps
-    the capped closed forms need."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("uniform convexity needs a > 0")
-
-    def f1(self, s):
-        return self.a * np.square(s)
-
-    def df1(self, s):
-        return 2.0 * self.a * np.asarray(s, dtype=float)
-
-    def inv_df1(self, r):
-        return np.asarray(r, dtype=float) / (2.0 * self.a)
-
-    @property
-    def inv_lipschitz(self):
-        return 1.0 / (2.0 * self.a)
-
-
 def _mode_sum(x):
     """Sum over the last (mode) axis as one left fold, x_0 + x_1 + ...: equal
     to np.sum(x, axis=-1) for N <= 3 modes (up to the sign of a zero sum),
@@ -73,30 +50,22 @@ def _mode_sum(x):
     return acc
 
 
-def _radius(p):
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
-    return p, np.sqrt(_mode_sum(p * p)), single
+def eval_H1(p, R, a):
+    """sup over |alpha| <= R of <alpha, p> - a |alpha|^2, closed form, for
+    p of shape (..., N); shape (...), a float for one point."""
+    p = np.asarray(p, dtype=float)
+    r = np.sqrt(_mode_sum(p * p))
+    s = np.minimum(r / (2.0 * a), float(R))
+    return s * r - a * np.square(s)
 
 
-def eval_H1(p, R, profile):
-    """sup over |alpha| <= R of <alpha, p> - f1(|alpha|), closed form."""
-    pts, r, single = _radius(p)
-    s = np.minimum(profile.inv_df1(r), float(R))
-    out = s * r - profile.f1(s)
-    return float(out[0]) if single else out
-
-
-def eval_DH1(p, R, profile):
-    """Gradient of eval_H1: the optimizer radius times the unit vector of
-    p, capped at R; zero at p = 0."""
-    pts, r, single = _radius(p)
-    s = np.minimum(profile.inv_df1(r), float(R))
-    radial = np.divide(s, r, out=np.zeros_like(r), where=r > 0)
-    out = radial[..., None] * pts
-    return out[0] if single else out
+def eval_DH1(p, R, a):
+    """Gradient of eval_H1, shape (..., N): the optimizer radius times the
+    unit vector of p, capped at R; zero at p = 0."""
+    p = np.asarray(p, dtype=float)
+    r = np.sqrt(_mode_sum(p * p))
+    s = np.minimum(r / (2.0 * a), float(R))
+    return np.divide(s, r, out=np.zeros_like(r), where=r > 0)[..., None] * p
 
 
 @dataclass
@@ -104,13 +73,15 @@ class CappedControlHamiltonian:
     """H0(x, p) = H1(p) - <b0(x), p> for the capped control problem."""
 
     R: float
-    profile: QuadraticCost = field(default_factory=QuadraticCost)
+    a: float = 1.0  # f1(s) = a s^2
     b0: object = None  # X -> (..., N), bounded by b0_bound
     b0_bound: float = 0.0
 
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("control cap R must be positive")
+        if not self.a > 0:
+            raise ValueError("uniform convexity needs a > 0")
         if (self.b0 is None) != (self.b0_bound == 0.0):
             raise ValueError("b0 and b0_bound must be declared together")
 
@@ -120,19 +91,18 @@ class CappedControlHamiltonian:
 
     @property
     def grad_lipschitz(self):
-        # interior branch moves at the inverse-derivative rate; the capped
-        # branch R p/|p| at rate at most 2R / f1'(R)
-        return max(self.profile.inv_lipschitz,
-                   2.0 * self.R / float(self.profile.df1(self.R)))
+        # the interior branch p / (2a) moves at rate 1/(2a); the capped
+        # branch R p/|p| at rate at most 2R / f1'(R) = 1/a, twice that
+        return 1.0 / self.a
 
     def h0(self, X, P):
-        out = eval_H1(P, self.R, self.profile)
+        out = eval_H1(P, self.R, self.a)
         if self.b0 is not None:
             out = out - _mode_sum(np.asarray(self.b0(X), dtype=float) * P)
         return out
 
     def h0_p(self, X, P):
-        out = eval_DH1(P, self.R, self.profile)
+        out = eval_DH1(P, self.R, self.a)
         if self.b0 is not None:
             out = out - np.asarray(self.b0(X), dtype=float)
         return out
@@ -157,7 +127,6 @@ class RankOneCoupling:
 
     h: object
     lip: float
-    bound: float
     weight: float = 1.0
     label: str = ""
 
@@ -320,8 +289,7 @@ def make_model(name):
         spec = SpectrumSpec(eigenvalues=(-1.0,), delta=0.5, family=("power", 1.0, 3.0))
         cap = CappedControlHamiltonian(R=1.0)
         coupling = RankOneCoupling(h=lambda X: 0.8 * np.tanh(X[..., :1]),
-                                   lip=0.8 * abs(weight), bound=0.8 * abs(weight),
-                                   weight=weight, label="F1")
+                                   lip=0.8 * abs(weight), weight=weight, label="F1")
         terminal = lambda X, mu: 0.4 * np.tanh(X[..., 0])
         ham = cap.separated(coupling, label=name)
         return MFGProblem(spectrum=spec, hamiltonian=ham, terminal=terminal,
@@ -330,8 +298,7 @@ def make_model(name):
         spec = SpectrumSpec(eigenvalues=(-1.0, -4.0), delta=0.25, family=("power", 1.0, 2.0))
         b0 = lambda X: 0.3 * np.tanh(X)
         cap = CappedControlHamiltonian(R=1.0, b0=b0, b0_bound=0.3 * math.sqrt(2.0))
-        coupling = RankOneCoupling(h=lambda X: 0.5 * np.tanh(X),
-                                   lip=0.5 * math.sqrt(2.0), bound=0.5 * math.sqrt(2.0),
+        coupling = RankOneCoupling(h=lambda X: 0.5 * np.tanh(X), lip=0.5 * math.sqrt(2.0),
                                    label="F2")
         terminal = lambda X, mu: 0.3 * np.cos(X[..., 0] + X[..., 1])
         ham = cap.separated(coupling, label=name)

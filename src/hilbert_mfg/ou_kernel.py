@@ -55,12 +55,11 @@ class QuadratureRule:
 
 
 def _as_points(x, n_modes):
+    """x (..., N) as a (P, N) batch and its lead shape (...); one point,
+    shape (N,), is a batch of lead shape ()."""
     x = np.asarray(x, dtype=float)
-    if x.shape == (n_modes,):
-        return x[None, :], True
     if x.ndim >= 1 and x.shape[-1] == n_modes:
-        lead = x.shape[:-1]
-        return x.reshape(-1, n_modes), lead
+        return x.reshape(-1, n_modes), x.shape[:-1]
     raise ValueError("points must have %d mode coordinates on the last axis" % n_modes)
 
 
@@ -102,9 +101,7 @@ class OUKernel:
             vals = np.asarray(phi(pts), dtype=float)
         else:
             vals, _ = self._quadrature(phi, t, pts)
-        if lead is True:
-            return float(vals[0])
-        return vals.reshape(lead)
+        return vals.reshape(lead)[()]
 
     def gradient_DRt(self, phi, t, x):
         """[D R_t phi](x), shape (..., N); the representation needs t > 0."""
@@ -115,9 +112,7 @@ class OUKernel:
         apply_Rt and gradient_DRt return, from one evaluation of phi."""
         pts, lead = _as_points(x, self.spec.N)
         vals, grad = self._quadrature(phi, t, pts)
-        if lead is True:
-            return float(vals[0]), grad[0]
-        return vals.reshape(lead), grad.reshape(lead + (self.spec.N,))
+        return vals.reshape(lead)[()], grad.reshape(lead + (self.spec.N,))
 
     def as_field(self, phi, t):
         """R_t phi as a ScalarField (for composition and tests)."""

@@ -103,17 +103,12 @@ def validate_spectrum(spec):
 
 
 def covariance_qk(spec, k, t):
-    """OU covariance q_k(t) = (1 - e^{2 lambda_k t}) / (2 |lambda_k|).
-
-    Computed as expm1(2 lambda t) / (2 lambda), which is exact near t = 0
-    where the subtractive form cancels; small-t accuracy feeds the
-    singular-kernel HJB quadrature.
-    """
+    """OU covariance q_k(t) of the 1-based mode k, the entry of
+    covariance_diag."""
     i = spec.require_mode(k)
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam = spec.eigenvalues[i]
-    return float(np.expm1(2.0 * lam * t) / (2.0 * lam))
+    return float(covariance_diag(spec, t)[i])
 
 
 # Vectorized forms used by the kernels; index 0 corresponds to mode 1.
@@ -123,6 +118,10 @@ def semigroup_factors(spec, t):
 
 
 def covariance_diag(spec, t):
+    """q_k(t) = (1 - e^{2 lambda_k t}) / (2 |lambda_k|) per mode, computed as
+    expm1(2 lambda t) / (2 lambda), which is exact near t = 0 where the
+    subtractive form cancels; small-t accuracy feeds the singular-kernel
+    HJB quadrature."""
     return np.expm1(2.0 * spec.lam * t) / (2.0 * spec.lam)
 
 

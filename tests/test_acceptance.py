@@ -32,7 +32,6 @@ from hilbert_mfg.measures import (
 from hilbert_mfg.mfg import mode_bounds, psi_map, uniqueness_experiment
 from hilbert_mfg.models import (
     CappedControlHamiltonian,
-    QuadraticCost,
     eval_DH1,
     eval_H1,
     make_model,
@@ -344,7 +343,7 @@ def test_criterion_11_w1_oracle_equivalence():
 def test_criterion_12_hamiltonian_closed_forms():
     g = rng.generator(112, 0)
     worst_v, worst_g = 0.0, 0.0
-    cap = CappedControlHamiltonian(R=1.0, profile=QuadraticCost(1.0))
+    cap = CappedControlHamiltonian(R=1.0, a=1.0)
     for i in range(100):
         n = int(g.integers(1, 4))
         scale = 0.8 if i % 2 == 0 else 4.0
@@ -352,15 +351,15 @@ def test_criterion_12_hamiltonian_closed_forms():
         r = np.linalg.norm(p)
         s = np.linspace(0.0, 1.0, 200_001)
         brute = float(np.max(s * r - s * s))
-        worst_v = max(worst_v, abs(eval_H1(p, 1.0, cap.profile) - brute))
+        worst_v = max(worst_v, abs(eval_H1(p, 1.0, cap.a) - brute))
         if abs(r - 2.0) > 0.1 and r > 0.1:
             h = 1e-6
-            grad = eval_DH1(p, 1.0, cap.profile)
+            grad = eval_DH1(p, 1.0, cap.a)
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = h
-                fd = (eval_H1(p + e, 1.0, cap.profile)
-                      - eval_H1(p - e, 1.0, cap.profile)) / (2 * h)
+                fd = (eval_H1(p + e, 1.0, cap.a)
+                      - eval_H1(p - e, 1.0, cap.a)) / (2 * h)
                 worst_g = max(worst_g, abs(fd - grad[k]))
     lip_worst = 0.0
     for _ in range(400):
@@ -368,7 +367,7 @@ def test_criterion_12_hamiltonian_closed_forms():
         d = np.linalg.norm(p - q)
         if d > 1e-9:
             lip_worst = max(lip_worst, np.linalg.norm(
-                eval_DH1(p, 1.0, cap.profile) - eval_DH1(q, 1.0, cap.profile)) / d)
+                eval_DH1(p, 1.0, cap.a) - eval_DH1(q, 1.0, cap.a)) / d)
     ok = worst_v < 1e-4 and worst_g < 1e-3 and lip_worst <= cap.grad_lipschitz + 1e-9
     assert report(12, "hamiltonian_closed_forms", ok,
                   "value %.1e grad %.1e lip %.3f<=%.3f"

@@ -218,7 +218,10 @@ def test_bootstrap_of_rows_equals_one_call_per_row():
     values = np.random.default_rng(0).normal(size=(3, 257))
     rows = bootstrap_stderr(values, seed=11)
     assert rows.shape == (3,)
-    assert [float(x) for x in rows] == [bootstrap_stderr(v, seed=11) for v in values]
+    ones = [bootstrap_stderr(v, seed=11) for v in values]
+    assert all(isinstance(x, float) for x in ones) and list(rows) == ones
+    assert np.array_equal(bootstrap_stderr(np.stack([values, values]), seed=11),
+                          np.stack([rows, rows]))
 
 
 def test_moment_bounds_hold_across_drift_sizes():

@@ -473,8 +473,10 @@ def test_field_reads_match_the_per_slice_interpn_formula():
             if w > 1e-12:
                 g = (1.0 - w) * g + w * per_slice(field.grads[j + 1])
         assert np.array_equal(field.grad_at(t, X), g.reshape(3, 4, 2))
-        assert field.value_at(t, X[0, 0]) == v[0]
-        assert np.array_equal(field.grad_at(t, X[0, 0]), g[0])
+        for x, vx, gx in zip(pts, v, g):
+            one = field.value_at(t, x)
+            assert isinstance(one, float) and one == vx
+            assert np.array_equal(field.grad_at(t, x), gx)
     with pytest.raises(ValueError, match="NaN"):
         field.grad_at(0.3, np.array([0.0, np.nan]))
 
@@ -775,6 +777,20 @@ def test_value_solve_hands_the_hamiltonian_x_and_p_of_one_shape():
     assert checked.status == "converged"
     assert np.array_equal(checked.values, plain.values)
     assert np.array_equal(checked.grads, plain.grads)
+
+
+def test_value_solve_evaluates_b0_on_the_grid_nodes_once_per_hamiltonian_call(monkeypatch):
+    """On the bench mfg-2d numerics each H call of a solve evaluates
+    cap2d_f2's drift offset b0 once, on the G^N grid nodes as given, not on
+    one copy of them per stacked tau node."""
+    H, G, m, spec, cfg = two_mode_solve()
+    cap, shapes = H.h0.__self__, []
+    b0 = cap.b0
+    monkeypatch.setattr(cap, "b0", lambda X: shapes.append(X.shape) or b0(X))
+    v = solve_hjb_mild(H, G, m, spec, cfg)
+    grid = ValueGrid.build(spec, cfg)
+    calls = len(v.history) * sum(len(per_time) for per_time in measure_runs(grid, m))
+    assert shapes == [grid.nodes.shape] * calls
 
 
 @pytest.mark.parametrize("name", ["cap1d_monotone", "cap2d_f2"])

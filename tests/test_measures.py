@@ -183,6 +183,22 @@ def test_dirac_and_empirical_moments():
     assert e.norm_fourth_moment() == pytest.approx((1.0 + 16.0) / 2.0)
 
 
+def test_product_gaussian_refuses_a_nan_variance():
+    # a nan passes a plain var < 0 check, and propagate then blames step 0
+    with pytest.raises(ValueError, match="var must be finite"):
+        ProductGaussian(mean=[0.0], var=[np.nan])
+
+
+def test_product_gaussian_refuses_an_infinite_mean():
+    with pytest.raises(ValueError, match="mean must be finite"):
+        ProductGaussian(mean=[np.inf], var=[1.0])
+
+
+def test_dirac_refuses_a_nan_point():
+    with pytest.raises(ValueError, match="point must be finite"):
+        Dirac([np.nan])
+
+
 def test_initial_law_sampling_deterministic():
     m0 = ProductGaussian(mean=[0.1], var=[0.4])
     assert np.array_equal(m0.sample(100, seed=5), m0.sample(100, seed=5))

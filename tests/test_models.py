@@ -14,10 +14,8 @@ from hilbert_mfg.measures import ParticleMeasure
 from hilbert_mfg.models import (
     CappedControlHamiltonian,
     MODEL_NAMES,
-    QuadraticCost,
     RankOneCoupling,
     _mode_sum,
-    _radius,
     assumption_check,
     eval_DH1,
     eval_H1,
@@ -25,22 +23,22 @@ from hilbert_mfg.models import (
     monotonicity_check,
 )
 
-PROF = QuadraticCost(1.0)
+A = 1.0  # the cost coefficient a of f1(s) = a s^2
 
 
-def brute_H1(p, R, profile, n=200_001):
+def brute_H1(p, R, a, n=200_001):
     # by symmetry the sup over the R-ball reduces to a scalar scan along p
     s = np.linspace(0.0, R, n)
-    return float(np.max(s * np.linalg.norm(p) - profile.f1(s)))
+    return float(np.max(s * np.linalg.norm(p) - a * np.square(s)))
 
 
 def test_H1_frozen_points():
-    assert eval_H1([1.0], 1.0, PROF) == pytest.approx(0.25, abs=1e-15)
-    assert np.allclose(eval_DH1([1.0], 1.0, PROF), [0.5])
-    assert eval_H1([3.0, 0.0], 1.0, PROF) == pytest.approx(2.0, abs=1e-15)
-    assert np.allclose(eval_DH1([3.0, 0.0], 1.0, PROF), [1.0, 0.0])
-    assert eval_H1([0.0, 0.0], 1.0, PROF) == 0.0
-    assert np.allclose(eval_DH1([0.0, 0.0], 1.0, PROF), [0.0, 0.0])
+    assert eval_H1([1.0], 1.0, A) == pytest.approx(0.25, abs=1e-15)
+    assert np.allclose(eval_DH1([1.0], 1.0, A), [0.5])
+    assert eval_H1([3.0, 0.0], 1.0, A) == pytest.approx(2.0, abs=1e-15)
+    assert np.allclose(eval_DH1([3.0, 0.0], 1.0, A), [1.0, 0.0])
+    assert eval_H1([0.0, 0.0], 1.0, A) == 0.0
+    assert np.allclose(eval_DH1([0.0, 0.0], 1.0, A), [0.0, 0.0])
 
 
 def test_H1_brute_force_sup_both_regimes():
@@ -53,8 +51,7 @@ def test_H1_brute_force_sup_both_regimes():
         p = scale * g.uniform(-1.0, 1.0, n)
         R = float(g.uniform(0.5, 2.0))
         a = float(g.uniform(0.5, 2.0))
-        prof = QuadraticCost(a)
-        worst = max(worst, abs(eval_H1(p, R, prof) - brute_H1(p, R, prof)))
+        worst = max(worst, abs(eval_H1(p, R, a) - brute_H1(p, R, a)))
     assert worst < 1e-4
 
 
@@ -67,17 +64,17 @@ def test_DH1_matches_finite_differences_away_from_kink():
         r = np.linalg.norm(p)
         if abs(r - 2.0) < 0.1 or r < 0.1:  # kink at f1'(R) = 2, cone point at 0
             continue
-        grad = eval_DH1(p, 1.0, PROF)
+        grad = eval_DH1(p, 1.0, A)
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            fd = (eval_H1(p + e, 1.0, PROF) - eval_H1(p - e, 1.0, PROF)) / (2 * h)
+            fd = (eval_H1(p + e, 1.0, A) - eval_H1(p - e, 1.0, A)) / (2 * h)
             assert abs(fd - grad[k]) < 1e-3
 
 
 def test_DH1_sampled_lipschitz_ratio():
     g = rng.generator(14, 0)
-    cap = CappedControlHamiltonian(R=1.0, profile=PROF)
+    cap = CappedControlHamiltonian(R=1.0, a=A)
     worst = 0.0
     for _ in range(400):
         p = g.uniform(-4.0, 4.0, 2)
@@ -85,7 +82,7 @@ def test_DH1_sampled_lipschitz_ratio():
         d = np.linalg.norm(p - q)
         if d < 1e-9:
             continue
-        gap = np.linalg.norm(eval_DH1(p, 1.0, PROF) - eval_DH1(q, 1.0, PROF))
+        gap = np.linalg.norm(eval_DH1(p, 1.0, A) - eval_DH1(q, 1.0, A))
         worst = max(worst, gap / d)
     assert worst <= cap.grad_lipschitz + 1e-9
 
@@ -106,17 +103,17 @@ def test_capped_hamiltonian_with_drift_offset():
 
 def test_f1_coupling_point_values():
     mu = ParticleMeasure(np.array([[1.0]]))
-    c = RankOneCoupling(h=lambda X: np.tanh(X[..., :1]), lip=1.0, bound=1.0)
+    c = RankOneCoupling(h=lambda X: np.tanh(X[..., :1]), lip=1.0)
     assert c(np.array([[0.5]]), mu).shape == (1,)
     assert c(np.array([[0.5]]), mu)[0] == pytest.approx(
         math.tanh(0.5) * math.tanh(1.0), abs=1e-14)
-    ones = RankOneCoupling(h=lambda X: np.ones(X.shape[:-1] + (1,)), lip=0.0, bound=1.0)
+    ones = RankOneCoupling(h=lambda X: np.ones(X.shape[:-1] + (1,)), lip=0.0)
     assert ones(np.array([[0.3]]), mu)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_f2_coupling_reduces_to_scalar_product():
     mu = ParticleMeasure(np.array([[0.4, -0.6], [0.1, 0.2]]))
-    c = RankOneCoupling(h=lambda X: np.tanh(X), lip=1.0, bound=math.sqrt(2.0), weight=-2.0)
+    c = RankOneCoupling(h=lambda X: np.tanh(X), lip=1.0, weight=-2.0)
     stat = np.tanh(mu.points).mean(axis=0)
     x = np.array([0.7, -0.1])
     assert c(x[None, :], mu)[0] == pytest.approx(-2.0 * float(np.tanh(x) @ stat), abs=1e-14)
@@ -195,8 +192,8 @@ def test_make_model_presets_and_unknown_name():
 
 
 def test_quadratic_profile_guards():
-    with pytest.raises(ValueError):
-        QuadraticCost(0.0)
+    with pytest.raises(ValueError, match="uniform convexity needs a > 0"):
+        CappedControlHamiltonian(R=1.0, a=0.0)
     with pytest.raises(ValueError):
         CappedControlHamiltonian(R=-1.0)
 
@@ -208,5 +205,11 @@ def test_quadratic_profile_guards():
 def test_mode_fold_equals_numpy_sum_and_norm(x):
     # the left fold over a short mode axis adds in numpy's order
     assert np.array_equal(_mode_sum(x), np.sum(x, axis=-1))
-    assert np.array_equal(_radius(x)[1], np.linalg.norm(x, axis=-1))
-    assert np.array_equal(_radius(x[0, 0])[1], np.linalg.norm(x[0, 0][None, :], axis=-1))
+    assert np.array_equal(np.sqrt(_mode_sum(x * x)), np.linalg.norm(x, axis=-1))
+    # each point of a batch reads as that point alone, a float for H1
+    H, DH = eval_H1(x, 1.0, 0.7), eval_DH1(x, 1.0, 0.7)
+    assert H.shape == x.shape[:-1] and DH.shape == x.shape
+    for i in np.ndindex(x.shape[:-1]):
+        one = eval_H1(x[i], 1.0, 0.7)
+        assert isinstance(one, float) and one == H[i]
+        assert np.array_equal(eval_DH1(x[i], 1.0, 0.7), DH[i])

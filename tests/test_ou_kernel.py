@@ -133,7 +133,16 @@ def test_batch_shapes():
     vals = k.apply_Rt(phi, 0.3, X)
     grads = k.gradient_DRt(phi, 0.3, X)
     assert vals.shape == (5, 4) and grads.shape == (5, 4, 2)
-    assert vals[2, 1] == pytest.approx(k.apply_Rt(phi, 0.3, X[2, 1]), rel=1e-14)
+    for i in np.ndindex(5, 4):
+        one = k.apply_Rt(phi, 0.3, X[i])
+        v1, g1 = k.apply_with_gradient(phi, 0.3, X[i])
+        assert isinstance(one, float) and v1 == one
+        # BLAS sums a one-row matrix-vector product in another order than a
+        # many-row one, so the value agrees to rounding, the gradient exactly
+        assert one == pytest.approx(vals[i], rel=1e-14)
+        assert np.array_equal(g1, grads[i])
+        at_zero = k.apply_Rt(phi, 0.0, X[i])
+        assert isinstance(at_zero, float) and at_zero == phi(X[i])
 
 
 def test_smoothing_audit_bounded_ratio():
