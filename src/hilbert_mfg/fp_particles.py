@@ -35,6 +35,14 @@ simulates (the equivalent statement with -<w, .> describes the flow driven
 by -w).  weak_residual_profile audits K test functions in one pass, with one
 drift evaluation per mesh time for all of them, and bootstrap_stderr gives
 its K rows one shared resample draw.
+
+The audit's scratch is bounded.  Its one O(K*M*J) array is the integrand
+block, written one contiguous (M, K) mesh-time slice at a time; each time
+step adds O(M*(K+N)) temporaries.  The trapezoid reads particle blocks of
+at most _SCRATCH values, and the bootstrap draws its resample indices in
+blocks of at most _SCRATCH (one row of M when M is larger), reducing every
+row on a block before drawing the next.  Both reproduce the one-shot sums
+bit for bit.
 """
 
 import math
@@ -48,6 +56,7 @@ from .spectrum import SpectrumSpec, covariance_diag, semigroup_factors
 
 _TAG_BOOTSTRAP = 0xB5
 _BOOTSTRAP_DRAWS = 200  # resamples behind each bootstrap standard error
+_SCRATCH = 1 << 16  # values in one audit block: resample indices or trapezoid rows
 
 
 @dataclass
@@ -111,9 +120,12 @@ class FourierTestFunction:
     def _dpsi(self, t):
         return 0.0 if self.psi is None else float(self.dpsi(t))
 
+    def _check_modes(self, n):
+        if n != len(self.h):
+            raise ValueError("test function supported on %d modes, points have %d" % (len(self.h), n))
+
     def _phase(self, X):
-        if X.shape[-1] != len(self.h):
-            raise ValueError("test function supported on %d modes, points have %d" % (len(self.h), X.shape[-1]))
+        self._check_modes(X.shape[-1])
         return X @ self.h + self.theta
 
     def value(self, t, X):
@@ -183,6 +195,11 @@ def weak_residual_profile(path, w, phis, t, spec):
     (M, K) phase matrix X H^T + theta for all the test functions.
     """
     jt = _mesh_index(path, t)
+    if not phis:
+        raise ValueError("weak residual needs at least one test function")
+    M, n_modes = path.points.shape[1:]
+    for phi in phis:
+        phi._check_modes(n_modes)
     H = np.array([phi.h for phi in phis])
     theta = np.array([phi.theta for phi in phis])
     is_cos = np.array([phi.kind == "cos" for phi in phis])
@@ -196,21 +213,26 @@ def weak_residual_profile(path, w, phis, t, spec):
     def profile(s):  # psi(s) and dpsi(s) of every test function
         return np.array([[phi._psi(s), phi._dpsi(s)] for phi in phis]).T
 
-    boundary = (profile(t)[0] * trig(path.points[jt])[0]
-                - profile(0.0)[0] * trig(path.points[0])[0]).T
+    ends = {j: trig(path.points[j]) for j in {0, jt}}
+    boundary = (profile(t)[0] * ends[jt][0] - profile(0.0)[0] * ends[0][0]).T
     if jt == 0:
         return boundary
-    integrand = np.empty((len(phis), path.points.shape[1], jt + 1))
+    integrand = np.empty((jt + 1, M, len(phis)))
     for j in range(jt + 1):
         s, X = path.times[j], path.points[j]
-        (psi, dpsi), (value, radial) = profile(s), trig(X)
+        (psi, dpsi), (value, radial) = profile(s), ends[j] if j in ends else trig(X)
         psi_radial = psi * radial
         l0 = ((X * spec.lam) @ H.T) * psi_radial + 0.5 * (neg_sq * (psi * value))
-        integrand[:, :, j] = (dpsi * value + l0 + (w(s, X) @ H.T) * psi_radial).T
-    # a trapezoid per row sums each row as a one-function call would, and
-    # makes no temporary over the whole (K, M, jt + 1) block
-    return boundary - np.array([np.trapezoid(row, x=path.times[: jt + 1], axis=1)
-                                for row in integrand])
+        integrand[j] = dpsi * value + l0 + (w(s, X) @ H.T) * psi_radial
+    # each particle's time row, copied out contiguous, is summed in the order
+    # of a one-function trapezoid over the whole (M, jt + 1) row block
+    integral = np.empty((len(phis), M))
+    block = max(1, _SCRATCH // (jt + 1))
+    for k, out in enumerate(integral):
+        for i in range(0, M, block):
+            rows = np.ascontiguousarray(integrand[:, i:i + block, k].T)
+            out[i:i + block] = np.trapezoid(rows, x=path.times[: jt + 1], axis=1)
+    return boundary - integral
 
 
 def weak_form_residual(path, w, phi, t, spec):
@@ -221,12 +243,27 @@ def weak_form_residual(path, w, phi, t, spec):
 
 def bootstrap_stderr(values, seed=0):
     """Standard error of the mean of `values` by deterministic bootstrap; a
-    (K, M) array gets one error per row, every row reading the same draw."""
+    (K, M) array gets one error per row, every row reading the same draw.
+
+    The resample indices come from one generator in blocks of at most
+    _SCRATCH (one row of M when M exceeds it), and every row is reduced on
+    a block before the next is drawn, so the scratch is two such blocks
+    and K * _BOOTSTRAP_DRAWS means.  The draw does not depend on the
+    blocking: the result equals the one-shot (_BOOTSTRAP_DRAWS, M) draw.
+    """
     values = np.asarray(values, dtype=float)
+    M = values.shape[-1]
+    if M == 0:
+        raise ValueError("bootstrap needs at least one value per row")
+    rows = values.reshape(-1, M)
+    means = np.empty((len(rows), _BOOTSTRAP_DRAWS))
     g = rng.generator(seed, _TAG_BOOTSTRAP)
-    idx = g.integers(0, values.shape[-1], size=(_BOOTSTRAP_DRAWS, values.shape[-1]))
-    se = np.array([np.std(row[idx].mean(axis=1)) for row in values.reshape(-1, values.shape[-1])])
-    return se.reshape(values.shape[:-1])[()]
+    block = max(1, _SCRATCH // M)
+    for b in range(0, _BOOTSTRAP_DRAWS, block):
+        idx = g.integers(0, M, size=(min(block, _BOOTSTRAP_DRAWS - b), M))
+        for row, out in zip(rows, means):
+            out[b:b + len(idx)] = row[idx].mean(axis=1)
+    return np.std(means, axis=1).reshape(values.shape[:-1])[()]
 
 
 @dataclass(frozen=True)

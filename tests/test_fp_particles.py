@@ -6,11 +6,14 @@ with matching seeds noise cancels between runs so splitting bias can be
 measured deterministically.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
+from hilbert_mfg import fp_particles, rng
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import (
     DriftField,
@@ -222,6 +225,92 @@ def test_bootstrap_of_rows_equals_one_call_per_row():
     assert all(isinstance(x, float) for x in ones) and list(rows) == ones
     assert np.array_equal(bootstrap_stderr(np.stack([values, values]), seed=11),
                           np.stack([rows, rows]))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _three_mode_path(particles):
+    spec = SpectrumSpec(eigenvalues=(-1.0, -4.0, -9.0))
+    cfg = SolverConfig(horizon=0.6, dt=0.05, particles=particles, seed=3)
+    w = DriftField(fn=lambda t, X: 0.3 * np.cos(X + t), bound=0.6)
+    path = propagate(w, ProductGaussian(mean=[0.2, 0.0, -0.1], var=[0.2, 0.1, 0.05]),
+                     spec, cfg)
+    return path, w, spec
+
+
+def test_weak_residual_particle_blocks_equal_the_pointwise_closed_form():
+    # one particle past the trapezoid block at t = 0.6 (13 mesh times), and
+    # the two-point trapezoid of t = 0.05
+    path, w, spec = _three_mode_path(fp_particles._SCRATCH // 13 + 1)
+    unit = [FourierTestFunction(h=h) for h in np.eye(3)]
+    for t in (0.6, 0.05):
+        prof = weak_residual_profile(path, w, unit, t, spec)
+        for row, phi in zip(prof, unit):
+            assert np.array_equal(row, _pointwise_profile(path, w, phi, t, spec)), t
+
+
+def test_weak_residual_scratch_is_the_integrand_block_plus_per_time_rows():
+    M, K = 4000, 2
+    spec = SpectrumSpec(eigenvalues=(-1.0, -4.0))
+    cfg = SolverConfig(horizon=1.0, dt=0.01, particles=M, seed=3)
+    w = DriftField(fn=lambda t, X: 0.3 * np.cos(X + t), bound=0.6)
+    path = propagate(w, ProductGaussian(mean=[0.2, 0.0], var=[0.2, 0.1]), spec, cfg)
+    phis = [FourierTestFunction(h=h) for h in np.eye(K)]
+    integrand = len(path.times) * M * K * 8
+    # about 15 (M, K) arrays live per mesh time and about two trapezoid
+    # blocks; one (M, jt) trapezoid temporary per row would add 3.2 MB
+    bound = integrand + 20 * M * K * 8 + 3 * 8 * fp_particles._SCRATCH
+    assert _peak_bytes(lambda: weak_residual_profile(path, w, phis, 1.0, spec)) <= bound
+
+
+def test_bootstrap_equals_the_one_shot_draw(monkeypatch):
+    """The blocked draw equals one (200, M) draw reduced per row: M in one
+    block, M whose last block is partial, and M above the block budget."""
+    def one_shot(values, seed):
+        idx = rng.generator(seed, 0xB5).integers(0, values.shape[-1],
+                                                 size=(200, values.shape[-1]))
+        return np.array([np.std(row[idx].mean(axis=1)) for row in values])
+
+    gen = np.random.default_rng(2)
+    for M in (257, 3000):
+        values = gen.normal(size=(3, M))
+        assert np.array_equal(bootstrap_stderr(values, seed=5), one_shot(values, 5)), M
+    assert 200 % (fp_particles._SCRATCH // 3000) != 0  # 3000 leaves a partial last block
+    monkeypatch.setattr(fp_particles, "_SCRATCH", 256)
+    values = gen.normal(size=(2, 257))
+    assert np.array_equal(bootstrap_stderr(values, seed=5), one_shot(values, 5))
+
+
+def test_bootstrap_scratch_is_one_block_of_draws():
+    values = np.random.default_rng(0).normal(size=(3, 40_000))
+    # the index block and its gather; one (200, M) draw and gather take 128 MB
+    bound = 2 * 8 * fp_particles._SCRATCH + values.nbytes
+    assert _peak_bytes(lambda: bootstrap_stderr(values, seed=1)) <= bound
+
+
+def test_bootstrap_refuses_empty_rows():
+    with pytest.raises(ValueError, match="at least one value"):
+        bootstrap_stderr(np.empty((3, 0)), seed=1)
+
+
+def test_weak_residual_refuses_a_test_function_on_other_modes():
+    path, w, spec = _three_mode_path(20)
+    with pytest.raises(ValueError, match="supported on 2 modes, points have 3"):
+        weak_residual_profile(path, w, [FourierTestFunction(h=[1.0, 0.0])], 0.6, spec)
+
+
+def test_weak_residual_refuses_no_test_functions():
+    path, w, spec = _three_mode_path(20)
+    with pytest.raises(ValueError, match="at least one test function"):
+        weak_residual_profile(path, w, [], 0.6, spec)
 
 
 def test_moment_bounds_hold_across_drift_sizes():
