@@ -53,7 +53,7 @@ _EXPORTS = {
         "OUKernel", "QuadratureRule",
     ),
     "rng": (
-        "derive_seed", "generator", "normal_stream", "uniform_stream",
+        "derive_seed", "generator", "normal_blocks", "normal_stream", "uniform_stream",
     ),
     "spectrum": (
         "SpectrumSpec", "covariance_diag", "covariance_qk", "semigroup_factors",

@@ -38,11 +38,11 @@ its K rows one shared resample draw.
 
 The audit's scratch is bounded.  Its one O(K*M*J) array is the integrand
 block, written one contiguous (M, K) mesh-time slice at a time; each time
-step adds O(M*(K+N)) temporaries.  The trapezoid reads particle blocks of
-at most _SCRATCH values, and the bootstrap draws its resample indices in
-blocks of at most _SCRATCH (one row of M when M is larger), reducing every
-row on a block before drawing the next.  Both reproduce the one-shot sums
-bit for bit.
+step adds O(M*(K+N)) temporaries.  The trapezoid forms its panels in
+place in that block and sums particle blocks of at most _SCRATCH values,
+and the bootstrap draws its resample indices in blocks of at most
+_SCRATCH (one row of M when M is larger), reducing every row on a block
+before drawing the next.  Both reproduce the one-shot sums bit for bit.
 """
 
 import math
@@ -163,16 +163,18 @@ def propagate(w, m0, spec, config):
     points = np.empty((len(mesh), M, N))
     points[0] = m0.sample(M, seed)
     block = rng.aligned(M * N)
+    noise = rng.normal_blocks(seed, block, block, len(mesh) - 1)  # block 1 + j feeds step j
     for j in range(len(mesh) - 1):
         t, h = mesh[j], mesh[j + 1] - mesh[j]
         growth = semigroup_factors(spec, h)
         drift_factor = (1.0 - growth) / np.abs(spec.lam)
         sd = np.sqrt(covariance_diag(spec, h))
-        zeta = rng.normal_stream(seed, block * (1 + j), block)[: M * N].reshape(M, N)
+        zeta = next(noise)[: M * N].reshape(M, N)
+        zeta *= sd
         X, nxt = points[j], points[j + 1]
         np.multiply(growth, X, out=nxt)
         nxt += w(t, X) * drift_factor
-        nxt += sd * zeta
+        nxt += zeta
         if not np.all(np.isfinite(nxt)):
             raise FloatingPointError("non-finite coordinate produced at step %d" % j)
     return MeasurePath(times=mesh, points=points)
@@ -200,15 +202,18 @@ def weak_residual_profile(path, w, phis, t, spec):
     M, n_modes = path.points.shape[1:]
     for phi in phis:
         phi._check_modes(n_modes)
-    H = np.array([phi.h for phi in phis])
+    HT = np.ascontiguousarray(np.array([phi.h for phi in phis]).T)
     theta = np.array([phi.theta for phi in phis])
-    is_cos = np.array([phi.kind == "cos" for phi in phis])
+    sin_cols = [k for k, phi in enumerate(phis) if phi.kind == "sin"]
     neg_sq = -np.array([float(phi.h @ phi.h) for phi in phis])
 
     def trig(X):  # phi / psi and the radial factor of Dphi / (psi h), per kind
-        U = X @ H.T + theta
-        cos_u, sin_u = np.cos(U), np.sin(U)
-        return np.where(is_cos, cos_u, sin_u), np.where(is_cos, -sin_u, cos_u)
+        U = X @ HT
+        U += theta
+        value, radial = np.cos(U), np.sin(U)
+        np.negative(radial, out=radial)  # cos columns: value cos u, radial -sin u
+        value[:, sin_cols], radial[:, sin_cols] = -radial[:, sin_cols], value[:, sin_cols]
+        return value, radial
 
     def profile(s):  # psi(s) and dpsi(s) of every test function
         return np.array([[phi._psi(s), phi._dpsi(s)] for phi in phis]).T
@@ -218,20 +223,36 @@ def weak_residual_profile(path, w, phis, t, spec):
     if jt == 0:
         return boundary
     integrand = np.empty((jt + 1, M, len(phis)))
-    for j in range(jt + 1):
+    for j, out in enumerate(integrand):
         s, X = path.times[j], path.points[j]
         (psi, dpsi), (value, radial) = profile(s), ends[j] if j in ends else trig(X)
-        psi_radial = psi * radial
-        l0 = ((X * spec.lam) @ H.T) * psi_radial + 0.5 * (neg_sq * (psi * value))
-        integrand[j] = dpsi * value + l0 + (w(s, X) @ H.T) * psi_radial
-    # each particle's time row, copied out contiguous, is summed in the order
-    # of a one-function trapezoid over the whole (M, jt + 1) row block
+        psi_radial = radial * psi
+        # out = dpsi value + L0 phi + <w, Dphi>, with
+        # L0 phi = <x, A Dphi> + 1/2 Tr D^2 phi, summed left to right
+        l0 = (X * spec.lam) @ HT
+        l0 *= psi_radial
+        trace = value * psi
+        trace *= neg_sq
+        trace *= 0.5
+        l0 += trace
+        np.multiply(value, dpsi, out=out)
+        out += l0
+        pairing = w(s, X) @ HT
+        pairing *= psi_radial
+        out += pairing
+    # np.trapezoid's arithmetic: the panels d_j (f_j + f_{j+1}) / 2 formed in
+    # place, a mesh time at a time, then each particle's row of panels copied
+    # out contiguous and summed as np.trapezoid sums its (M, jt) panel block
+    for j, d in enumerate(np.diff(path.times[: jt + 1])):
+        panel = integrand[j]
+        panel += integrand[j + 1]
+        panel *= d
+        panel /= 2.0
     integral = np.empty((len(phis), M))
     block = max(1, _SCRATCH // (jt + 1))
     for k, out in enumerate(integral):
         for i in range(0, M, block):
-            rows = np.ascontiguousarray(integrand[:, i:i + block, k].T)
-            out[i:i + block] = np.trapezoid(rows, x=path.times[: jt + 1], axis=1)
+            out[i:i + block] = np.ascontiguousarray(integrand[:jt, i:i + block, k].T).sum(axis=1)
     return boundary - integral
 
 

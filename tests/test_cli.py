@@ -289,6 +289,20 @@ def test_rerun_is_byte_identical_outside_wallclock(tmp_path):
             assert a.read_bytes() == b.read_bytes(), rel
 
 
+def test_solve_fp_loads_no_scipy(tmp_path):
+    # scipy serves only exact W1 on N >= 2 modes, which imports it itself
+    src = str(Path(hilbert_mfg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    ini = write_ini(tmp_path, FP_INI.replace("particles = 20000", "particles = 200"))
+    probe = ("import sys\n"
+             "import hilbert_mfg.cli, hilbert_mfg.mfg, hilbert_mfg.models, hilbert_mfg.fp_particles\n"
+             "code = hilbert_mfg.cli.main(['solve-fp', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe, ini, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "%d []" % EXIT_OK
+
+
 def test_parse_run_config_roundtrip(tmp_path):
     cfg, cp = parse_run_config(write_ini(tmp_path, MFG_INI), "solve-mfg",
                                out_override=str(tmp_path / "o"))

@@ -202,6 +202,56 @@ def test_weak_residual_rows_equal_the_pointwise_closed_form():
                            rtol=0.0, atol=1e-12)
 
 
+def _one_pass_reference(path, w, phis, t, spec):
+    """The one-pass profile written as whole-array expressions: both trig
+    factors by np.where on the kind, a transposed H, and each mesh time's
+    integrand as one expression."""
+    jt = int(np.argmin(np.abs(path.times - t)))
+    H = np.array([phi.h for phi in phis])
+    theta = np.array([phi.theta for phi in phis])
+    is_cos = np.array([phi.kind == "cos" for phi in phis])
+    neg_sq = -np.array([float(phi.h @ phi.h) for phi in phis])
+
+    def trig(X):
+        U = X @ H.T + theta
+        cos_u, sin_u = np.cos(U), np.sin(U)
+        return np.where(is_cos, cos_u, sin_u), np.where(is_cos, -sin_u, cos_u)
+
+    def profile(s):
+        return np.array([[phi._psi(s), phi._dpsi(s)] for phi in phis]).T
+
+    boundary = (profile(t)[0] * trig(path.points[jt])[0]
+                - profile(0.0)[0] * trig(path.points[0])[0]).T
+    integrand = np.empty((jt + 1, path.points.shape[1], len(phis)))
+    for j in range(jt + 1):
+        s, X = path.times[j], path.points[j]
+        (psi, dpsi), (value, radial) = profile(s), trig(X)
+        psi_radial = psi * radial
+        l0 = ((X * spec.lam) @ H.T) * psi_radial + 0.5 * (neg_sq * (psi * value))
+        integrand[j] = dpsi * value + l0 + (w(s, X) @ H.T) * psi_radial
+    integral = [np.trapezoid(np.ascontiguousarray(integrand[:, :, k].T),
+                             x=path.times[: jt + 1], axis=1) for k in range(len(phis))]
+    return boundary - np.array(integral)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_weak_residual_profile_equals_the_whole_array_formula(N):
+    spec = SpectrumSpec(eigenvalues=(-1.0, -4.0, -9.0)[:N])
+    cfg = SolverConfig(horizon=0.6, dt=0.05, particles=700, seed=8)
+    w = DriftField(fn=lambda t, X: 0.3 * np.cos(X + t), bound=0.6)
+    path = propagate(w, ProductGaussian(mean=[0.2, 0.0, -0.1][:N], var=[0.2, 0.1, 0.05][:N]),
+                     spec, cfg)
+    phis = [FourierTestFunction(h=[0.7, -1.2, 0.4][:N], theta=0.3, kind="sin",
+                                psi=lambda t: np.exp(-t), dpsi=lambda t: -np.exp(-t)),
+            FourierTestFunction(h=[1.5, 0.3, 2.0][:N], theta=-0.2),
+            FourierTestFunction(h=[-0.4, 0.5, -0.3][:N], kind="sin"),
+            FourierTestFunction(h=[0.9, 1.1, 0.2][:N], theta=1.1,
+                                psi=lambda t: 1.0 + t * t, dpsi=lambda t: 2.0 * t)]
+    for t in (0.6, 0.25):
+        assert np.array_equal(weak_residual_profile(path, w, phis, t, spec),
+                              _one_pass_reference(path, w, phis, t, spec)), t
+
+
 def test_weak_residual_evaluates_the_drift_once_per_mesh_time():
     calls = []
 

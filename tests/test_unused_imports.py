@@ -11,7 +11,9 @@ without readers shows here.  A parameter
 with a default in a src/ function must be given, by keyword or by
 position, by some call in src/, tests/ or demos/; calls are matched by the
 called name alone, so a parameter that only a same-named function's
-caller sets passes too.
+caller sets passes too.  No module of src/ imports scipy when it is
+imported: only a function body may, so that the one caller that needs it
+(exact W1 on N >= 2 modes) pays for it.
 """
 
 import ast
@@ -157,3 +159,38 @@ def test_every_defaulted_parameter_in_src_is_given_by_some_call():
     unset = [(str(p.relative_to(ROOT)),) + knob for p in sorted((ROOT / "src").rglob("*.py"))
              for knob in never_given(defaulted_parameters(p.read_text()), given)]
     assert unset == []
+
+
+def import_time_imports(source):
+    """(line, module) of each absolute import that runs when source is
+    imported: every import outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_scan_sees_import_time_imports():
+    source = ("import numpy as np\nfrom scipy.special import ndtri\nfrom . import rng\n"
+              "try:\n    import scipy.optimize\nexcept ImportError:\n    pass\n"
+              "class K:\n    import scipy\n    def m(self):\n        import scipy.linalg\n"
+              "def f():\n    from scipy.optimize import linear_sum_assignment\n")
+    assert import_time_imports(source) == [
+        (1, "numpy"), (2, "scipy.special"), (5, "scipy.optimize"), (9, "scipy")]
+
+
+def test_no_src_module_imports_scipy_at_import_time():
+    found = [(str(p.relative_to(ROOT)), line, name) for p in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in import_time_imports(p.read_text())
+             if name.split(".")[0] == "scipy"]
+    assert found == []
