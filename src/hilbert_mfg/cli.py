@@ -48,15 +48,10 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     """One run resolved for its command: the objects it runs and where it
-    writes them.  `spectrum` and `m0` are the problem's: the model's, or
-    the keys' when there is no model (solve-fp) or the Hamiltonian is zero
-    (solve-hjb)."""
+    writes them.  Without a model (solve-fp) or with hamiltonian = zero
+    (solve-hjb) the problem is built from the keys with H = 0."""
 
-    model: str           # the model-zoo name, or None
-    problem: object      # MFGProblem: the model's, or for solve-hjb with
-                         # hamiltonian = zero one built from the keys
-    spectrum: object     # SpectrumSpec
-    m0: object
+    problem: object      # MFGProblem
     drift: object        # DriftField: the drift key for solve-fp, else zero
     measure: object      # solve-hjb: the saved measure_source path, or None
     uniqueness: bool     # check: run the two-start experiment
@@ -148,7 +143,7 @@ def _bool(text):
 
 
 def _read_file(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         found = cp.read(path)
     except configparser.DuplicateOptionError as exc:
@@ -182,8 +177,8 @@ def _spectrum(get):
 
 
 def _m0(get, n_modes):
-    """The initial law of the m0 keys: a Dirac at m0_mean (the origin by
-    default) or a product Gaussian, which alone reads m0_var."""
+    """The initial law of the m0 keys: a point mass at m0_mean (the origin
+    by default) or a product Gaussian, which alone reads m0_var."""
     from .measures import Dirac, ProductGaussian
     vector = partial(_floats, n_modes=n_modes)
     kind = get("problem", "m0", _one_of("dirac", "gaussian"), default="dirac")
@@ -243,12 +238,15 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
                else problem.horizon)
     if not 0 < horizon < math.inf:
         raise ConfigError("[problem] horizon: must be positive and finite")
-    spectrum = _spectrum(get) if keyed else problem.spectrum
-    m0 = _m0(get, spectrum.N) if keyed else problem.m0
-    if command == "solve-hjb" and keyed:
-        problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(spectrum.N),
-                             terminal=lambda X, mu: np.cos(X[..., 0]), m0=m0,
-                             horizon=horizon)
+    if keyed:
+        spectrum = _spectrum(get)
+        try:
+            problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(spectrum.N),
+                                 terminal=lambda X, mu: np.cos(X[..., 0]),
+                                 m0=_m0(get, spectrum.N), horizon=horizon)
+        except ValueError as exc:  # an m0 whose fourth moment overflows
+            raise ConfigError("[problem] m0: %s" % exc)
+    spectrum = problem.spectrum
     drift = DriftField.zero(spectrum.N)
     if command == "solve-fp":
         drift = get("problem", "drift", partial(_drift, n_modes=spectrum.N), default=drift)
@@ -285,9 +283,8 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     cp.set("run", "seed", str(seed))
     cp.set("run", "out", out)
 
-    return RunConfig(model=model, problem=problem, spectrum=spectrum, m0=m0,
-                     drift=drift, measure=measure, uniqueness=uniqueness,
-                     solver=solver, out=out), cp
+    return RunConfig(problem=problem, drift=drift, measure=measure,
+                     uniqueness=uniqueness, solver=solver, out=out), cp
 
 
 def _make_run_dir(cfg, cp):
@@ -338,15 +335,15 @@ def cmd_solve_hjb(cfg, cp):
     from .fp_particles import propagate
     from .hjb import default_box, hjb_residual, solve_hjb_mild
 
-    spec, ham, terminal = cfg.spectrum, cfg.problem.hamiltonian, cfg.problem.terminal
-    m = cfg.measure
+    prob, m = cfg.problem, cfg.measure
+    spec, ham, terminal = prob.spectrum, prob.hamiltonian, prob.terminal
     if m is None:
-        m = propagate(cfg.drift, cfg.m0, spec, cfg.solver)
+        m = propagate(cfg.drift, prob.m0, spec, cfg.solver)
 
     d = _make_run_dir(cfg, cp)
     v = solve_hjb_mild(ham, terminal, m, spec, cfg.solver)
 
-    box = default_box(spec, cfg.m0, cfg.solver.box_scale)
+    box = default_box(spec, prob.m0, cfg.solver.box_scale)
     mesh = cfg.solver.mesh()
     xs = np.linspace(-0.5 * box, 0.5 * box, 5)
     samples = [(float(t), np.full(spec.N, x))
@@ -374,9 +371,9 @@ def cmd_solve_fp(cfg, cp):
     from .measures import moments, path_to_dir
     from .spectrum import covariance_qk
 
-    spec, w = cfg.spectrum, cfg.drift
+    spec, w = cfg.problem.spectrum, cfg.drift
     d = _make_run_dir(cfg, cp)
-    m = propagate(w, cfg.m0, spec, cfg.solver)
+    m = propagate(w, cfg.problem.m0, spec, cfg.solver)
     path_to_dir(m, d / "m")
 
     mom = moments(m.points)
@@ -475,7 +472,7 @@ def cmd_check(cfg, cp):
     from .models import assumption_check, monotonicity_check
     from .spectrum import stationary_variances
 
-    prob, spec = cfg.problem, cfg.spectrum
+    prob, spec = cfg.problem, cfg.problem.spectrum
     d = _make_run_dir(cfg, cp)
     rows = []
     failed = False
@@ -505,7 +502,7 @@ def cmd_check(cfg, cp):
 
     if cfg.uniqueness:
         from . import rng
-        start_a = propagate(cfg.drift, cfg.m0, spec,
+        start_a = propagate(cfg.drift, prob.m0, spec,
                             cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xA1)))
         stat = ProductGaussian(mean=[0.0] * spec.N,
                                var=list(stationary_variances(spec)))

@@ -1,5 +1,6 @@
-"""Empirical measures on mode coordinates, Wasserstein-1 geometry, and the
-moment and path functionals the invariant-set audit reads.
+"""Empirical measures on mode coordinates, Wasserstein-1 geometry, the
+moment and path functionals the invariant-set audit reads, and the initial
+law: a product Gaussian on the modes, whose zero variance is a point mass.
 
 Measures are equal-weight particle clouds on the first N mode coordinates.
 A law path is one read-only (J+1, M, N) array over the time mesh, with one
@@ -42,6 +43,7 @@ import numpy as np
 
 from . import rng
 from .config import check_mesh, same_mesh
+from .spectrum import mode_index
 from .tables import write_table
 
 # Stream tags for the auxiliary randomness consumers in this module.
@@ -79,9 +81,7 @@ class ParticleMeasure:
 
     def mode_second_moment(self, k):
         """(1/M) sum_i <x_i, e_k>^2 for 1-based mode k."""
-        if not 1 <= k <= self.N:
-            raise IndexError("mode index %d out of range 1..%d" % (k, self.N))
-        return float(moments(self.points).second[k - 1])
+        return float(moments(self.points).second[mode_index(k, self.N)])
 
     def norm_fourth_moment(self):
         """(1/M) sum_i |x_i|^4."""
@@ -169,37 +169,8 @@ def moments(points):
 
 
 @dataclass
-class Dirac:
-    """Point mass at a fixed state."""
-
-    point: np.ndarray
-
-    def __post_init__(self):
-        self.point = np.atleast_1d(np.asarray(self.point, dtype=float))
-        if not np.all(np.isfinite(self.point)):
-            raise ValueError("point must be finite")
-
-    @property
-    def n_modes(self):
-        return len(self.point)
-
-    def mode_second_moment(self, k):
-        if not 1 <= k <= self.n_modes:
-            raise IndexError("mode index %d out of range 1..%d" % (k, self.n_modes))
-        return float(self.point[k - 1] ** 2)
-
-    def norm_fourth_moment(self):
-        return float(np.sum(self.point ** 2) ** 2)
-
-    def sample(self, M, seed):
-        if M < 1:
-            raise ValueError("empty sample requested")
-        return np.tile(self.point, (int(M), 1))
-
-
-@dataclass
 class ProductGaussian:
-    """Independent Gaussian modes with given means and variances."""
+    """Independent Gaussian modes of given means and variances; a zero variance is a point mass."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -209,6 +180,8 @@ class ProductGaussian:
         self.var = np.atleast_1d(np.asarray(self.var, dtype=float))
         if self.mean.shape != self.var.shape:
             raise ValueError("mean and var must have equal length")
+        if self.mean.size == 0:
+            raise ValueError("initial law needs at least one mode")
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("mean must be finite")
         if not np.all(np.isfinite(self.var) & (self.var >= 0)):
@@ -219,9 +192,8 @@ class ProductGaussian:
         return len(self.mean)
 
     def mode_second_moment(self, k):
-        if not 1 <= k <= self.n_modes:
-            raise IndexError("mode index %d out of range 1..%d" % (k, self.n_modes))
-        return float(self.mean[k - 1] ** 2 + self.var[k - 1])
+        i = mode_index(k, self.n_modes)
+        return float(self.mean[i] ** 2 + self.var[i])
 
     def norm_fourth_moment(self):
         # E|X|^4 = sum_k EX_k^4 + (sum_k EX_k^2)^2 - sum_k (EX_k^2)^2
@@ -232,10 +204,14 @@ class ProductGaussian:
     def sample(self, M, seed):
         if M < 1:
             raise ValueError("empty sample requested")
-        M = int(M)
-        n = M * self.n_modes
-        z = rng.normal_stream(seed, 0, rng.aligned(n))[:n].reshape(M, self.n_modes)
+        n = int(M) * self.n_modes  # block 0 of the stream, as propagate reserves it
+        z = rng.normal_stream(seed, 0, rng.aligned(n))[:n].reshape(-1, self.n_modes)
         return self.mean + np.sqrt(self.var) * z
+
+
+def Dirac(point):
+    """Point mass at `point`: the product Gaussian of zero variance."""
+    return ProductGaussian(mean=point, var=np.zeros(np.shape(point)))
 
 
 # ---------------------------------------------------------------------------

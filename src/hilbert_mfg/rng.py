@@ -137,7 +137,7 @@ def normal_blocks(seed, start, n, count):
     block per pass), since each numpy call of the port costs about a
     microsecond whatever its size."""
     g = _positioned(seed, start)
-    n, per_draw = int(n), max(1, _DRAW // int(n))
+    n, per_draw = int(n), max(1, _DRAW // max(int(n), 1))  # n = 0: empty blocks
     for b in range(0, count, per_draw):
         k = min(per_draw, count - b)
         u = g.random(k * n)

@@ -48,12 +48,12 @@ class SpectrumSpec:
         a.flags.writeable = False
         return a
 
-    def require_mode(self, k):
-        """Validate a 1-based mode index, return the 0-based position."""
-        k = int(k)
-        if not 1 <= k <= self.N:
-            raise IndexError("mode index %d out of range 1..%d" % (k, self.N))
-        return k - 1
+
+def mode_index(k, n_modes):
+    """The 0-based position of the 1-based mode index k of n_modes modes."""
+    if k != int(k) or not 1 <= k <= n_modes:
+        raise IndexError("mode index %s out of range 1..%d" % (k, n_modes))
+    return int(k) - 1
 
 
 @dataclass
@@ -105,7 +105,7 @@ def validate_spectrum(spec):
 def covariance_qk(spec, k, t):
     """OU covariance q_k(t) of the 1-based mode k, the entry of
     covariance_diag."""
-    i = spec.require_mode(k)
+    i = mode_index(k, spec.N)
     if t < 0:
         raise ValueError("t must be >= 0")
     return float(covariance_diag(spec, t)[i])

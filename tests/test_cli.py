@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ from hilbert_mfg.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    RunConfig,
     main,
     parse_run_config,
 )
+from hilbert_mfg.measures import ProductGaussian
 from hilbert_mfg.models import make_model
 
 FP_INI = """
@@ -306,10 +309,48 @@ def test_solve_fp_loads_no_scipy(tmp_path):
 def test_parse_run_config_roundtrip(tmp_path):
     cfg, cp = parse_run_config(write_ini(tmp_path, MFG_INI), "solve-mfg",
                                out_override=str(tmp_path / "o"))
-    assert cfg.model == "cap1d_monotone"
     assert cfg.solver.fp_tol == pytest.approx(4e-2)
     assert cfg.solver.seed == 9
     assert cp.get("numerics", "grid_points") == "32"
+
+
+def test_solve_fp_without_a_model_builds_its_problem_from_the_keys(tmp_path):
+    ini = FP_INI.replace("eigenvalues = -1.0", "eigenvalues = -1.0 -4.0").replace(
+        "m0_mean = 0.0", "m0_mean = 0.5 -0.25")
+    cfg, _ = parse_run_config(write_ini(tmp_path, ini), "solve-fp",
+                              out_override=str(tmp_path / "o"))
+    assert [f.name for f in fields(RunConfig)] == [
+        "problem", "drift", "measure", "uniqueness", "solver", "out"]
+    prob = cfg.problem
+    assert prob.spectrum.eigenvalues == (-1.0, -4.0)
+    assert isinstance(prob.m0, ProductGaussian)
+    assert (prob.m0.mean.tolist(), prob.m0.var.tolist()) == ([0.5, -0.25], [0.0, 0.0])
+    assert prob.hamiltonian.label == "zero" and prob.hamiltonian.bound_Hp == 0.0
+
+
+@pytest.mark.parametrize("command, text", [("solve-fp", FP_INI), ("solve-hjb", HJB_INI)],
+                         ids=["solve-fp", "solve-hjb"])
+def test_an_m0_whose_fourth_moment_overflows_exits_2(tmp_path, capsys, command, text):
+    out = tmp_path / "r"
+    ini = write_ini(tmp_path, text.replace("m0_mean = 0.0", "m0_mean = 1e100"))
+    assert main([command, "--config", ini, "--out", str(out)]) == EXIT_CONFIG
+    assert "[problem] m0: initial law needs a finite fourth moment" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, name", [("file", "run%1"), ("flag", "x%y"), ("file", "%(seed)s")],
+                         ids=["lone-percent-in-file", "percent-in-flag", "interpolation-in-file"])
+def test_config_values_are_read_literally(tmp_path, where, name):
+    # '%' is no syntax: a lone one crashed the run and %(seed)s named the
+    # run directory after the seed
+    out = tmp_path / name
+    ini = FP_INI.replace("particles = 20000", "particles = 200")
+    if where == "file":
+        args = ["--config", write_ini(tmp_path, ini + "out = %s\n" % out)]
+    else:
+        args = ["--config", write_ini(tmp_path, ini), "--out", str(out)]
+    assert main(["solve-fp"] + args) == EXIT_OK
+    assert "out = %s\n" % out in (out / "config.echo").read_text()
 
 
 def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):

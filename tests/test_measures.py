@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import measures
+from hilbert_mfg.spectrum import SpectrumSpec, covariance_qk
 from hilbert_mfg.tables import write_table
 from hilbert_mfg.measures import (
     Dirac,
@@ -195,8 +196,34 @@ def test_product_gaussian_refuses_an_infinite_mean():
 
 
 def test_dirac_refuses_a_nan_point():
-    with pytest.raises(ValueError, match="point must be finite"):
+    with pytest.raises(ValueError, match="mean must be finite"):
         Dirac([np.nan])
+
+
+def test_a_point_mass_is_a_zero_variance_product_gaussian():
+    p = np.array([0.7, -1.3])
+    d = Dirac(p)
+    assert isinstance(d, ProductGaussian) and d.var.tolist() == [0.0, 0.0]
+    assert d.sample(1001, seed=5).tobytes() == np.tile(p, (1001, 1)).tobytes()
+
+
+@pytest.mark.parametrize("law", [lambda: ProductGaussian(mean=[], var=[]), lambda: Dirac([])],
+                         ids=["product-gaussian", "dirac"])
+def test_an_initial_law_refuses_zero_modes(law):
+    # sample would otherwise die in the normal stream
+    with pytest.raises(ValueError, match="at least one mode"):
+        law()
+
+
+def test_every_mode_index_check_names_the_range():
+    spec = SpectrumSpec(eigenvalues=(-1.0, -2.0))
+    for check in (lambda k: covariance_qk(spec, k, 0.5),
+                  ParticleMeasure([[1.0, 2.0]]).mode_second_moment,
+                  Dirac([1.0, 2.0]).mode_second_moment):
+        assert check(2) == check(np.int64(2)) == check(2.0) >= 0.0
+        for k in (0, 3, 1.5):
+            with pytest.raises(IndexError, match=r"mode index %s out of range 1\.\.2" % k):
+                check(k)
 
 
 def test_initial_law_sampling_deterministic():

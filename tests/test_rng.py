@@ -69,6 +69,12 @@ def test_blocks_continue_the_stream_however_many_share_a_draw(monkeypatch, draw)
     assert _same_bits(whole[:6], rng.normal_stream(5, 8, 6))
 
 
+def test_zero_normals_are_an_empty_draw():
+    assert rng.normal_stream(5, 8, 0).shape == (0,)
+    blocks = list(rng.normal_blocks(5, 8, 0, 3))
+    assert len(blocks) == 3 and all(b.shape == (0,) for b in blocks)
+
+
 def _ulps_around(c, k):
     """c and its k nearest doubles on each side."""
     below, above = [c], [c]
