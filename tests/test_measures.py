@@ -353,15 +353,15 @@ def test_one_mode_path_distances_match_assignment(paths, budget):
     assert table.dists.tolist() == [sorted_gap_1d(a[i], a[j]) for i, j in pairs]
 
 
-def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17):
+def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17, n_modes=1):
     """Driftless OU trajectories from delta_0 sampled on a uniform mesh."""
     gen = np.random.default_rng(seed)
     h = horizon / n_steps
     q = -np.expm1(2.0 * lam * h) / (2.0 * abs(lam))
-    x = np.zeros((M, 1))
+    x = np.zeros((M, n_modes))
     slices = [x.copy()]
     for _ in range(n_steps):
-        x = np.exp(lam * h) * x + np.sqrt(q) * gen.standard_normal((M, 1))
+        x = np.exp(lam * h) * x + np.sqrt(q) * gen.standard_normal((M, n_modes))
         slices.append(x.copy())
     times = np.linspace(0.0, horizon, n_steps + 1)
     return MeasurePath(times=times, points=np.stack(slices))
@@ -414,31 +414,45 @@ def direction_major_sliced(mu, nu, projections, seed):
     return float(np.abs(a - b).mean())
 
 
-def assert_modulus_matches_dispatcher(path, table, budget, projections, seed):
-    """Each tabulated distance is, bit for bit, the written-out W1 its
-    method names: the sorted 1-D gap on one mode, assignment within the
-    budget, the direction-major sliced formula beyond.  The pairs are
-    recovered from the pairwise-distinct time gaps and must come in (i, j)
-    order."""
+def pairs_of(path, gaps):
+    """The mesh pairs (i, j) of the given time gaps, which the meshes here
+    keep pairwise distinct."""
     J = len(path.times)
     pair_of = {path.times[j] - path.times[i]: (i, j) for i in range(J) for j in range(i + 1, J)}
-    pairs = [pair_of[g] for g in table.gaps]
-    assert pairs == sorted(set(pairs))
+    return [pair_of[g] for g in gaps]
+
+
+def assert_modulus_matches_dispatcher(path, table, budget, projections, seed, pairs):
+    """Each tabulated distance is, bit for bit, the written-out W1 its
+    method names: the sorted 1-D gap on one mode, assignment within the
+    budget, the direction-major sliced formula beyond.  The sorted branches
+    list every one of `pairs`, the assignment an ordered subset, and the
+    constant is the envelope of the written-out distances of all `pairs`,
+    bit for bit."""
+    listed = pairs_of(path, table.gaps)
     assert table.method == w1_method(path.N, path.M, budget)
     if table.method == "sliced":
         oracle = lambda mu, nu: direction_major_sliced(mu, nu, projections, seed)
     else:
         oracle = sorted_gap_1d if path.N == 1 else wasserstein1
-    want = [oracle(path.measures[i], path.measures[j]) for i, j in pairs]
-    assert table.dists.tolist() == want
+    want = {(i, j): oracle(path.measures[i], path.measures[j]) for i, j in pairs}
+    if table.method == "exact" and path.N > 1:
+        assert listed == sorted(set(listed) & set(pairs))
+    else:
+        assert listed == pairs
+    assert table.dists.tolist() == [want[p] for p in listed]
+    d = np.array([want[p] for p in pairs])
+    g = np.array([path.times[j] - path.times[i] for i, j in pairs])
+    assert table.constant == np.max(d / (np.sqrt(g) + g))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(path=small_paths(), budget=st.sampled_from([1, 512]), seed=st.integers(0, 3))
 def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
     table = path_modulus(path, exact_budget=budget, projections=16, seed=seed)
-    assert len(table.dists) == len(path.times) * (len(path.times) - 1) // 2
-    assert_modulus_matches_dispatcher(path, table, budget, 16, seed)
+    J = len(path.times)
+    pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
+    assert_modulus_matches_dispatcher(path, table, budget, 16, seed, pairs)
 
 
 @st.composite
@@ -475,13 +489,17 @@ def test_sliced_distances_equal_the_direction_major_formula(paths, projections, 
         for i in range(J) for j in range(i + 1, J)]
 
 
-def test_subsampled_path_modulus_matches_the_dispatcher():
+@pytest.mark.parametrize("budget", [1, 512])
+def test_subsampled_path_modulus_matches_the_dispatcher(budget):
     gen = np.random.default_rng(8)
     times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(13)])
     path = MeasurePath(times=times, points=gen.standard_normal((14, 50, 2)).cumsum(axis=0))
-    table = path_modulus(path, max_pairs=20, exact_budget=1, projections=8, seed=5)
-    assert len(table.dists) == 20
-    assert_modulus_matches_dispatcher(path, table, 1, 8, 5)
+    # the subsample depends on the seed alone; the sliced branch lists it whole
+    sample = path_modulus(path, max_pairs=20, exact_budget=1, projections=8, seed=5)
+    pairs = pairs_of(path, sample.gaps)
+    assert len(pairs) == 20
+    table = path_modulus(path, max_pairs=20, exact_budget=budget, projections=8, seed=5)
+    assert_modulus_matches_dispatcher(path, table, budget, 8, 5, pairs)
 
 
 def test_path_modulus_input_checks():
@@ -490,6 +508,36 @@ def test_path_modulus_input_checks():
         path_modulus(path, exact_budget=1, projections=0)
     with pytest.raises(ValueError, match="max_pairs"):
         path_modulus(path, max_pairs=0)
+
+
+@pytest.mark.parametrize("max_pairs", [2.5, 3.0, True])
+def test_path_modulus_refuses_a_max_pairs_that_is_not_an_integer(max_pairs):
+    # four mesh times give six pairs, more than any of these would keep
+    path = stacked([0.0, 1.0, 2.0, 3.0], [cloud(np.random.default_rng(2), 8, 2)] * 4)
+    with pytest.raises(ValueError, match="max_pairs"):
+        path_modulus(path, max_pairs=max_pairs)
+
+
+def test_assignment_modulus_assigns_only_the_pairs_its_bounds_cannot_decide(monkeypatch):
+    """On an 11-time, 2-mode OU trajectory path of 256 particles the wider
+    pairs are decided by composed couplings: only the 10 adjacent pairs of
+    55 are assigned, and the constant is the one all 55 give."""
+    import scipy.optimize
+
+    path = ou_trajectory_path(10, M=256, n_modes=2)
+    solve = scipy.optimize.linear_sum_assignment
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(1) or solve(cost))
+    table = path_modulus(path)
+    assert table.method == "exact" and len(calls) == 10
+    pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+    d = np.array([wasserstein1(path.measures[i], path.measures[j]) for i, j in pairs])
+    g = np.array([path.times[j] - path.times[i] for i, j in pairs])
+    adjacent = [pairs.index((i, i + 1)) for i in range(10)]
+    assert table.dists.tolist() == d[adjacent].tolist()
+    assert table.gaps.tolist() == g[adjacent].tolist()
+    assert table.constant == np.max(d / (np.sqrt(g) + g))
 
 
 def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(monkeypatch):
