@@ -489,8 +489,7 @@ def test_sliced_distances_equal_the_direction_major_formula(paths, projections, 
         for i in range(J) for j in range(i + 1, J)]
 
 
-@pytest.mark.parametrize("budget", [1, 512])
-def test_subsampled_path_modulus_matches_the_dispatcher(budget):
+def test_subsampled_path_modulus_matches_the_dispatcher():
     gen = np.random.default_rng(8)
     times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(13)])
     path = MeasurePath(times=times, points=gen.standard_normal((14, 50, 2)).cumsum(axis=0))
@@ -498,8 +497,9 @@ def test_subsampled_path_modulus_matches_the_dispatcher(budget):
     sample = path_modulus(path, max_pairs=20, exact_budget=1, projections=8, seed=5)
     pairs = pairs_of(path, sample.gaps)
     assert len(pairs) == 20
-    table = path_modulus(path, max_pairs=20, exact_budget=budget, projections=8, seed=5)
-    assert_modulus_matches_dispatcher(path, table, budget, 8, 5, pairs)
+    for budget in (1, 512):  # the sliced branch, then the assignment branch
+        table = path_modulus(path, max_pairs=20, exact_budget=budget, projections=8, seed=5)
+        assert_modulus_matches_dispatcher(path, table, budget, 8, 5, pairs)
 
 
 def test_path_modulus_input_checks():
