@@ -203,10 +203,7 @@ class ProductGaussian:
         return float(self.mean[i] ** 2 + self.var[i])
 
     def norm_fourth_moment(self):
-        # E|X|^4 = sum_k EX_k^4 + (sum_k EX_k^2)^2 - sum_k (EX_k^2)^2
-        m2 = self.mean ** 2 + self.var
-        m4 = self.mean ** 4 + 6.0 * self.mean ** 2 * self.var + 3.0 * self.var ** 2
-        return float(np.sum(m4) + np.sum(m2) ** 2 - np.sum(m2 ** 2))
+        return float(gaussian_norm_fourth_moment(self.mean, self.var))
 
     def sample(self, M, seed):
         if M < 1:
@@ -214,6 +211,12 @@ class ProductGaussian:
         n = int(M) * self.n_modes  # block 0 of the stream, as propagate reserves it
         z = rng.normal_stream(seed, 0, rng.aligned(n))[:n].reshape(-1, self.n_modes)
         return self.mean + np.sqrt(self.var) * z
+
+
+def gaussian_norm_fourth_moment(mean, var):
+    """E|X|^4 = (sum_k EX_k^2)^2 + sum_k Var X_k^2 of independent Gaussian modes on axis -1."""
+    return (np.sum(mean ** 2 + var, axis=-1) ** 2
+            + np.sum(2.0 * var * (2.0 * mean ** 2 + var), axis=-1))
 
 
 def Dirac(point):

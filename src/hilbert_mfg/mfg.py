@@ -19,9 +19,8 @@ every iterate a deterministic function of the configuration.
 
 The audit quantifies what membership in the iteration's invariant set
 means concretely: per-mode second moments below a_k = 3 (beta_k + alpha_k
-+ alpha_k |H_p|^2), a fourth-moment cap whose unspecified constant is
-calibrated from zero-drift and saturated-drift transports, and a
-square-root-in-time modulus fit.
++ alpha_k |H_p|^2), a fourth-moment cap whose constant is a safety margin
+1.5 times the exact Gaussian sup, and a square-root-in-time modulus fit.
 """
 
 import math
@@ -36,6 +35,7 @@ from .fp_particles import DriftField, propagate
 from .hjb import ValueGrid, solve_hjb_mild
 from .measures import (
     MeasurePath,
+    gaussian_norm_fourth_moment,
     mixture_paths,
     moments,
     path_modulus,
@@ -43,14 +43,13 @@ from .measures import (
     path_sup_distances,
     w1_method,
 )
-from .spectrum import stationary_variances
+from .spectrum import covariance_diag, semigroup_factors, stationary_variances
 
 _TAG_INIT = 0x11
 _TAG_ITER = 0x12
 _TAG_MIX = 0x13
 _TAG_DIST = 0x14
 _TAG_CERT = 0x15
-_TAG_CAL = 0x16
 _TAG_START_A = 0x17
 _TAG_START_B = 0x18
 
@@ -255,23 +254,21 @@ def mode_bounds(problem):
 
 
 def calibrate_c0(problem, config):
-    """Estimate the fourth-moment envelope constant by transporting m0
-    under the zero drift and both saturated constant drifts, normalizing by
-    1 + E|X_0|^4 + |H_p|^4, and keeping 1.5x the worst supremum."""
+    """c0 = 1.5 sup_t E|X_t|^4 / (1 + E|X_0|^4 + |H_p|^4) over the mesh, the
+    zero and both saturated constant drifts; the 1.5 is the audit's safety
+    margin.  Exact for the Gaussian m0 and runs no transport: a `propagate`
+    step under a constant drift u is the OU transition mean -> e^{lambda h}
+    mean + u (1 - e^{lambda h}) / |lambda|, var -> e^{2 lambda h} var + q(h)."""
     _check_config(problem, config)
-    R = float(problem.hamiltonian.bound_Hp)
-    N = problem.spectrum.N
-    drifts = [DriftField.zero(N)]
-    if R > 0:
-        u = np.full(N, R / math.sqrt(N))
-        drifts += [DriftField.constant(u), DriftField.constant(-u)]
-    denom = 1.0 + problem.m0.norm_fourth_moment() + R**4
-    worst = 0.0
-    for i, w in enumerate(drifts):
-        path = propagate(w, problem.m0, problem.spectrum,
-                         config.with_(seed=rng.derive_seed(config.seed, _TAG_CAL, i)))
-        worst = max(worst, float(moments(path.points).fourth.max()) / denom)
-    return 1.5 * worst
+    spec, m0, R = problem.spectrum, problem.m0, float(problem.hamiltonian.bound_Hp)
+    u = np.array([[0.0], [1.0], [-1.0]]) * (R / math.sqrt(spec.N))  # one row per drift
+    mean, var, worst = m0.mean, m0.var, m0.norm_fourth_moment()  # var is drift-free
+    for h in np.diff(config.mesh()):
+        growth = semigroup_factors(spec, h)
+        mean = growth * mean + u * ((1.0 - growth) / np.abs(spec.lam))
+        var = growth ** 2 * var + covariance_diag(spec, h)
+        worst = max(worst, float(np.max(gaussian_norm_fourth_moment(mean, var))))
+    return 1.5 * worst / (1.0 + m0.norm_fourth_moment() + R**4)
 
 
 @dataclass

@@ -22,7 +22,7 @@ import hilbert_mfg
 from hilbert_mfg import rng
 from hilbert_mfg.config import SolverConfig
 from hilbert_mfg.fp_particles import DriftField, propagate
-from hilbert_mfg.hjb import GeneralHamiltonian
+from hilbert_mfg.hjb import GeneralHamiltonian, zero_hamiltonian
 from hilbert_mfg.measures import (
     Dirac,
     MeasurePath,
@@ -43,7 +43,7 @@ from hilbert_mfg.mfg import (
     uniqueness_experiment,
 )
 from hilbert_mfg.models import make_model
-from hilbert_mfg.spectrum import SpectrumSpec
+from hilbert_mfg.spectrum import SpectrumSpec, covariance_qk
 
 CFG = SolverConfig(dt=0.1, particles=3000, grid_points=32, quad_nodes=8,
                    tau_nodes=17, fp_tol=2e-2, seed=9)
@@ -239,6 +239,86 @@ def test_calibrated_fourth_moment_constant_is_sane():
     rep = moment_bound_audit(prob, m, CFG)
     assert rep.fourth_pass
     assert rep.fourth_bound >= 1.0 + c0  # chat = 1 + c0 (1 + m0 moment + R^4)
+
+
+def ou_fourth_moments(spec, m0, u, times):
+    """E|X_t|^4 of the OU flow under the constant drift u from a product
+    Gaussian m0, in continuous time: mean e^{lambda t} mu + u (1 -
+    e^{lambda t}) / |lambda|, variance e^{2 lambda t} var + q(t)."""
+    out = []
+    for t in times:
+        g = np.exp(spec.lam * t)
+        mean = g * m0.mean + u * (1.0 - g) / np.abs(spec.lam)
+        var = g ** 2 * m0.var + (1.0 - g ** 2) / (2.0 * np.abs(spec.lam))
+        m2 = mean ** 2 + var
+        m4 = mean ** 4 + 6.0 * mean ** 2 * var + 3.0 * var ** 2
+        out.append(np.sum(m4) + np.sum(m2) ** 2 - np.sum(m2 ** 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, dt", [("cap1d_monotone", 0.1), ("cap2d_f2", 0.1),
+                                       ("cap2d_f2", 0.3)],
+                         ids=["1-mode-dirac", "2-mode-gaussian", "dt-0.3"])
+def test_c0_is_the_closed_form_that_propagate_samples(model, dt):
+    """Per drift and mesh time, the closed-form E|X_t|^4 lies within 4
+    standard errors of a 20,000-particle `propagate`, and c0 is 1.5 times
+    its sup over 1 + E|X_0|^4 + R^4.  dt 0.3 does not divide T = 1."""
+    prob = make_model(model)
+    spec, N = prob.spectrum, prob.spectrum.N
+    R = float(prob.hamiltonian.bound_Hp)
+    cfg = CFG.with_(dt=dt, particles=20_000, seed=31)
+    sup = 0.0
+    for i, sign in enumerate((0.0, 1.0, -1.0)):
+        u = np.full(N, sign * R / math.sqrt(N))
+        drift = DriftField.constant(u) if sign else DriftField.zero(N)
+        path = propagate(drift, prob.m0, spec, cfg.with_(seed=40 + i))
+        exact = ou_fourth_moments(spec, prob.m0, u, path.times)
+        mom = moments(path.points)
+        np.testing.assert_array_less(np.abs(mom.fourth - exact),
+                                     4.0 * mom.fourth_stderr + 1e-12)
+        sup = max(sup, exact.max())
+    want = 1.5 * sup / (1.0 + prob.m0.norm_fourth_moment() + R ** 4)
+    assert calibrate_c0(prob, cfg) == pytest.approx(want, rel=1e-12)
+
+
+def test_c0_of_a_driftless_point_mass_is_three_q_squared():
+    # zero drift from the origin: X_t ~ N(0, q(t)), so E X_t^4 = 3 q(t)^2,
+    # largest at T, over a normalizer 1 + 0 + 0
+    spec = SpectrumSpec(eigenvalues=(-2.0,))
+    prob = MFGProblem(spectrum=spec, hamiltonian=zero_hamiltonian(1),
+                      terminal=lambda X, mu: np.cos(X[..., 0]),
+                      m0=Dirac([0.0]), horizon=1.0)
+    q = covariance_qk(spec, 1, 1.0)
+    assert calibrate_c0(prob, CFG) == pytest.approx(1.5 * 3.0 * q ** 2, rel=1e-12)
+
+
+def test_c0_reads_neither_the_particle_count_nor_the_seed():
+    for model in ("cap1d_monotone", "cap2d_f2"):
+        prob = make_model(model)
+        c0 = calibrate_c0(prob, CFG)
+        assert calibrate_c0(prob, CFG.with_(particles=17, seed=12345)) == c0
+        assert calibrate_c0(prob, CFG.with_(particles=40_000, seed=0)) == c0
+
+
+def test_c0_is_even_in_the_initial_mean():
+    # the drifts 0 and +-u are a symmetric set, so mirroring m0 swaps the
+    # two saturated walks and leaves the sup where it was
+    prob = make_model("cap2d_f2")
+    mirrored = MFGProblem(spectrum=prob.spectrum, hamiltonian=prob.hamiltonian,
+                          terminal=prob.terminal, horizon=prob.horizon,
+                          m0=ProductGaussian(-prob.m0.mean, prob.m0.var))
+    assert calibrate_c0(mirrored, CFG) == calibrate_c0(prob, CFG)
+
+
+def test_the_moment_audit_runs_no_transport(monkeypatch):
+    import hilbert_mfg.mfg as mfg_mod
+
+    prob = make_model("cap2d_f2")
+    m = propagate(DriftField.zero(2), prob.m0, prob.spectrum, CFG.with_(particles=500))
+    monkeypatch.setattr(mfg_mod, "propagate",
+                        lambda *args, **kwargs: pytest.fail("the audit ran a transport"))
+    rep = moment_bound_audit(prob, m, CFG.with_(particles=500))
+    assert rep.ok and rep.c0 == calibrate_c0(prob, CFG)
 
 
 def test_fixed_point_smoke_run_reports_certificate_and_audit():
