@@ -21,8 +21,9 @@ configured budget a sliced surrogate (average of 1-D sorted-coupling
 distances over random unit directions) is used.  All randomized
 surrogates are deterministic functions of their seed.  Every W1 goes
 through one dispatcher over pairs, `_pair_distances`, except the
-modulus's assignments: `path_modulus` reads only the maximum of
-d / (sqrt(g) + g), so it bounds each pair by a coupling it already has
+modulus's assignments: `path_modulus` returns only the envelope
+constant, the maximum of d / (sqrt(g) + g) over every pair of mesh
+times, so by assignment it bounds each pair by a coupling it already has
 (the trajectory identity, or two known couplings glued through a middle
 time) and runs the assignment only where that bound could beat the
 running maximum.
@@ -34,15 +35,14 @@ mode is the case of the single direction [[1.0]], whose projection is the
 coordinate itself.  The dispatcher draws the directions once per call and,
 in a working set of two row times, sorts each cloud once per block of rows
 instead of twice per pair, projecting into profile buffers it reuses for
-the length of the call: `path_modulus` hands it the mesh times and their
-pairs, `path_sup_distances` the clouds [ref(t), o_1(t), ...] of a
+the length of the call: `path_modulus` hands it the mesh times and every
+pair of them, `path_sup_distances` the clouds [ref(t), o_1(t), ...] of a
 reference path and its others with the pairs from ref(t), so each ref(t)
 is sorted once for all the others, and `wasserstein1_sliced` one pair.
 """
 
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -57,7 +57,6 @@ from .tables import write_table
 _TAG_SLICE = 0x51
 _TAG_POOL_A = 0xA0
 _TAG_POOL_B = 0xB0
-_TAG_PAIRS = 0x9A
 
 
 @dataclass
@@ -382,20 +381,6 @@ def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
     return path_sup_distances(m1, [m2], exact_budget, projections, seed)[0]
 
 
-@dataclass
-class ModulusTable:
-    """Pairs (|t-s|, d_1(m(t), m(s))) in (i, j) order, plus the fitted
-    envelope constant C in d_1 <= C (sqrt|t-s| + |t-s|), and the
-    `w1_method` the distances took.  By assignment only the pairs whose
-    distance was taken are listed; every other pair of the fit lies below
-    C by its coupling bound."""
-
-    gaps: np.ndarray
-    dists: np.ndarray
-    constant: float
-    method: str
-
-
 # Relative slack of the assignment modulus's pruning test: a pair is skipped
 # only when its coupling bound lies this far below the running maximum,
 # which covers the rounding of both the bound's mean and the assignment's.
@@ -403,8 +388,8 @@ _PRUNE_MARGIN = 1e-9
 
 
 def _bounded_assignments(path, pairs):
-    """The pairs of `pairs` whose assignment could set the modulus
-    constant, in (i, j) order, and their exact distances.
+    """The modulus constant by assignment: the largest d / (sqrt(g) + g)
+    over the pairs (i, j) of `pairs`, g the time gap and d the exact W1.
 
     The pairs are taken in increasing time gap, ties in (i, j) order.  A
     pair (i, j) is first bounded by the cheaper of two couplings: the
@@ -415,11 +400,12 @@ def _bounded_assignments(path, pairs):
     couplings through k, so it costs at most the sum of theirs.  The
     assignment runs only when the bound over sqrt(g) + g reaches the
     running maximum, less the margin; otherwise the bounding coupling is
-    kept for the wider pairs."""
+    kept for the wider pairs.  Every pair left unassigned lies below the
+    maximum, so the maximum is the one all pairs give, bit for bit."""
     times, points = path.times, path.points
     order = sorted(pairs, key=lambda p: (times[p[1]] - times[p[0]], p))
     identity = np.arange(path.M)
-    known, taken, running = {}, {}, 0.0
+    known, running = {}, 0.0
     for i, j in order:
         g = times[j] - times[i]
         perms = np.stack([identity] + [known[k, j][known[i, k]] for k in range(i + 1, j)
@@ -429,37 +415,28 @@ def _bounded_assignments(path, pairs):
         if costs[best] / (math.sqrt(g) + g) < running * (1.0 - _PRUNE_MARGIN):
             known[i, j] = perms[best]
             continue
-        taken[i, j], known[i, j] = _assignment(points[i], points[j])
-        running = max(running, taken[i, j] / (math.sqrt(g) + g))
-    kept = sorted(taken)
-    return kept, np.array([taken[p] for p in kept])
+        d, known[i, j] = _assignment(points[i], points[j])
+        running = max(running, d / (math.sqrt(g) + g))
+    return float(running)
 
 
-def path_modulus(path, max_pairs=250, exact_budget=512, projections=64, seed=0):
-    """Tabulate W1 against time gaps over mesh pairs (budgeted subsample) and
-    fit the envelope constant of the sqrt-plus-linear modulus.  By
-    assignment (N >= 2 modes within the budget) a pair is assigned only
-    when its coupling bound could beat the running maximum
-    (`_bounded_assignments`), and the constant is the one all pairs give."""
+def path_modulus(path, exact_budget=512, projections=64, seed=0):
+    """The envelope constant C of the sqrt-plus-linear modulus
+    d_1(m(t), m(s)) <= C (sqrt|t-s| + |t-s|): the largest
+    d_1 / (sqrt(g) + g) over every pair of mesh times, g the time gap and
+    each d_1 taken as `w1_method` names.  By assignment (N >= 2 modes
+    within the budget) a pair is assigned only when its coupling bound
+    could beat the running maximum (`_bounded_assignments`)."""
     J = len(path.measures)
     if J < 2:
         raise ValueError("need at least two mesh points")
-    if isinstance(max_pairs, bool) or not isinstance(max_pairs, numbers.Integral) \
-            or max_pairs < 1:
-        raise ValueError("max_pairs must be an integer of at least 1, got %r" % (max_pairs,))
     pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
-    if len(pairs) > max_pairs:
-        g = rng.generator(seed, _TAG_PAIRS)
-        keep = g.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in np.sort(keep)]
     method = w1_method(path.N, path.M, exact_budget)
     if method == "exact" and path.N > 1:
-        pairs, dists = _bounded_assignments(path, pairs)
-    else:
-        dists = _pair_distances(path.measures, pairs, method, projections, seed)
+        return _bounded_assignments(path, pairs)
+    dists = _pair_distances(path.measures, pairs, method, projections, seed)
     gaps = np.array([path.times[j] - path.times[i] for i, j in pairs])
-    constant = float(np.max(dists / (np.sqrt(gaps) + gaps)))
-    return ModulusTable(gaps=gaps, dists=dists, constant=constant, method=method)
+    return float(np.max(dists / (np.sqrt(gaps) + gaps)))
 
 
 # ---------------------------------------------------------------------------

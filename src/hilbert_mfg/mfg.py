@@ -333,7 +333,7 @@ def moment_bound_audit(problem, m, config):
     return MomentAuditReport(rows=tuple(rows), fourth_bound=c_hat,
                              fourth_observed=fourth_obs, fourth_stderr=fourth_err,
                              fourth_pass=fourth_obs <= c_hat + 3 * fourth_err,
-                             modulus_constant=float(modulus.constant), c0=c0)
+                             modulus_constant=modulus, c0=c0)
 
 
 @dataclass

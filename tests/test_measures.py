@@ -343,14 +343,17 @@ def test_one_mode_path_distances_match_assignment(paths, budget):
     a, b = first.measures, second.measures
     sup = path_sup_distance(first, second, exact_budget=budget)
     assert sup == pytest.approx(max(wasserstein1(x, y) for x, y in zip(a, b)), abs=1e-12)
-    table = path_modulus(first, exact_budget=budget)
-    assert table.method == "exact"
+    method = w1_method(first.N, first.M, budget)
+    assert method == "exact"
     pairs = [(0, 1), (0, 2), (1, 2)]
+    dists = measures._pair_distances(a, pairs, method, 64, 0)
     np.testing.assert_allclose(
-        table.dists, [wasserstein1(a[i], a[j]) for i, j in pairs], rtol=0, atol=1e-12)
+        dists, [wasserstein1(a[i], a[j]) for i, j in pairs], rtol=0, atol=1e-12)
     # the one-direction profile keeps the bits of the 1-D sort
     assert sup == max(sorted_gap_1d(x, y) for x, y in zip(a, b))
-    assert table.dists.tolist() == [sorted_gap_1d(a[i], a[j]) for i, j in pairs]
+    assert dists.tolist() == [sorted_gap_1d(a[i], a[j]) for i, j in pairs]
+    g = np.array([0.5, 1.0, 0.5])
+    assert path_modulus(first, exact_budget=budget) == np.max(dists / (np.sqrt(g) + g))
 
 
 def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17, n_modes=1):
@@ -370,15 +373,14 @@ def ou_trajectory_path(n_steps, M=128, lam=-1.0, horizon=1.0, seed=17, n_modes=1
 def test_path_modulus_constant_and_ou():
     const = MeasurePath(times=np.linspace(0.0, 1.0, 6),
                         points=np.broadcast_to([[1.0], [2.0]], (6, 2, 1)))
-    table = path_modulus(const)
-    assert np.all(table.dists == 0.0) and table.constant == 0.0
+    assert path_modulus(const) == 0.0
 
     # OU path: envelope constant finite and stable when the mesh is refined
     # (the coarse mesh is a sub-mesh of the fine one, so pairs are nested).
     fine = ou_trajectory_path(40)
     coarse = MeasurePath(times=fine.times[::2], points=fine.points[::2])
-    c_coarse = path_modulus(coarse, max_pairs=2000).constant
-    c_fine = path_modulus(fine, max_pairs=2000).constant
+    c_coarse = path_modulus(coarse)
+    c_fine = path_modulus(fine)
     assert np.isfinite(c_fine)
     assert c_coarse <= c_fine <= 2.0 * c_coarse
 
@@ -388,8 +390,8 @@ def test_path_modulus_jump_blows_up():
         times = np.linspace(0.0, 1.0, n + 1)
         return dirac_path(times, [0.0 if t < 0.5 else 1.0 for t in times])
 
-    c_coarse = path_modulus(jump_path(10), max_pairs=5000).constant
-    c_fine = path_modulus(jump_path(40), max_pairs=5000).constant
+    c_coarse = path_modulus(jump_path(10))
+    c_fine = path_modulus(jump_path(40))
     assert c_fine >= 1.5 * c_coarse
 
 
@@ -414,45 +416,31 @@ def direction_major_sliced(mu, nu, projections, seed):
     return float(np.abs(a - b).mean())
 
 
-def pairs_of(path, gaps):
-    """The mesh pairs (i, j) of the given time gaps, which the meshes here
-    keep pairwise distinct."""
+def assert_modulus_matches_dispatcher(path, budget, projections, seed):
+    """Over every pair of mesh times the dispatcher's distance is, bit for
+    bit, the written-out W1 its method names: the sorted 1-D gap on one
+    mode, assignment within the budget, the direction-major sliced formula
+    beyond.  The modulus constant is the envelope of the written-out
+    distances of all pairs, bit for bit."""
     J = len(path.times)
-    pair_of = {path.times[j] - path.times[i]: (i, j) for i in range(J) for j in range(i + 1, J)}
-    return [pair_of[g] for g in gaps]
-
-
-def assert_modulus_matches_dispatcher(path, table, budget, projections, seed, pairs):
-    """Each tabulated distance is, bit for bit, the written-out W1 its
-    method names: the sorted 1-D gap on one mode, assignment within the
-    budget, the direction-major sliced formula beyond.  The sorted branches
-    list every one of `pairs`, the assignment an ordered subset, and the
-    constant is the envelope of the written-out distances of all `pairs`,
-    bit for bit."""
-    listed = pairs_of(path, table.gaps)
-    assert table.method == w1_method(path.N, path.M, budget)
-    if table.method == "sliced":
+    pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
+    method = w1_method(path.N, path.M, budget)
+    if method == "sliced":
         oracle = lambda mu, nu: direction_major_sliced(mu, nu, projections, seed)
     else:
         oracle = sorted_gap_1d if path.N == 1 else wasserstein1
-    want = {(i, j): oracle(path.measures[i], path.measures[j]) for i, j in pairs}
-    if table.method == "exact" and path.N > 1:
-        assert listed == sorted(set(listed) & set(pairs))
-    else:
-        assert listed == pairs
-    assert table.dists.tolist() == [want[p] for p in listed]
-    d = np.array([want[p] for p in pairs])
+    d = [oracle(path.measures[i], path.measures[j]) for i, j in pairs]
+    dists = measures._pair_distances(path.measures, pairs, method, projections, seed)
+    assert dists.tolist() == d
     g = np.array([path.times[j] - path.times[i] for i, j in pairs])
-    assert table.constant == np.max(d / (np.sqrt(g) + g))
+    constant = path_modulus(path, exact_budget=budget, projections=projections, seed=seed)
+    assert constant == np.max(np.array(d) / (np.sqrt(g) + g))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(path=small_paths(), budget=st.sampled_from([1, 512]), seed=st.integers(0, 3))
 def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
-    table = path_modulus(path, exact_budget=budget, projections=16, seed=seed)
-    J = len(path.times)
-    pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
-    assert_modulus_matches_dispatcher(path, table, budget, 16, seed, pairs)
+    assert_modulus_matches_dispatcher(path, budget, 16, seed)
 
 
 @st.composite
@@ -481,41 +469,28 @@ def test_sliced_distances_equal_the_direction_major_formula(paths, projections, 
             for a, b in zip(m1.measures, m2.measures)] == want
     assert path_sup_distance(m1, m2, exact_budget=0, projections=projections,
                              seed=seed) == max(want)
-    J = len(m1.times)
-    table = path_modulus(m1, exact_budget=0, projections=projections, seed=seed)
-    assert table.method == "sliced"
-    assert table.dists.tolist() == [
-        direction_major_sliced(m1.measures[i], m1.measures[j], projections, seed)
-        for i in range(J) for j in range(i + 1, J)]
+    assert w1_method(m1.N, m1.M, 0) == "sliced"
+    assert_modulus_matches_dispatcher(m1, 0, projections, seed)
 
 
-def test_subsampled_path_modulus_matches_the_dispatcher():
+def test_path_modulus_takes_every_pair_of_a_fine_mesh():
+    """A 24-time mesh has 276 pairs, and the constant is the envelope over
+    every one of them on the sorted, sliced and assignment branches.  The
+    largest ratio is at the first gap, the pair (0, 1), which a fit over a
+    250-pair sample drawn from seed 27 would leave out."""
     gen = np.random.default_rng(8)
-    times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(13)])
-    path = MeasurePath(times=times, points=gen.standard_normal((14, 50, 2)).cumsum(axis=0))
-    # the subsample depends on the seed alone; the sliced branch lists it whole
-    sample = path_modulus(path, max_pairs=20, exact_budget=1, projections=8, seed=5)
-    pairs = pairs_of(path, sample.gaps)
-    assert len(pairs) == 20
-    for budget in (1, 512):  # the sliced branch, then the assignment branch
-        table = path_modulus(path, max_pairs=20, exact_budget=budget, projections=8, seed=5)
-        assert_modulus_matches_dispatcher(path, table, budget, 8, 5, pairs)
+    times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(23)])
+    for n_modes, budgets in ((1, (512,)), (2, (1, 512))):
+        path = MeasurePath(times=times,
+                           points=gen.standard_normal((24, 50, n_modes)).cumsum(axis=0))
+        for budget in budgets:
+            assert_modulus_matches_dispatcher(path, budget, 8, 27)
 
 
 def test_path_modulus_input_checks():
     path = stacked([0.0, 1.0], [cloud(np.random.default_rng(2), 8, 2)] * 2)
     with pytest.raises(ValueError, match="need at least one projection"):
         path_modulus(path, exact_budget=1, projections=0)
-    with pytest.raises(ValueError, match="max_pairs"):
-        path_modulus(path, max_pairs=0)
-
-
-@pytest.mark.parametrize("max_pairs", [2.5, 3.0, True])
-def test_path_modulus_refuses_a_max_pairs_that_is_not_an_integer(max_pairs):
-    # four mesh times give six pairs, more than any of these would keep
-    path = stacked([0.0, 1.0, 2.0, 3.0], [cloud(np.random.default_rng(2), 8, 2)] * 4)
-    with pytest.raises(ValueError, match="max_pairs"):
-        path_modulus(path, max_pairs=max_pairs)
 
 
 def test_assignment_modulus_assigns_only_the_pairs_its_bounds_cannot_decide(monkeypatch):
@@ -529,15 +504,12 @@ def test_assignment_modulus_assigns_only_the_pairs_its_bounds_cannot_decide(monk
     calls = []
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
                         lambda cost: calls.append(1) or solve(cost))
-    table = path_modulus(path)
-    assert table.method == "exact" and len(calls) == 10
+    constant = path_modulus(path)
+    assert w1_method(path.N, path.M, 512) == "exact" and len(calls) == 10
     pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
-    d = np.array([wasserstein1(path.measures[i], path.measures[j]) for i, j in pairs])
+    d = measures._pair_distances(path.measures, pairs, "exact", 64, 0)
     g = np.array([path.times[j] - path.times[i] for i, j in pairs])
-    adjacent = [pairs.index((i, i + 1)) for i in range(10)]
-    assert table.dists.tolist() == d[adjacent].tolist()
-    assert table.gaps.tolist() == g[adjacent].tolist()
-    assert table.constant == np.max(d / (np.sqrt(g) + g))
+    assert constant == np.max(d / (np.sqrt(g) + g))
 
 
 def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(monkeypatch):
@@ -574,8 +546,8 @@ def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(mo
     calls = []
     monkeypatch.setattr(measures, "_sorted_profile",
                         lambda *args: calls.append(1) or sorted_profile(*args))
-    table = path_modulus(path, exact_budget=512, projections=P)
-    assert len(table.dists) == 55 and table.method == "sliced"
+    path_modulus(path, exact_budget=512, projections=P)
+    assert w1_method(path.N, path.M, 512) == "sliced"
     # blocks {0, 1}, ..., {8, 9}: 11 + 9 + 7 + 5 + 3 sorts, not 2 per pair
     assert len(calls) == 35
 

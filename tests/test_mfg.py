@@ -227,7 +227,7 @@ def test_psi_modulus_constant_uniform_over_input_paths():
                                                 [float(g.uniform(0.05, 0.6))]),
                          prob.spectrum, CFG.with_(seed=1000 + i))
         psi = psi_map(prob, m_in, CFG, fp_seed=2000 + i)
-        consts.append(path_modulus(psi, seed=i).constant)
+        consts.append(path_modulus(psi, seed=i))
     assert max(consts) / min(consts) < 1.5
 
 
