@@ -19,30 +19,29 @@ assignment with Euclidean ground cost, run by one helper, `_assignment`,
 which returns the distance and the optimal permutation; beyond the
 configured budget a sliced surrogate (average of 1-D sorted-coupling
 distances over random unit directions) is used.  All randomized
-surrogates are deterministic functions of their seed.  Every W1 goes
-through one dispatcher over pairs, `_pair_distances`, except the
-modulus's assignments: `path_modulus` returns only the envelope
-constant, the maximum of d / (sqrt(g) + g) over every pair of mesh
-times, so by assignment it bounds each pair by a coupling it already has
-(the trajectory identity, or two known couplings glued through a middle
-time) and runs the assignment only where that bound could beat the
-running maximum.
+surrogates are deterministic functions of their seed.  By assignment
+`path_sup_distances` takes `wasserstein1` at each mesh time.
+`path_modulus` returns only the envelope constant, the maximum of
+d / (sqrt(g) + g) over every pair of mesh times, so by assignment it
+bounds each pair by a coupling it already has (the trajectory identity,
+or two known couplings glued through a middle time) and runs the
+assignment only where that bound could beat the running maximum.
 
-Every sorted distance has one layout.  A cloud's profile is its
-projections `dirs @ points.T` on P unit directions, a (P, M) array with
-each row sorted, and a distance is the mean |a - b| of two profiles.  One
-mode is the case of the single direction [[1.0]], whose projection is the
-coordinate itself.  The dispatcher draws the directions once per call and,
-in a working set of two row times, sorts each cloud once per block of rows
-instead of twice per pair, projecting into profile buffers it reuses for
-the length of the call: `path_modulus` hands it the mesh times and every
-pair of them, `path_sup_distances` the clouds [ref(t), o_1(t), ...] of a
-reference path and its others with the pairs from ref(t), so each ref(t)
-is sorted once for all the others, and `wasserstein1_sliced` one pair.
+Every sorted distance is a sum over unit directions, one direction at a
+time.  One kernel, `_sorted_projections`, projects a (C, M, N) stack of
+clouds on one direction and sorts each row; on one mode the single
+direction [1.0] leaves the coordinate itself.  Per direction
+`path_sup_distances` sorts the reference path and each other path once
+and adds the row sums of |o - r| per mesh time, `wasserstein1_sliced`
+runs the same loop on one pair of clouds, and `path_modulus` sorts its
+one path and takes the pairs (i, i + k) of each time offset k as the
+slice pair s[k:] - s[:-k].  Each divides the sums once by P M, so a
+one-mode distance is the mean gap of the sorted coordinates, bit for bit,
+and no call holds more than a few (C, M) arrays of one direction.
 """
 
-import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -261,6 +260,8 @@ def wasserstein1(mu, nu):
 def _slice_directions(seed, projections, n_modes):
     """The sliced surrogate's unit directions, a deterministic function of
     the seed: one draw serves every pair that shares the seed."""
+    if isinstance(projections, bool) or not isinstance(projections, numbers.Integral):
+        raise ValueError("projections: must be an integer, got %r" % (projections,))
     if projections < 1:
         raise ValueError("need at least one projection")
     g = rng.generator(seed, _TAG_SLICE)
@@ -271,28 +272,6 @@ def _slice_directions(seed, projections, n_modes):
     return dirs
 
 
-# The one direction of a one-mode cloud: its projection is the coordinate.
-_UNIT = np.ones((1, 1))
-
-
-def _sorted_profile(points, dirs, out):
-    """One cloud's sorted profile, written into the (P, M) buffer `out`: its
-    projections `dirs @ points.T` on the (P, N) unit directions, each row
-    sorted in place."""
-    np.matmul(dirs, points.T, out=out)
-    out.sort(axis=-1)
-    return out
-
-
-def _gap(a, b, out):
-    """mean |a - b| of two sorted profiles: the W1 of their sorted coupling,
-    averaged over the directions.  The gaps go to `out`, which may be
-    either profile."""
-    np.subtract(a, b, out=out)
-    np.abs(out, out=out)
-    return float(out.mean())
-
-
 def w1_method(n_modes, n_points, exact_budget):
     """The one rule for how W1 between clouds of `n_points` points each is
     taken: "exact" on one mode (the sorted coupling, an optimal assignment)
@@ -300,58 +279,40 @@ def w1_method(n_modes, n_points, exact_budget):
     return "exact" if n_modes == 1 or n_points <= exact_budget else "sliced"
 
 
-def _pair_distances(clouds, pairs, method, projections, seed):
-    """The one W1 dispatcher: d_1(clouds[i], clouds[j]) for each pair
-    (i, j), i < j, given in (i, j) order, taken as `method` names.
+# The one direction of a one-mode cloud: its projection is the coordinate.
+_UNIT = np.ones((1, 1))
 
-    "exact" on N >= 2 modes is one assignment per pair.  Every other
-    distance is the sorted coupling of two equal-size clouds along one
-    draw of directions, `_UNIT` on one mode or the sliced surrogate's.
-    The pairs are taken in blocks of two row times i in {b, b + 1}.  A
-    block holds its row profiles and streams each later time its pairs
-    need, once, so each cloud is sorted once per block.  A gap is written
-    into the streamed profile at its last use and into a scratch profile
-    otherwise.  A profile no longer read goes back to a free list that the
-    next one is projected into, so a single pair holds two profiles and no
-    call more than four: two rows, one streamed time and the scratch."""
-    if method == "exact" and clouds[0].N > 1:
-        return np.array([wasserstein1(clouds[i], clouds[j]) for i, j in pairs])
-    dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, clouds[0].N)
-    shape = (len(dirs), clouds[0].M)
-    free = []  # profiles no longer read, for the length of this call
 
-    def take():
-        return free.pop() if free else np.empty(shape)
+def _sorted_projections(points, direction):
+    """The clouds of a (C, M, N) stack projected on one unit direction, a
+    (C, M) array with each row sorted."""
+    proj = points @ direction
+    proj.sort(axis=-1)
+    return proj
 
-    dists = np.empty(len(pairs))
-    for _, block in itertools.groupby(enumerate(pairs), key=lambda item: item[1][0] // 2):
-        partners = {}  # time -> (pair index, row time) of the pairs ending there
-        for n, (i, j) in block:
-            partners.setdefault(i, [])
-            partners.setdefault(j, []).append((n, i))
-        last_row = i  # the pairs come in (i, j) order
-        held = {}
-        for t in sorted(partners):
-            profile = _sorted_profile(clouds[t].points, dirs, take())
-            for n, row in partners[t]:
-                last_use = t > last_row and n == partners[t][-1][0]
-                out = profile if last_use else take()
-                dists[n] = _gap(held[row], profile, out=out)
-                if not last_use:
-                    free.append(out)
-            if t <= last_row:
-                held[t] = profile
-            else:
-                free.append(profile)  # a streamed time is done before the next is sorted
-        free.extend(held.values())
-    return dists
+
+def _sorted_gap_sums(ref, others, dirs):
+    """Sum over the directions of the row sums of |o - r|, o and r the
+    sorted projections of the clouds others[k][c] and ref[c], as a
+    (len(others), C) array; ref and each other are (C, M, N) stacks.  One
+    direction at a time, ref is sorted once for all the others."""
+    sums = np.zeros((len(others), len(ref)))
+    for d in dirs:
+        r = _sorted_projections(ref, d)
+        for k, o in enumerate(others):
+            gaps = _sorted_projections(o, d)
+            gaps -= r  # in place: a fresh array of this size costs its page faults
+            sums[k] += np.abs(gaps, out=gaps).sum(axis=-1)
+    return sums
 
 
 def wasserstein1_sliced(mu, nu, projections=64, seed=0):
     """Sliced surrogate: average over random unit directions of the 1-D
     sorted-coupling W1 of the projected samples."""
     _require_compatible(mu, nu)
-    return float(_pair_distances((mu, nu), [(0, 1)], "sliced", projections, seed)[0])
+    dirs = _slice_directions(seed, projections, mu.N)
+    return float(_sorted_gap_sums(mu.points[None], [nu.points[None]], dirs)[0, 0]
+                 / (len(dirs) * mu.M))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +322,19 @@ def wasserstein1_sliced(mu, nu, projections=64, seed=0):
 def path_sup_distances(ref, others, exact_budget=512, projections=64, seed=0):
     """[sup over mesh points of d_1(ref(t), o(t)) for each path o in others],
     each d_1 taken as `w1_method` names: on N >= 2 modes the sliced
-    surrogate beyond the exact budget.  One dispatcher call, so one draw
-    of directions serves every other path and each ref(t) is sorted once."""
+    surrogate beyond the exact budget.  One draw of directions serves
+    every other path, and each ref(t) is sorted once per direction."""
     for o in others:
         if not same_mesh(ref.times, o.times):
             raise ValueError("paths live on different meshes")
         _require_compatible(ref, o)
-    K = len(others)
     method = w1_method(ref.N, ref.M, exact_budget)
-    clouds = [c for row in zip(ref.measures, *(o.measures for o in others)) for c in row]
-    pairs = [(base, base + 1 + k) for base in range(0, len(clouds), K + 1) for k in range(K)]
-    dists = _pair_distances(clouds, pairs, method, projections, seed)
-    return dists.reshape(len(ref.times), K).max(axis=0).tolist()
+    if method == "exact" and ref.N > 1:
+        return [max(wasserstein1(a, b) for a, b in zip(ref.measures, o.measures))
+                for o in others]
+    dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, ref.N)
+    sums = _sorted_gap_sums(ref.points, [o.points for o in others], dirs)
+    return (sums / (len(dirs) * ref.M)).max(axis=1).tolist()
 
 
 def path_sup_distance(m1, m2, exact_budget=512, projections=64, seed=0):
@@ -426,17 +388,27 @@ def path_modulus(path, exact_budget=512, projections=64, seed=0):
     d_1 / (sqrt(g) + g) over every pair of mesh times, g the time gap and
     each d_1 taken as `w1_method` names.  By assignment (N >= 2 modes
     within the budget) a pair is assigned only when its coupling bound
-    could beat the running maximum (`_bounded_assignments`)."""
+    could beat the running maximum (`_bounded_assignments`).  Sorted, the
+    path is sorted once per direction, and the pairs (i, i + k) of each
+    time offset k are the slice pair s[k:] - s[:-k]."""
     J = len(path.measures)
     if J < 2:
         raise ValueError("need at least two mesh points")
-    pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
     method = w1_method(path.N, path.M, exact_budget)
     if method == "exact" and path.N > 1:
-        return _bounded_assignments(path, pairs)
-    dists = _pair_distances(path.measures, pairs, method, projections, seed)
-    gaps = np.array([path.times[j] - path.times[i] for i, j in pairs])
-    return float(np.max(dists / (np.sqrt(gaps) + gaps)))
+        return _bounded_assignments(path, [(i, j) for i in range(J) for j in range(i + 1, J)])
+    dirs = _UNIT if method == "exact" else _slice_directions(seed, projections, path.N)
+    sums = {k: np.zeros(J - k) for k in range(1, J)}  # sums[k][i]: the pair (i, i + k)
+    for d in dirs:
+        s = _sorted_projections(path.points, d)
+        for k, total in sums.items():
+            gaps = s[k:] - s[:-k]
+            total += np.abs(gaps, out=gaps).sum(axis=-1)
+    constant = 0.0
+    for k, total in sums.items():
+        g = path.times[k:] - path.times[:-k]
+        constant = max(constant, np.max(total / (len(dirs) * path.M) / (np.sqrt(g) + g)))
+    return float(constant)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,9 @@ def fixed_point_iterate(problem, config, initial=None):
     Each iteration takes the psi residual and the change in one
     `path_sup_distances` call from m_j, and the certificate takes its three
     repeats in one call from the final path, so each reference path is
-    sorted once per round.  The three repeats share one draw of sliced
-    directions: their stderr measures transport noise only, and direction
-    noise cannot widen the budget fp_tol + 3 stderr.
+    sorted once per direction in each round.  The three repeats share one
+    draw of sliced directions: their stderr measures transport noise only,
+    and direction noise cannot widen the budget fp_tol + 3 stderr.
     """
     _check_config(problem, config)
     seed = int(config.seed)

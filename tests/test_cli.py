@@ -306,6 +306,21 @@ def test_solve_fp_loads_no_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "%d []" % EXIT_OK
 
 
+def test_one_mode_solve_mfg_loads_no_scipy(tmp_path):
+    # one mode takes every W1 by sorting, so no assignment imports scipy
+    src = str(Path(hilbert_mfg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    ini = write_ini(tmp_path, TINY_MFG_INI % "cap1d_monotone")
+    probe = ("import sys\n"
+             "import hilbert_mfg.cli\n"
+             "code = hilbert_mfg.cli.main(['solve-mfg', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe, ini, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, loaded = done.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert int(code) in (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_AUDIT) and loaded == "[]"
+
+
 def test_parse_run_config_roundtrip(tmp_path):
     cfg, cp = parse_run_config(write_ini(tmp_path, MFG_INI), "solve-mfg",
                                out_override=str(tmp_path / "o"))

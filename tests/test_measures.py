@@ -274,20 +274,33 @@ def test_path_sup_distance_follows_the_w1_method_rule():
             want(a, b) for a, b in zip(m1.measures, m2.measures))
 
 
+def count_sorted_clouds(monkeypatch):
+    """Patch the sorting kernel to count, per unit direction, the clouds it
+    sorts; returns the dict it fills."""
+    sort_projections, counts = measures._sorted_projections, {}
+
+    def counted(points, direction):
+        key = tuple(direction)
+        counts[key] = counts.get(key, 0) + len(points)
+        return sort_projections(points, direction)
+
+    monkeypatch.setattr(measures, "_sorted_projections", counted)
+    return counts
+
+
 def test_two_mode_sliced_path_sup_distance_draws_directions_once(monkeypatch):
     """Above the budget the paths' 11 mesh-time pairs share one draw of
-    directions and sort each of their 22 clouds once."""
+    directions, and each direction sorts each of their 22 clouds once."""
     gen = np.random.default_rng(6)
     m1, m2 = (MeasurePath(times=np.linspace(0.0, 1.0, 11),
                           points=gen.standard_normal((11, 40, 2))) for _ in range(2))
-    calls = {"_sorted_profile": 0, "_slice_directions": 0}
-    for name in calls:
-        def counted(*args, name=name, inner=getattr(measures, name)):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(measures, name, counted)
+    draws = []
+    slice_directions = measures._slice_directions
+    monkeypatch.setattr(measures, "_slice_directions",
+                        lambda *args: draws.append(1) or slice_directions(*args))
+    counts = count_sorted_clouds(monkeypatch)
     path_sup_distance(m1, m2, exact_budget=16, projections=8)
-    assert calls == {"_sorted_profile": 22, "_slice_directions": 1}
+    assert len(draws) == 1 and list(counts.values()) == [22] * 8
 
 
 @pytest.mark.parametrize("M, N, budget", [(30, 1, 8), (40, 2, 16), (40, 2, 512)],
@@ -303,6 +316,14 @@ def test_path_sup_distances_equal_one_path_at_a_time(M, N, budget):
         got = path_sup_distances(ref, [a, b], exact_budget=budget, projections=8, seed=seed)
         assert got == [path_sup_distance(ref, other, exact_budget=budget, projections=8,
                                          seed=seed) for other in (a, b)]
+
+
+@pytest.mark.parametrize("N, budget", [(1, 512), (2, 4), (2, 512)],
+                         ids=["one-mode", "two-mode-sliced", "two-mode-exact"])
+def test_path_sup_distances_against_no_other_path_is_empty(N, budget):
+    ref = MeasurePath(times=np.linspace(0.0, 1.0, 3),
+                      points=np.random.default_rng(3).standard_normal((3, 8, N)))
+    assert path_sup_distances(ref, [], exact_budget=budget, projections=4) == []
 
 
 def test_path_sup_distances_check_every_other_path():
@@ -335,6 +356,15 @@ def sorted_gap_1d(mu, nu):
     return np.abs(np.sort(mu.points[:, 0]) - np.sort(nu.points[:, 0])).mean()
 
 
+def pair_distance(path, i, j, budget, projections=64, seed=0):
+    """d_1(path(t_i), path(t_j)) from the public path sup: the two clouds as
+    one-time paths."""
+    def one(c):
+        return MeasurePath(times=[0.0], points=path.points[c:c + 1])
+    return path_sup_distance(one(i), one(j), exact_budget=budget, projections=projections,
+                             seed=seed)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(paths=one_mode_paths(), budget=st.sampled_from([1, 512]))
 def test_one_mode_path_distances_match_assignment(paths, budget):
@@ -346,10 +376,10 @@ def test_one_mode_path_distances_match_assignment(paths, budget):
     method = w1_method(first.N, first.M, budget)
     assert method == "exact"
     pairs = [(0, 1), (0, 2), (1, 2)]
-    dists = measures._pair_distances(a, pairs, method, 64, 0)
+    dists = np.array([pair_distance(first, i, j, budget) for i, j in pairs])
     np.testing.assert_allclose(
         dists, [wasserstein1(a[i], a[j]) for i, j in pairs], rtol=0, atol=1e-12)
-    # the one-direction profile keeps the bits of the 1-D sort
+    # the one direction keeps the bits of the 1-D sort
     assert sup == max(sorted_gap_1d(x, y) for x, y in zip(a, b))
     assert dists.tolist() == [sorted_gap_1d(a[i], a[j]) for i, j in pairs]
     g = np.array([0.5, 1.0, 0.5])
@@ -407,21 +437,22 @@ def small_paths(draw):
 
 
 def direction_major_sliced(mu, nu, projections, seed):
-    """The sliced surrogate written in the (P, M) layout: both clouds'
-    projections `dirs @ points.T`, each row sorted, the gaps averaged."""
+    """The sliced surrogate written one direction at a time: per unit
+    direction both clouds' projections sorted and the sum of their gaps
+    added to a total, which is divided once by P M."""
     dirs = measures._slice_directions(seed, projections, mu.N)
-    a, b = dirs @ mu.points.T, dirs @ nu.points.T
-    a.sort(axis=-1)
-    b.sort(axis=-1)
-    return float(np.abs(a - b).mean())
+    total = 0.0
+    for d in dirs:
+        total += np.abs(np.sort(mu.points @ d) - np.sort(nu.points @ d)).sum()
+    return float(total / (len(dirs) * mu.M))
 
 
-def assert_modulus_matches_dispatcher(path, budget, projections, seed):
-    """Over every pair of mesh times the dispatcher's distance is, bit for
-    bit, the written-out W1 its method names: the sorted 1-D gap on one
-    mode, assignment within the budget, the direction-major sliced formula
-    beyond.  The modulus constant is the envelope of the written-out
-    distances of all pairs, bit for bit."""
+def assert_modulus_matches_written_out(path, budget, projections, seed):
+    """Over every pair of mesh times the public distance is, bit for bit,
+    the written-out W1 its method names: the sorted 1-D gap on one mode,
+    assignment (`wasserstein1`) within the budget, the direction-major
+    sliced formula beyond.  The modulus constant is the envelope of the
+    written-out distances of all pairs, bit for bit."""
     J = len(path.times)
     pairs = [(i, j) for i in range(J) for j in range(i + 1, J)]
     method = w1_method(path.N, path.M, budget)
@@ -430,8 +461,7 @@ def assert_modulus_matches_dispatcher(path, budget, projections, seed):
     else:
         oracle = sorted_gap_1d if path.N == 1 else wasserstein1
     d = [oracle(path.measures[i], path.measures[j]) for i, j in pairs]
-    dists = measures._pair_distances(path.measures, pairs, method, projections, seed)
-    assert dists.tolist() == d
+    assert [pair_distance(path, i, j, budget, projections, seed) for i, j in pairs] == d
     g = np.array([path.times[j] - path.times[i] for i, j in pairs])
     constant = path_modulus(path, exact_budget=budget, projections=projections, seed=seed)
     assert constant == np.max(np.array(d) / (np.sqrt(g) + g))
@@ -439,8 +469,8 @@ def assert_modulus_matches_dispatcher(path, budget, projections, seed):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(path=small_paths(), budget=st.sampled_from([1, 512]), seed=st.integers(0, 3))
-def test_path_modulus_matches_the_dispatcher_pair_by_pair(path, budget, seed):
-    assert_modulus_matches_dispatcher(path, budget, 16, seed)
+def test_path_modulus_matches_the_written_out_distances_pair_by_pair(path, budget, seed):
+    assert_modulus_matches_written_out(path, budget, 16, seed)
 
 
 @st.composite
@@ -470,27 +500,41 @@ def test_sliced_distances_equal_the_direction_major_formula(paths, projections, 
     assert path_sup_distance(m1, m2, exact_budget=0, projections=projections,
                              seed=seed) == max(want)
     assert w1_method(m1.N, m1.M, 0) == "sliced"
-    assert_modulus_matches_dispatcher(m1, 0, projections, seed)
+    assert_modulus_matches_written_out(m1, 0, projections, seed)
 
 
 def test_path_modulus_takes_every_pair_of_a_fine_mesh():
     """A 24-time mesh has 276 pairs, and the constant is the envelope over
-    every one of them on the sorted, sliced and assignment branches.  The
-    largest ratio is at the first gap, the pair (0, 1), which a fit over a
-    250-pair sample drawn from seed 27 would leave out."""
+    every one of them on the sorted, sliced and assignment branches.  On
+    the random walk the largest ratio is at the first gap, the pair (0, 1),
+    which a fit over a 250-pair sample drawn from seed 27 would leave out;
+    with a unit drift added it is at a wide pair ending at the last time,
+    (6, 23) on one mode and (2, 23) on two."""
     gen = np.random.default_rng(8)
     times = np.cumsum(np.r_[0.0, 2.0 ** np.arange(23)])
     for n_modes, budgets in ((1, (512,)), (2, (1, 512))):
-        path = MeasurePath(times=times,
-                           points=gen.standard_normal((24, 50, n_modes)).cumsum(axis=0))
-        for budget in budgets:
-            assert_modulus_matches_dispatcher(path, budget, 8, 27)
+        walk = gen.standard_normal((24, 50, n_modes)).cumsum(axis=0)
+        for points in (walk, walk + times[:, None, None]):
+            path = MeasurePath(times=times, points=points)
+            for budget in budgets:
+                assert_modulus_matches_written_out(path, budget, 8, 27)
 
 
 def test_path_modulus_input_checks():
     path = stacked([0.0, 1.0], [cloud(np.random.default_rng(2), 8, 2)] * 2)
     with pytest.raises(ValueError, match="need at least one projection"):
         path_modulus(path, exact_budget=1, projections=0)
+
+
+@pytest.mark.parametrize("projections", [2.9, 2.0, True, "8"])
+def test_sliced_distances_refuse_a_projection_count_that_is_not_an_integer(projections):
+    path = stacked([0.0, 1.0], [cloud(np.random.default_rng(2), 8, 2)] * 2)
+    for distance in (lambda: wasserstein1_sliced(*path.measures, projections=projections),
+                     lambda: path_sup_distance(path, path, exact_budget=1,
+                                               projections=projections),
+                     lambda: path_modulus(path, exact_budget=1, projections=projections)):
+        with pytest.raises(ValueError, match="projections: must be an integer"):
+            distance()
 
 
 def test_assignment_modulus_assigns_only_the_pairs_its_bounds_cannot_decide(monkeypatch):
@@ -507,17 +551,17 @@ def test_assignment_modulus_assigns_only_the_pairs_its_bounds_cannot_decide(monk
     constant = path_modulus(path)
     assert w1_method(path.N, path.M, 512) == "exact" and len(calls) == 10
     pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
-    d = measures._pair_distances(path.measures, pairs, "exact", 64, 0)
+    d = np.array([wasserstein1(path.measures[i], path.measures[j]) for i, j in pairs])
     g = np.array([path.times[j] - path.times[i] for i, j in pairs])
     assert constant == np.max(d / (np.sqrt(g) + g))
 
 
-def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(monkeypatch):
+def test_sliced_modulus_sorts_each_time_once_per_direction_in_a_small_working_set(monkeypatch):
     M, P = 4000, 64
     gen = np.random.default_rng(11)
     path = MeasurePath(times=np.linspace(0.0, 1.0, 11),
                        points=gen.standard_normal((11, M, 2)).cumsum(axis=0))
-    profile = M * P * 8  # bytes of one (M, P) float64 profile
+    profile = M * P * 8  # bytes of one (P, M) float64 profile
 
     def peak_bytes(call):
         tracemalloc.start()
@@ -528,28 +572,24 @@ def test_sliced_modulus_sorts_each_time_once_per_block_in_a_small_working_set(mo
         finally:
             tracemalloc.stop()
 
-    # two row profiles, one streamed time and the gap buffer; caching every
-    # time would hold 11, and sorting per pair peaked at 4
-    assert peak_bytes(lambda: path_modulus(path, exact_budget=512, projections=P)) <= 5 * profile
-    # the two profiles, the gap written into the streamed one
+    modulus = peak_bytes(lambda: path_modulus(path, exact_budget=512, projections=P))
+    sup_one = peak_bytes(lambda: path_sup_distance(path, path, exact_budget=512, projections=P))
+    sup_three = peak_bytes(lambda: path_sup_distances(path, [path, path, path], exact_budget=512,
+                                                      projections=P))
+    assert modulus <= 5 * profile
     assert peak_bytes(lambda: wasserstein1_sliced(*path.measures[:2], projections=P)) \
         <= 2.1 * profile
-    # one pair at a time, the same two profiles
-    assert peak_bytes(lambda: path_sup_distance(path, path, exact_budget=512,
-                                                projections=P)) <= 2.1 * profile
-    # the reference profile and one other at a time, each projected into a
-    # reused buffer
-    assert peak_bytes(lambda: path_sup_distances(path, [path, path, path], exact_budget=512,
-                                                 projections=P)) <= 2.1 * profile
+    assert sup_one <= 2.1 * profile and sup_three <= 2.1 * profile
+    # one direction at a time: the path's sorted (11, M) projections and one
+    # time offset's gaps, or the reference's and one other path's, hold less
+    # than one profile
+    assert max(modulus, sup_one, sup_three) <= profile
 
-    sorted_profile = measures._sorted_profile
-    calls = []
-    monkeypatch.setattr(measures, "_sorted_profile",
-                        lambda *args: calls.append(1) or sorted_profile(*args))
+    counts = count_sorted_clouds(monkeypatch)
     path_modulus(path, exact_budget=512, projections=P)
     assert w1_method(path.N, path.M, 512) == "sliced"
-    # blocks {0, 1}, ..., {8, 9}: 11 + 9 + 7 + 5 + 3 sorts, not 2 per pair
-    assert len(calls) == 35
+    # each of the 64 directions sorts the 11 times once, not 2 per pair
+    assert list(counts.values()) == [11] * P
 
 
 # ---------------------------------------------------------------------------

@@ -436,24 +436,21 @@ def test_one_value_solve_per_law_path(monkeypatch):
 
 
 def test_a_sliced_fixed_point_sorts_each_reference_path_once_per_round(monkeypatch):
-    """Each iteration sorts m_j, psi_j and m_{j+1} once, the certificate
-    the final path and its three repeats once: (J+1)(3 iterations + 4)
-    sorted profiles, plus those of the audit's modulus."""
+    """Per direction, each iteration sorts m_j, psi_j and m_{j+1} once, the
+    certificate the final path and its three repeats once: (J+1)(3
+    iterations + 4) sorted clouds, plus the J+1 of the audit's modulus."""
     from hilbert_mfg import measures
 
     cfg = SolverConfig(dt=0.25, particles=300, grid_points=12, quad_nodes=6, tau_nodes=9,
                        fp_tol=5e-2, fp_max=4, exact_w1_budget=64, sliced_projections=8,
                        seed=3)
-    sorted_profile, calls = measures._sorted_profile, []
-    monkeypatch.setattr(measures, "_sorted_profile",
-                        lambda *args: calls.append(1) or sorted_profile(*args))
+    sort_projections, clouds = measures._sorted_projections, []
+    monkeypatch.setattr(measures, "_sorted_projections",
+                        lambda pts, d: clouds.append(len(pts)) or sort_projections(pts, d))
     sol = fixed_point_iterate(make_model("cap2d_f2"), cfg)
     assert sol.w1_method == "sliced" and len(sol.iterations) >= 2
-    run_sorts = len(calls)
-    calls.clear()
-    path_modulus(sol.m, exact_budget=cfg.exact_w1_budget, projections=cfg.sliced_projections)
     n_times = len(cfg.mesh())
-    assert run_sorts == n_times * (3 * len(sol.iterations) + 4) + len(calls)
+    assert sum(clouds) == cfg.sliced_projections * n_times * (3 * len(sol.iterations) + 5)
 
 
 def test_one_mode_records_equal_the_pairwise_path_distances(monkeypatch):
