@@ -413,40 +413,32 @@ def _audit_rows(audit):
 def cmd_solve_mfg(cfg, cp):
     """Damped fixed point; artifacts: iteration trace, final value field and
     measure path, moment audit, and a summary of the certificate."""
-    from .mfg import ValueSolveStalled, fixed_point_iterate
+    from .mfg import fixed_point_iterate, stall_message
     from .measures import path_to_dir
 
     d = _make_run_dir(cfg, cp)
-
-    def write_iterations(records):
-        _write_csv(d / "iterations.csv",
-                   ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
-                   [[r.index, _fmt(r.rho_change), _fmt(r.psi_residual),
-                     "%.3f" % r.wallclock] for r in records])
-
-    try:
-        sol = fixed_point_iterate(cfg.problem, cfg.solver)
-    except ValueSolveStalled as exc:
-        write_iterations(exc.iterations)  # the outer iterations that did finish
-        _write_csv(d / "summary.csv", ["key", "value"], [
-            ["status", "value-solve-stalled"],
-            ["iterations", len(exc.iterations)],
-        ])
-        raise
-    write_iterations(sol.iterations)
+    sol = fixed_point_iterate(cfg.problem, cfg.solver)
+    _write_csv(d / "iterations.csv",
+               ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
+               [[r.index, _fmt(r.rho_change), _fmt(r.psi_residual),
+                 "%.3f" % r.wallclock] for r in sol.iterations])
+    if sol.status == "value-solve-stalled":  # iterations.csv holds the iterations done
+        _write_csv(d / "summary.csv", ["key", "value"],
+                   [["status", sol.status], ["iterations", len(sol.iterations)]])
+        print("solve-mfg: no convergence: %s" % stall_message(sol.v), file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     sol.v.to_dir(d / "v")
     path_to_dir(sol.m, d / "m")
     _write_csv(d / "audit.csv",
                ["op", "mode", "bound", "observed", "stderr3", "result"],
                _audit_rows(sol.audit))
-    budget = cfg.solver.fp_tol + 3.0 * sol.psi_residual_stderr
     _write_csv(d / "summary.csv", ["key", "value"], [
         ["status", sol.status],
         ["iterations", len(sol.iterations)],
         ["psi_residual", _fmt(sol.psi_residual)],
         ["psi_residual_stderr", _fmt(sol.psi_residual_stderr)],
-        ["certificate_budget", _fmt(budget)],
-        ["certified", "yes" if sol.psi_residual < budget else "no"],
+        ["certificate_budget", _fmt(sol.certificate_budget)],
+        ["certified", "yes" if sol.certified else "no"],
         ["audit", "pass" if sol.audit.ok else "FAIL"],
         ["w1_method", sol.w1_method],
     ])
@@ -454,7 +446,7 @@ def cmd_solve_mfg(cfg, cp):
         print("solve-mfg: no convergence in %d iterations" % len(sol.iterations),
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    if not sol.audit.ok or sol.psi_residual >= budget:
+    if not (sol.audit.ok and sol.certified):
         print("solve-mfg: converged but audit/certificate failed", file=sys.stderr)
         return EXIT_AUDIT
     print("solve-mfg: converged in %d iterations, residual %.3e, artifacts in %s"
@@ -465,7 +457,7 @@ def cmd_solve_mfg(cfg, cp):
 def cmd_check(cfg, cp):
     """Assumption gate: coupling monotonicity, declared-bound spot checks,
     and (optionally) the two-start uniqueness experiment, all reported to
-    check.csv; FAIL in a gating row exits 4."""
+    check.csv; the run exits 4 iff a row of check.csv reads FAIL."""
     from .fp_particles import propagate
     from .measures import ProductGaussian
     from .mfg import uniqueness_experiment
@@ -475,7 +467,6 @@ def cmd_check(cfg, cp):
     prob, spec = cfg.problem, cfg.problem.spectrum
     d = _make_run_dir(cfg, cp)
     rows = []
-    failed = False
 
     coupling = getattr(prob.hamiltonian, "coupling", None)
     if coupling is not None:
@@ -487,18 +478,16 @@ def cmd_check(cfg, cp):
             rows.append(["monotonicity_check", "identity_gap",
                          _fmt(rep.identity_gap), _fmt(1e-12),
                          "pass" if rep.identity_gap < 1e-12 else "FAIL"])
-        failed = failed or not rep.passed
 
     arep = assumption_check(prob.hamiltonian, n_modes=spec.N, trials=150, seed=cfg.seed)
     rows.append(["assumption_check", "sup|H_p|", _fmt(arep.hp_worst),
                  _fmt(arep.hp_declared), "pass" if arep.hp_ok else "FAIL"])
     rows.append(["assumption_check", "lip_p", _fmt(arep.lip_p_worst),
                  "" if arep.lip_p_declared is None else _fmt(arep.lip_p_declared),
-                 "pass" if arep.lip_ok else "FAIL"])
+                 "pass" if arep.lip_p_ok else "FAIL"])
     rows.append(["assumption_check", "lip_mu", _fmt(arep.lip_mu_worst),
                  "" if arep.lip_mu_declared is None else _fmt(arep.lip_mu_declared),
-                 "pass" if arep.lip_ok else "FAIL"])
-    failed = failed or not arep.ok
+                 "pass" if arep.lip_mu_ok else "FAIL"])
 
     if cfg.uniqueness:
         from . import rng
@@ -519,7 +508,7 @@ def cmd_check(cfg, cp):
 
     _write_csv(d / "check.csv", ["op", "metric", "value", "threshold", "result"],
                rows)
-    if failed:
+    if any(row[-1] == "FAIL" for row in rows):
         print("check: FAIL rows written to %s" % (d / "check.csv"), file=sys.stderr)
         return EXIT_AUDIT
     print("check: all gates pass, report in %s" % d)
@@ -557,7 +546,6 @@ def main(argv=None):
             return EXIT_CONFIG
         for var in _THREAD_VARS:  # must precede the numpy import
             os.environ[var] = str(args.threads)
-    from .mfg import ValueSolveStalled
     try:
         cfg, cp = parse_run_config(args.config, args.command,
                                    seed_override=args.seed,
@@ -566,9 +554,6 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except ValueSolveStalled as exc:
-        print("%s: no convergence: %s" % (args.command, exc), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except Exception as exc:  # noqa: BLE001 - the contract maps crashes to 1
         import traceback
         traceback.print_exc()

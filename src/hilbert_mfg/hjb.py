@@ -586,8 +586,8 @@ def hjb_residual(v, H, G, m, samples, spec, config):
     worst = 0.0
     for t, x in samples:
         t = float(t)
-        if t >= v.T:
-            raise ValueError("residual samples need t < T")
+        if not 0.0 <= t < v.T:
+            raise ValueError("residual samples need 0 <= t < T")
         x = np.asarray(x, dtype=float)
         horizon = v.T - t
         rhs = kernel.apply_Rt(terminal, horizon, x)

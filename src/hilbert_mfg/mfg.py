@@ -15,7 +15,9 @@ damped by particle pooling,
 
 with theta halved when the sup-distance change grows twice in a row.  The
 per-iteration noise seeds derive from (run seed, iteration index), making
-every iterate a deterministic function of the configuration.
+every iterate a deterministic function of the configuration.  A run's
+outcome is its status, never an exception: "converged", "max-iterations",
+or "value-solve-stalled" when an inner value solve does not converge.
 
 The audit quantifies what membership in the iteration's invariant set
 means concretely: per-mode second moments below a_k = 3 (beta_k + alpha_k
@@ -95,12 +97,18 @@ class MFGSolution:
     iterations: tuple
     psi_residual: float
     psi_residual_stderr: float  # of the three repeats; they share one sliced direction draw
-    audit: object
+    certificate_budget: float  # fp_tol + 3 psi_residual_stderr
+    audit: object  # MomentAuditReport, or None after a value-solve stall
     w1_method: str  # "exact" or "sliced": how the certificate distances were taken
 
     @property
     def converged(self):
         return self.status == "converged"
+
+    @property
+    def certified(self):
+        """The psi residual lies below its budget (never after a stall)."""
+        return self.psi_residual < self.certificate_budget
 
 
 def _check_config(problem, config):
@@ -117,28 +125,10 @@ def drift_from_gradient(v, hamiltonian, m):
     return DriftField(fn=fn, bound=float(hamiltonian.bound_Hp), label="feedback")
 
 
-class ValueSolveStalled(RuntimeError):
-    """The inner value solve exhausted its Picard budget.  `iterations`
-    holds the outer iteration records completed before the stall."""
-
-    def __init__(self, message, iterations=()):
-        super().__init__(message)
-        self.iterations = tuple(iterations)
-
-
-def _best_response_value(problem, m, config, grid=None, records=()):
-    """The value field against m on grid (by default the solve's own),
-    required to have converged; records are the outer iterations done so
-    far, handed on if the solve stalls."""
-    v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m,
-                       problem.spectrum, config, grid=grid)
-    if v.status != "converged":
-        raise ValueSolveStalled(
-            "inner value solve stalled (weighted changes: %s)"
-            % ", ".join("%.3g" % h for h in v.history),
-            iterations=records,
-        )
-    return v
+def stall_message(v):
+    """Why a value solve that did not converge stops the best response."""
+    return ("inner value solve stalled (weighted changes: %s)"
+            % ", ".join("%.3g" % h for h in v.history))
 
 
 def _transport(problem, v, m, config, fp_seed):
@@ -152,7 +142,10 @@ def psi_map(problem, m, config, fp_seed=None):
     the feedback drift.  Deterministic given (config, fp_seed)."""
     _check_config(problem, config)
     seed = config.seed if fp_seed is None else fp_seed
-    return _transport(problem, _best_response_value(problem, m, config), m, config, seed)
+    v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum, config)
+    if v.status != "converged":
+        raise RuntimeError(stall_message(v))
+    return _transport(problem, v, m, config, seed)
 
 
 def fixed_point_iterate(problem, config, initial=None):
@@ -168,8 +161,11 @@ def fixed_point_iterate(problem, config, initial=None):
     repeat best responses (fresh transport seeds) that certify the
     fixed-point residual; the moment audit runs on the final path.  Every
     value solve of the run shares one ValueGrid, so the plan of the time
-    integral is built once.  A stalled inner value solve raises
-    ValueSolveStalled carrying the iteration records completed so far.
+    integral is built once.  A value solve that does not converge ends the
+    run with status "value-solve-stalled": the solution then holds the
+    iterations completed so far, the stalled value field and the law path
+    it was solved against, NaN for the psi residual, its stderr and the
+    budget, and no audit.
 
     Each iteration takes the psi residual and the change in one
     `path_sup_distances` call from m_j, and the certificate takes its three
@@ -193,15 +189,28 @@ def fixed_point_iterate(problem, config, initial=None):
         m = initial
 
     grid = ValueGrid.build(problem.spectrum, config)
+    method = w1_method(N, m.M, config.exact_w1_budget)
     theta = float(config.damping)
     records = []
+
+    def value(m):
+        return solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum,
+                              config, grid=grid)
+
+    def stalled(v, m):
+        return MFGSolution(v=v, m=m, status="value-solve-stalled", iterations=tuple(records),
+                           psi_residual=math.nan, psi_residual_stderr=math.nan,
+                           certificate_budget=math.nan, audit=None, w1_method=method)
+
     status = "max-iterations"
     prev_change = None
     increases = 0
     quiet = 0
     for j in range(1, config.fp_max + 1):
         t0 = time.perf_counter()
-        v = _best_response_value(problem, m, config, grid, records)
+        v = value(m)
+        if v.status != "converged":
+            return stalled(v, m)
         psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
         m_next = mixture_paths(m, psi_j, 1.0 - theta,
                                seed=rng.derive_seed(seed, _TAG_MIX, j))
@@ -225,7 +234,9 @@ def fixed_point_iterate(problem, config, initial=None):
             status = "converged"
             break
 
-    v = _best_response_value(problem, m, config, grid, records)
+    v = value(m)
+    if v.status != "converged":
+        return stalled(v, m)
     psis = [_transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
             for r in range(3)]
     repeats = path_sup_distances(m, psis, config.exact_w1_budget, config.sliced_projections,
@@ -235,8 +246,8 @@ def fixed_point_iterate(problem, config, initial=None):
     audit = moment_bound_audit(problem, m, config)
     return MFGSolution(v=v, m=m, status=status, iterations=tuple(records),
                        psi_residual=psi_residual, psi_residual_stderr=psi_stderr,
-                       audit=audit,
-                       w1_method=w1_method(N, m.M, config.exact_w1_budget))
+                       certificate_budget=config.fp_tol + 3.0 * psi_stderr,
+                       audit=audit, w1_method=method)
 
 
 def _moment_bound(alpha, beta, R):
@@ -351,22 +362,16 @@ class UniquenessReport:
 def uniqueness_experiment(problem, start_a, start_b, config):
     """Run the damped iteration from two starts with independent seed
     streams and report how far apart the answers land.  Non-convergence of
-    either run is part of the report, never an exception: a run whose inner
-    value solve stalls has status "value-solve-stalled" and solution None,
-    and the two distances are then NaN."""
-    sols = []
-    for tag, start in ((_TAG_START_A, start_a), (_TAG_START_B, start_b)):
-        try:
-            sols.append(fixed_point_iterate(
-                problem, config.with_(seed=rng.derive_seed(config.seed, tag)), initial=start))
-        except ValueSolveStalled:
-            sols.append(None)
-    sol_a, sol_b = sols
+    either run is part of the report, never an exception: the statuses are
+    the two solutions' own, and if either inner value solve stalled the two
+    distances are NaN."""
+    sol_a, sol_b = (fixed_point_iterate(
+        problem, config.with_(seed=rng.derive_seed(config.seed, tag)), initial=start)
+        for tag, start in ((_TAG_START_A, start_a), (_TAG_START_B, start_b)))
     rho = vsup = math.nan
-    if sol_a is not None and sol_b is not None:
+    if "value-solve-stalled" not in (sol_a.status, sol_b.status):
         rho = path_sup_distance(sol_a.m, sol_b.m, config.exact_w1_budget,
                                 config.sliced_projections,
                                 rng.derive_seed(config.seed, _TAG_DIST, 0xA, 0xB))
         vsup = float(np.max(np.abs(sol_a.v.values - sol_b.v.values)))
-    status = ["value-solve-stalled" if sol is None else sol.status for sol in sols]
-    return UniquenessReport(rho, vsup, *status), sol_a, sol_b
+    return UniquenessReport(rho, vsup, sol_a.status, sol_b.status), sol_a, sol_b

@@ -229,17 +229,16 @@ class AssumptionReport:
         return self.hp_worst <= self.hp_declared + 1e-9
 
     @property
-    def lip_ok(self):
-        ok = True
-        if self.lip_p_declared is not None:
-            ok = ok and self.lip_p_worst <= self.lip_p_declared + 1e-9
-        if self.lip_mu_declared is not None:
-            ok = ok and self.lip_mu_worst <= self.lip_mu_declared + 1e-9
-        return ok
+    def lip_p_ok(self):
+        return self.lip_p_declared is None or self.lip_p_worst <= self.lip_p_declared + 1e-9
+
+    @property
+    def lip_mu_ok(self):
+        return self.lip_mu_declared is None or self.lip_mu_worst <= self.lip_mu_declared + 1e-9
 
     @property
     def ok(self):
-        return bool(self.hp_ok and self.lip_ok)
+        return bool(self.hp_ok and self.lip_p_ok and self.lip_mu_ok)
 
 
 def assumption_check(hamiltonian, n_modes, trials=200, seed=0):

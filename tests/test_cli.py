@@ -90,6 +90,8 @@ seed = 0
 uniqueness = no
 """
 
+CHECK_MONO_INI = CHECK_ANTI_INI.replace("cap1d_antimonotone", "cap1d_monotone")
+
 
 def write_ini(tmp_path, text, name="run.ini"):
     p = tmp_path / name
@@ -243,8 +245,7 @@ def test_check_negative_control_fails_with_audit_exit(tmp_path, capsys):
 
 
 def test_check_monotone_model_passes_with_uniqueness(tmp_path):
-    ini = CHECK_ANTI_INI.replace("cap1d_antimonotone", "cap1d_monotone")
-    ini = ini.replace("uniqueness = no", "uniqueness = yes")
+    ini = CHECK_MONO_INI.replace("uniqueness = no", "uniqueness = yes")
     ini = ini.replace("fp_max = 3", "fp_max = 8\nfp_tol = 4e-2")
     out = tmp_path / "chk"
     assert main(["check", "--config", write_ini(tmp_path, ini),
@@ -255,6 +256,43 @@ def test_check_monotone_model_passes_with_uniqueness(tmp_path):
             "uniqueness_experiment"} <= ops
     uniq = [r for r in rows if r["metric"] == "rho_between"]
     assert np.isfinite(float(uniq[0]["value"]))
+
+
+def test_check_gates_each_lipschitz_row_on_its_own_bound(tmp_path, monkeypatch):
+    """Only the measure Lipschitz ratio exceeds its bound: lip_p passes,
+    lip_mu fails, and the FAIL row sets the exit code."""
+    import hilbert_mfg.models as models_mod
+    from hilbert_mfg.models import AssumptionReport
+
+    monkeypatch.setattr(models_mod, "assumption_check", lambda *args, **kwargs: AssumptionReport(
+        hp_worst=0.5, hp_declared=1.0, lip_p_worst=1.0, lip_p_declared=2.0,
+        lip_mu_worst=3.0, lip_mu_declared=2.0))
+    out = tmp_path / "chk"
+    assert main(["check", "--config", write_ini(tmp_path, CHECK_MONO_INI),
+                 "--out", str(out)]) == EXIT_AUDIT
+    rows = {r["metric"]: r["result"] for r in read_rows(out / "check.csv")}
+    assert (rows["sup|H_p|"], rows["lip_p"], rows["lip_mu"]) == ("pass", "pass", "FAIL")
+
+
+def test_check_exits_4_on_a_failed_identity_gap_row(tmp_path, monkeypatch):
+    """A monotone coupling whose pairing misses its closed form writes a
+    FAIL identity_gap row, and that row alone exits 4."""
+    import hilbert_mfg.models as models_mod
+
+    check = models_mod.monotonicity_check
+
+    def off_identity(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        rep.passed, rep.identity_gap = True, 1e-6
+        return rep
+
+    monkeypatch.setattr(models_mod, "monotonicity_check", off_identity)
+    out = tmp_path / "chk"
+    assert main(["check", "--config", write_ini(tmp_path, CHECK_MONO_INI),
+                 "--out", str(out)]) == EXIT_AUDIT
+    rows = {r["metric"]: r["result"] for r in read_rows(out / "check.csv")}
+    assert rows["identity_gap"] == "FAIL"
+    assert [r for r in rows.values() if r == "FAIL"] == ["FAIL"]
 
 
 def test_seed_override_lands_in_echo(tmp_path):

@@ -201,6 +201,18 @@ def test_residual_pure_quadrature_for_zero_hamiltonian():
     assert res < 1e-6
 
 
+@pytest.mark.parametrize("t", [1.0, 1.5, -0.1], ids=["at-T", "past-T", "before-0"])
+def test_residual_refuses_a_sample_outside_the_horizon(t):
+    # before 0 the value lookup clamps to t = 0 while the identity would use
+    # the longer horizon T - t, so the defect of another identity is reported
+    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=50, seed=1)
+    v = GridValueField(times=cfg.mesh(), axes=(np.linspace(-2.0, 2.0, 5),),
+                       values=np.zeros((5, 5)), grads=np.zeros((4, 5, 1)))
+    with pytest.raises(ValueError, match=r"residual samples need 0 <= t < T"):
+        hjb_residual(v, zero_hamiltonian(1), cos_terminal, ou_path(cfg),
+                     [(t, np.zeros(1))], SPEC1, cfg)
+
+
 def test_gradient_matches_finite_differences_of_values():
     cfg = SolverConfig(horizon=1.0, dt=0.05, particles=200, seed=2)
     v = solve_hjb_mild(tanh_hamiltonian(), cos_terminal, ou_path(cfg), SPEC1, cfg)

@@ -513,9 +513,11 @@ def test_one_fixed_point_run_builds_each_node_operator_once(monkeypatch):
 
 
 def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
+    """A value solve that stalls after one completed outer iteration ends
+    the run with the stall as its status, that iteration, the stalled
+    field, and no certificate or audit."""
     import hilbert_mfg.mfg as mfg_mod
     from hilbert_mfg.hjb import solve_hjb_mild
-    from hilbert_mfg.mfg import ValueSolveStalled
 
     calls = []
 
@@ -527,10 +529,22 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
         return v
 
     monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_second)
-    with pytest.raises(ValueSolveStalled, match="stalled") as info:
-        fixed_point_iterate(make_model("cap1d_monotone"), SMALL)
-    assert isinstance(info.value, RuntimeError)
-    assert [r.index for r in info.value.iterations] == [1]
+    sol = fixed_point_iterate(make_model("cap1d_monotone"), SMALL)
+    assert len(calls) == 2
+    assert sol.status == "value-solve-stalled" and not sol.converged
+    assert [r.index for r in sol.iterations] == [1]
+    assert sol.v.status == "max-iterations" and sol.m.M == SMALL.particles
+    assert math.isnan(sol.psi_residual) and math.isnan(sol.psi_residual_stderr)
+    assert math.isnan(sol.certificate_budget) and not sol.certified
+    assert sol.audit is None and sol.w1_method == "exact"
+
+
+def test_psi_map_raises_on_a_stalled_value_solve():
+    prob = make_model("cap1d_monotone")
+    cfg = SMALL.with_(picard_max=1)
+    m = propagate(DriftField.zero(1), prob.m0, prob.spectrum, cfg)
+    with pytest.raises(RuntimeError, match="stalled"):
+        psi_map(prob, m, cfg)
 
 
 def test_uniqueness_reports_a_stalled_value_solve_without_raising():
@@ -542,7 +556,8 @@ def test_uniqueness_reports_a_stalled_value_solve_without_raising():
                         prob.spectrum, cfg.with_(seed=3))
     rep, sol_a, sol_b = uniqueness_experiment(prob, start_a, start_b, cfg)
     assert (rep.status_a, rep.status_b) == ("value-solve-stalled",) * 2
-    assert sol_a is None and sol_b is None
+    assert (sol_a.status, sol_b.status) == ("value-solve-stalled",) * 2
+    assert sol_a.iterations == () and sol_b.iterations == ()
     assert math.isnan(rep.rho_between) and math.isnan(rep.value_sup_distance)
     assert not rep.both_converged
 
