@@ -14,6 +14,9 @@ complete, diffable record.  The ranges of the [numerics] keys are checked
 in one place, SolverConfig, and the spectrum assumptions in another,
 validate_spectrum; the parser names the section.
 
+The commands only lay out rows: tables.write_rows formats every float cell,
+and each threshold and verdict a row prints is read from its report.
+
 Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
 value-solve stall included), 4 audit failure, 1 internal error.  Heavy
 imports happen after the `--threads` cap is exported so BLAS pools honor
@@ -28,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .tables import FLOAT_FMT
+from .tables import write_rows as _write_csv
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -316,18 +319,6 @@ def _saved_path(source, spec, mesh):
     return m
 
 
-def _write_csv(path, header, rows):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x):
-    return FLOAT_FMT % float(x)
-
-
 def cmd_solve_hjb(cfg, cp):
     """Mild value solve against a frozen measure path; artifacts: the value
     field directory (residual in its metadata) and the sweep history."""
@@ -351,9 +342,8 @@ def cmd_solve_hjb(cfg, cp):
     residual = hjb_residual(v, ham, terminal, m, samples, spec, cfg.solver)
 
     v.to_dir(d / "v", extra={"hjb_residual": residual})
-    _write_csv(d / "iterations.csv",
-               ["iteration", "weighted_gradient_change"],
-               [[i + 1, _fmt(h)] for i, h in enumerate(v.history)])
+    _write_csv(d / "iterations.csv", ["iteration", "weighted_gradient_change"],
+               enumerate(v.history, start=1))
     if v.status != "converged":
         print("solve-hjb: no convergence after %d sweeps" % len(v.history),
               file=sys.stderr)
@@ -377,8 +367,8 @@ def cmd_solve_fp(cfg, cp):
     path_to_dir(m, d / "m")
 
     mom = moments(m.points)
-    rows = [[_fmt(t), k + 1, _fmt(mom.second[j, k]), _fmt(covariance_qk(spec, k + 1, t)),
-             _fmt(3.0 * float(mom.second_stderr[j, k]))]
+    rows = [[t, k + 1, mom.second[j, k], covariance_qk(spec, k + 1, t),
+             3.0 * mom.second_stderr[j, k]]
             for j, t in enumerate(m.times) for k in range(spec.N)]
     _write_csv(d / "moments.csv",
                ["time", "mode", "second_moment", "ou_variance", "stderr3"], rows)
@@ -387,27 +377,23 @@ def cmd_solve_fp(cfg, cp):
     phis = [FourierTestFunction(h=h) for h in np.eye(spec.N)]
     prof = weak_residual_profile(m, w, phis, T, spec)
     se = bootstrap_stderr(prof, seed=cfg.seed)
-    rrows = [["weak_form_residual", "cos(x_%d)" % (k + 1), _fmt(float(np.mean(prof[k]))),
-              _fmt(3.0 * float(se[k]))] for k in range(spec.N)]
-    _write_csv(d / "residuals.csv", ["op", "test_function", "value", "stderr3"],
-               rrows)
+    rrows = [["weak_form_residual", "cos(x_%d)" % (k + 1), np.mean(prof[k]), 3.0 * se[k]]
+             for k in range(spec.N)]
+    _write_csv(d / "residuals.csv", ["op", "test_function", "value", "stderr3"], rrows)
     print("solve-fp: %d mesh times, artifacts in %s" % (len(m.times), d))
     return EXIT_OK
 
 
 def _audit_rows(audit):
-    rows = []
-    for r in audit.rows:
-        rows.append(["moment_bound_audit", r.mode, _fmt(r.bound),
-                     "" if not r.sampled else _fmt(r.observed),
-                     "" if not r.sampled else _fmt(3.0 * r.stderr),
-                     "pass" if r.passed else "FAIL"])
-    rows.append(["moment_bound_audit", "norm^4", _fmt(audit.fourth_bound),
-                 _fmt(audit.fourth_observed), _fmt(3.0 * audit.fourth_stderr),
-                 "pass" if audit.fourth_pass else "FAIL"])
-    rows.append(["path_modulus", "fit", _fmt(audit.modulus_constant), "", "",
-                 "pass" if audit.ok else "info"])
-    return rows
+    """audit.csv: one row per mode (a tail mode has no sample), then the
+    fourth moment and the path modulus."""
+    return [["moment_bound_audit", r.mode, r.bound, r.observed if r.sampled else None,
+             3.0 * r.stderr if r.sampled else None, "pass" if r.passed else "FAIL"]
+            for r in audit.rows] + [
+        ["moment_bound_audit", "norm^4", audit.fourth_bound, audit.fourth_observed,
+         3.0 * audit.fourth_stderr, "pass" if audit.fourth_pass else "FAIL"],
+        ["path_modulus", "fit", audit.modulus_constant, None, None,
+         "pass" if audit.ok else "info"]]
 
 
 def cmd_solve_mfg(cfg, cp):
@@ -420,8 +406,8 @@ def cmd_solve_mfg(cfg, cp):
     sol = fixed_point_iterate(cfg.problem, cfg.solver)
     _write_csv(d / "iterations.csv",
                ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
-               [[r.index, _fmt(r.rho_change), _fmt(r.psi_residual),
-                 "%.3f" % r.wallclock] for r in sol.iterations])
+               [[r.index, r.rho_change, r.psi_residual, "%.3f" % r.wallclock]
+                for r in sol.iterations])
     if sol.status == "value-solve-stalled":  # iterations.csv holds the iterations done
         _write_csv(d / "summary.csv", ["key", "value"],
                    [["status", sol.status], ["iterations", len(sol.iterations)]])
@@ -435,9 +421,9 @@ def cmd_solve_mfg(cfg, cp):
     _write_csv(d / "summary.csv", ["key", "value"], [
         ["status", sol.status],
         ["iterations", len(sol.iterations)],
-        ["psi_residual", _fmt(sol.psi_residual)],
-        ["psi_residual_stderr", _fmt(sol.psi_residual_stderr)],
-        ["certificate_budget", _fmt(sol.certificate_budget)],
+        ["psi_residual", sol.psi_residual],
+        ["psi_residual_stderr", sol.psi_residual_stderr],
+        ["certificate_budget", sol.certificate_budget],
         ["certified", "yes" if sol.certified else "no"],
         ["audit", "pass" if sol.audit.ok else "FAIL"],
         ["w1_method", sol.w1_method],
@@ -457,7 +443,8 @@ def cmd_solve_mfg(cfg, cp):
 def cmd_check(cfg, cp):
     """Assumption gate: coupling monotonicity, declared-bound spot checks,
     and (optionally) the two-start uniqueness experiment, all reported to
-    check.csv; the run exits 4 iff a row of check.csv reads FAIL."""
+    check.csv with the threshold and verdict of each report; the run exits
+    4 iff a row of check.csv reads FAIL."""
     from .fp_particles import propagate
     from .measures import ProductGaussian
     from .mfg import uniqueness_experiment
@@ -471,22 +458,18 @@ def cmd_check(cfg, cp):
     coupling = getattr(prob.hamiltonian, "coupling", None)
     if coupling is not None:
         rep = monotonicity_check(coupling, trials=400, seed=cfg.seed, n_modes=spec.N)
-        rows.append(["monotonicity_check", "min_pairing", _fmt(rep.min_pairing),
-                     _fmt(-1e-9 - 3.0 * rep.min_stderr),
+        rows.append(["monotonicity_check", "min_pairing", rep.min_pairing, rep.floor,
                      "pass" if rep.passed else "FAIL"])
         if rep.identity_gap is not None:
-            rows.append(["monotonicity_check", "identity_gap",
-                         _fmt(rep.identity_gap), _fmt(1e-12),
-                         "pass" if rep.identity_gap < 1e-12 else "FAIL"])
+            rows.append(["monotonicity_check", "identity_gap", rep.identity_gap,
+                         rep.identity_tol, "pass" if rep.identity_ok else "FAIL"])
 
     arep = assumption_check(prob.hamiltonian, n_modes=spec.N, trials=150, seed=cfg.seed)
-    rows.append(["assumption_check", "sup|H_p|", _fmt(arep.hp_worst),
-                 _fmt(arep.hp_declared), "pass" if arep.hp_ok else "FAIL"])
-    rows.append(["assumption_check", "lip_p", _fmt(arep.lip_p_worst),
-                 "" if arep.lip_p_declared is None else _fmt(arep.lip_p_declared),
+    rows.append(["assumption_check", "sup|H_p|", arep.hp_worst, arep.hp_declared,
+                 "pass" if arep.hp_ok else "FAIL"])
+    rows.append(["assumption_check", "lip_p", arep.lip_p_worst, arep.lip_p_declared,
                  "pass" if arep.lip_p_ok else "FAIL"])
-    rows.append(["assumption_check", "lip_mu", _fmt(arep.lip_mu_worst),
-                 "" if arep.lip_mu_declared is None else _fmt(arep.lip_mu_declared),
+    rows.append(["assumption_check", "lip_mu", arep.lip_mu_worst, arep.lip_mu_declared,
                  "pass" if arep.lip_mu_ok else "FAIL"])
 
     if cfg.uniqueness:
@@ -499,15 +482,13 @@ def cmd_check(cfg, cp):
                             cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xB1)))
         urep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg.solver)
         # reported, never gating: the negative control runs through here too
-        rows.append(["uniqueness_experiment", "rho_between",
-                     _fmt(urep.rho_between), "", "info"])
-        rows.append(["uniqueness_experiment", "value_sup_distance",
-                     _fmt(urep.value_sup_distance), "", "info"])
+        rows.append(["uniqueness_experiment", "rho_between", urep.rho_between, "", "info"])
+        rows.append(["uniqueness_experiment", "value_sup_distance", urep.value_sup_distance,
+                     "", "info"])
         rows.append(["uniqueness_experiment", "status",
                      "%s/%s" % (urep.status_a, urep.status_b), "", "info"])
 
-    _write_csv(d / "check.csv", ["op", "metric", "value", "threshold", "result"],
-               rows)
+    _write_csv(d / "check.csv", ["op", "metric", "value", "threshold", "result"], rows)
     if any(row[-1] == "FAIL" for row in rows):
         print("check: FAIL rows written to %s" % (d / "check.csv"), file=sys.stderr)
         return EXIT_AUDIT

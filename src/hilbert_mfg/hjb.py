@@ -66,7 +66,6 @@ sup_t (T-t)^{1/2} max_grid |Dv^{(j+1)} - Dv^{(j)}| drops below tolerance.
 """
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,9 +74,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_mesh, same_mesh
-from .ou_kernel import OUKernel, QuadratureRule
+from .ou_kernel import OUKernel, QuadratureRule, _as_points, tensor_points
 from .spectrum import stationary_variances
-from .tables import FLOAT_FMT, write_table
+from .tables import FLOAT_FMT, write_rows, write_table
 
 
 def default_box(spec, m0, scale):
@@ -88,11 +87,6 @@ def default_box(spec, m0, scale):
     if m0 is not None:
         betas = np.array([m0.mode_second_moment(k) for k in range(1, spec.N + 1)])
     return float(scale * np.sqrt(np.max(alphas + betas)))
-
-
-def _tensor_points(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class ValueGrid:
     def build(cls, spec, config):
         box = default_box(spec, None, config.box_scale)
         axes = tuple(np.linspace(-box, box, int(config.grid_points)) for _ in range(spec.N))
-        return cls(times=config.mesh(), axes=axes, nodes=_tensor_points(axes),
+        return cls(times=config.mesh(), axes=axes, nodes=tensor_points(axes),
                    kernel=OUKernel(spec, QuadratureRule(config.quad_nodes)),
                    tau_nodes=int(config.tau_nodes))
 
@@ -152,7 +146,9 @@ def _corners(axes, pts):
     """The grid cell of each point of pts (P, N), after clipping every
     coordinate to its axis: the flat index of its lowest corner in the C
     order of the grid and, per mode, (stride, 1 - y, y) with y the hat
-    fraction."""
+    fraction.  A NaN coordinate, which no clip places, is refused."""
+    if np.isnan(pts).any():
+        raise ValueError("points contain NaN")
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]])[::-1]
     flat, modes = 0, []
     for ax, stride, x in zip(axes, strides, pts.T):
@@ -253,17 +249,8 @@ class GridValueField:
         """sup over t < T of (T-t)^{1/2} max |Dv(t, .)| on the grid."""
         return _weighted_sup(self.times, self.grads)
 
-    def _flat(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[-1] != self.n_modes:
-            raise ValueError("points have %d modes, field has %d" % (X.shape[-1], self.n_modes))
-        if np.isnan(X).any():
-            raise ValueError("points contain NaN")
-        lead = X.shape[:-1]
-        return X.reshape(-1, self.n_modes), lead
-
     def value_at(self, t, X):
-        pts, lead = self._flat(X)
+        pts, lead = _as_points(X, self.n_modes)
         corners = _corners(self.axes, pts)
         out = _at_time(self.values[..., None], *_bracket(self.times, t),
                        lambda tab: _interp(corners, tab))
@@ -272,7 +259,7 @@ class GridValueField:
     def grad_at(self, t, X):
         """Dv at time t; beyond the last stored slice the terminal-layer
         convention applies and the last slice is returned."""
-        pts, lead = self._flat(X)
+        pts, lead = _as_points(X, self.n_modes)
         corners = _corners(self.axes, pts)
         out = _at_time(self.grads, *_bracket(self.times, t), lambda tab: _interp(corners, tab))
         return out.reshape(lead + (self.n_modes,))
@@ -291,15 +278,10 @@ class GridValueField:
                     np.stack(self.axes, axis=-1))
         np.save(d / "values.npy", self.values, allow_pickle=False)
         np.save(d / "grads.npy", self.grads, allow_pickle=False)
-        with open(d / "metadata.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["key", "value"])
-            w.writerow(["status", self.status])
-            w.writerow(["sup_norm", FLOAT_FMT % self.sup_norm])
-            w.writerow(["weighted_gradient_norm", FLOAT_FMT % self.weighted_gradient_norm])
-            w.writerow(["history", "|".join(FLOAT_FMT % h for h in self.history)])
-            for key, value in (extra or {}).items():
-                w.writerow([key, FLOAT_FMT % value if isinstance(value, float) else str(value)])
+        write_rows(d / "metadata.csv", ["key", "value"], [
+            ["status", self.status], ["sup_norm", self.sup_norm],
+            ["weighted_gradient_norm", self.weighted_gradient_norm],
+            ["history", "|".join(FLOAT_FMT % h for h in self.history)], *(extra or {}).items()])
 
     @classmethod
     def from_dir(cls, path):
@@ -336,9 +318,9 @@ class GeneralHamiltonian:
 
     def at_measure(self, X, mu):
         """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), X
-        broadcast to P's shape once per shape; value_fn fixes nothing."""
-        spread = functools.lru_cache(lambda shape: np.broadcast_to(X, shape))
-        return lambda P: np.asarray(self.value_fn(spread(P.shape), P, mu), dtype=float)
+        broadcast to P's shape as a view; value_fn fixes nothing."""
+        return lambda P: np.asarray(self.value_fn(np.broadcast_to(X, P.shape), P, mu),
+                                    dtype=float)
 
     def value(self, X, P, mu):
         return self.at_measure(X, mu)(P)

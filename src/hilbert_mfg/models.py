@@ -170,8 +170,17 @@ def default_pair_sampler(n_modes, M=64):
     return sample
 
 
+def _pairing_floor(stderr):
+    """The lowest pairing a monotone coupling may show at bootstrap stderr."""
+    return -1e-9 - 3.0 * stderr
+
+
 @dataclass
 class MonotonicityReport:
+    """What monotonicity_check measured, with the thresholds and verdicts
+    its check.csv rows print: floor, the pairing floor at min_stderr, and
+    identity_ok, identity_gap below identity_tol (true without a gap)."""
+
     label: str
     trials: int
     min_pairing: float
@@ -179,13 +188,23 @@ class MonotonicityReport:
     passed: bool
     identity_gap: float = None  # only for the rank-one couplings
     zero_nondegenerate: int = 0
+    identity_tol = 1e-12
+
+    @property
+    def floor(self):
+        return _pairing_floor(self.min_stderr)
+
+    @property
+    def identity_ok(self):
+        return self.identity_gap is None or self.identity_gap < self.identity_tol
 
 
 def monotonicity_check(coupling, trials=1000, seed=0, n_modes=1):
     """Evaluate the pairing int [F(x,mu1) - F(x,mu2)] (mu1 - mu2)(dx) on
     randomized pairs, as the difference of empirical means over the two
-    supports.  PASS means no pairing fell below -1e-9 minus 3 bootstrap
-    standard errors."""
+    supports.  PASS means no pairing fell below _pairing_floor of its
+    bootstrap standard error; a coupling with a closed_pairing is also
+    compared with it, the largest gap reported as identity_gap."""
     sampler = default_pair_sampler(n_modes)
     closed = getattr(coupling, "closed_pairing", None)
     min_pairing, min_se = np.inf, 0.0
@@ -205,9 +224,9 @@ def monotonicity_check(coupling, trials=1000, seed=0, n_modes=1):
             identity_gap = max(identity_gap, abs(pairing - closed(mu1, mu2)))
         if pairing < min_pairing:
             min_pairing, min_se = pairing, se
-        if pairing < -1e-9 - 3.0 * se:
+        if pairing < _pairing_floor(se):
             passed = False
-        if abs(pairing) < 1e-12 and wasserstein1(mu1, mu2) > 1e-6:
+        if abs(pairing) < MonotonicityReport.identity_tol and wasserstein1(mu1, mu2) > 1e-6:
             zero_nondeg += 1
     return MonotonicityReport(label=getattr(coupling, "label", ""), trials=trials,
                               min_pairing=min_pairing, min_stderr=min_se,
@@ -256,16 +275,13 @@ def assumption_check(hamiltonian, n_modes, trials=200, seed=0):
         mu1, mu2 = sampler(rng.derive_seed(seed, _TAG_CHECK, i))
         hp = np.asarray(hamiltonian.grad_p(x, p, mu1), dtype=float)[0]
         hp_worst = max(hp_worst, float(np.linalg.norm(hp)))
+        h = float(hamiltonian.value(x, p, mu1)[0])
         dp = float(np.linalg.norm(p - q))
         if dp > 1e-9:
-            v1 = float(hamiltonian.value(x, p, mu1)[0])
-            v2 = float(hamiltonian.value(x, q, mu1)[0])
-            lip_p_worst = max(lip_p_worst, abs(v1 - v2) / dp)
+            lip_p_worst = max(lip_p_worst, abs(h - float(hamiltonian.value(x, q, mu1)[0])) / dp)
         d1 = wasserstein1(mu1, mu2)
         if d1 > 1e-9:
-            w1 = float(hamiltonian.value(x, p, mu1)[0])
-            w2 = float(hamiltonian.value(x, p, mu2)[0])
-            lip_mu_worst = max(lip_mu_worst, abs(w1 - w2) / d1)
+            lip_mu_worst = max(lip_mu_worst, abs(h - float(hamiltonian.value(x, p, mu2)[0])) / d1)
     return AssumptionReport(
         hp_worst=hp_worst,
         hp_declared=float(hamiltonian.bound_Hp),

@@ -23,6 +23,13 @@ from numpy.polynomial.hermite import hermgauss
 from .spectrum import covariance_diag, semigroup_factors
 
 
+def tensor_points(axes):
+    """The points of the tensor product of the 1-D arrays axes, shape
+    (prod of their lengths, len(axes)), in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass
 class QuadratureRule:
     """Per-mode Gauss-Hermite rule on the standard normal weight."""
@@ -44,13 +51,8 @@ class QuadratureRule:
     def tensor(self, n_modes):
         """(Z, W): nodes (Q, n_modes) and weights (Q,) of the product rule."""
         if n_modes not in self._tensor_cache:
-            grids = np.meshgrid(*([self.nodes] * n_modes), indexing="ij")
-            Z = np.stack([g.ravel() for g in grids], axis=-1)
-            W = np.ones(Z.shape[0])
-            wgrids = np.meshgrid(*([self.weights] * n_modes), indexing="ij")
-            for wg in wgrids:
-                W = W * wg.ravel()
-            self._tensor_cache[n_modes] = (Z, W)
+            self._tensor_cache[n_modes] = (tensor_points([self.nodes] * n_modes),
+                                           tensor_points([self.weights] * n_modes).prod(axis=1))
         return self._tensor_cache[n_modes]
 
 

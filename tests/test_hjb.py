@@ -348,6 +348,24 @@ def test_value_field_refuses_a_malformed_axis(axis):
                        values=np.zeros((3, 3, n)), grads=np.zeros((2, 3, n, 2)))
 
 
+
+@pytest.mark.parametrize("X, message", [
+    (np.zeros((3, 1)), "2 mode coordinates"),
+    (np.zeros(3), "2 mode coordinates"),
+    (np.array([[0.1, np.nan], [0.0, 0.2]]), "NaN"),
+    (np.array([np.nan, 0.0]), "NaN"),
+], ids=["one-mode-batch", "three-mode-point", "nan-batch", "nan-point"])
+def test_value_field_reads_refuse_malformed_points(X, message):
+    """value_at and grad_at refuse points with another mode count than the
+    field's and points holding NaN, which no clip to the box places."""
+    gen = np.random.default_rng(5)
+    axes = (np.linspace(-1.0, 1.0, 4),) * 2
+    field = GridValueField(times=[0.0, 0.5, 1.0], axes=axes, values=gen.normal(size=(3, 4, 4)),
+                           grads=gen.normal(size=(2, 4, 4, 2)))
+    for read in (field.value_at, field.grad_at):
+        with pytest.raises(ValueError, match=message):
+            read(0.3, X)
+
 def test_value_field_from_dir_refuses_edited_files(tmp_path):
     """A directory to_dir wrote is refused after its times.csv rows are
     swapped, its axes.csv reversed, or an array saved in another dtype."""

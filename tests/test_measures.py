@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from hilbert_mfg import measures
 from hilbert_mfg.spectrum import SpectrumSpec, covariance_qk
-from hilbert_mfg.tables import write_table
+from hilbert_mfg.tables import write_rows, write_table
 from hilbert_mfg.measures import (
     Dirac,
     MeasurePath,
@@ -716,3 +716,15 @@ def test_path_dir_roundtrip(tmp_path):
         assert back.points.dtype == np.float64
         assert back.points.tobytes() == path.points.tobytes()  # -0.0 and subnormals too
         assert not back.points.flags.writeable
+
+
+def test_write_rows_bytes(tmp_path):
+    """Every float cell, numpy's float64 included, in %.17g; ints and
+    strings as csv writes them, None empty, quoting where a cell needs it,
+    CRLF line ends."""
+    write_rows(tmp_path / "rows.csv", ["key", "value"], [
+        ["third", 1.0 / 3.0], ["np", np.float64(0.1)], ["nan", float("nan")],
+        ["inf", -np.inf], ["int", 7], ["none", None], ["comma", "a,b"], [1.5, "x"]])
+    assert (tmp_path / "rows.csv").read_bytes() == (
+        b"key,value\r\nthird,0.33333333333333331\r\nnp,0.10000000000000001\r\n"
+        b"nan,nan\r\ninf,-inf\r\nint,7\r\nnone,\r\ncomma,\"a,b\"\r\n1.5,x\r\n")

@@ -1,6 +1,7 @@
 """Capped Hamiltonian closed forms, couplings, and assumption checkers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hilbert_mfg.measures import ParticleMeasure
 from hilbert_mfg.models import (
     CappedControlHamiltonian,
     MODEL_NAMES,
+    MonotonicityReport,
     RankOneCoupling,
     _mode_sum,
     assumption_check,
@@ -142,6 +144,19 @@ def test_monotonicity_f1_identity_and_sign():
     assert rep.identity_gap < 1e-12
     assert rep.min_pairing >= -1e-9
     assert rep.zero_nondegenerate == 0
+
+
+def test_monotonicity_report_carries_its_thresholds_and_verdicts():
+    """The report states the floor its min_pairing row prints and the
+    identity verdict, so a caller need not repeat either rule."""
+    coupling = make_model("cap1d_monotone").hamiltonian.coupling
+    rep = monotonicity_check(coupling, trials=100, seed=0)
+    assert rep.identity_ok
+    assert rep.floor == -1e-9 - 3.0 * rep.min_stderr
+    assert MonotonicityReport.identity_tol == 1e-12
+    off = replace(rep, identity_gap=1e-6)
+    assert not off.identity_ok and off.passed
+    assert replace(rep, identity_gap=None).identity_ok
 
 
 def test_monotonicity_f2_identity():

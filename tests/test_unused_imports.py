@@ -5,9 +5,10 @@ No linter ships with the project, so this walks the syntax tree of every
 module in src/, tests/ and demos/.  A renamed or deleted export can hide
 behind a dead import line; the package __init__ is exempt, since its
 imports are its exports.  A module-level private function, class or
-constant of src/ (a leading underscore, dunders exempt) must be read
-somewhere in src/, so a helper or a constant that a refactor leaves
-without readers shows here.  A parameter
+constant of src/ (a leading underscore, dunders exempt), and each private
+method of a module-level class, must be read somewhere in src/, so a
+helper, a constant or a method that a refactor leaves without readers
+shows here.  A parameter
 with a default in a src/ function must be given, by keyword or by
 position, by some call in src/, tests/ or demos/; calls are matched by the
 called name alone, so a parameter that only a same-named function's
@@ -54,11 +55,13 @@ def test_every_imported_name_is_used(path):
 
 def private_definitions(source):
     """(line, name) of each module-level private function, class and
-    assigned name."""
+    assigned name, and of each private method of a module-level class."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
@@ -82,6 +85,15 @@ def test_the_scan_sees_read_and_orphaned_helpers():
     read = read_names(source)
     assert [d for d in private_definitions(source) if d[1] not in read] == [
         (3, "_orphan"), (12, "_ORPHAN")]
+
+
+def test_the_scan_sees_read_and_orphaned_methods():
+    source = ("class K:\n    def _used(self):\n        pass\n"
+              "    def _orphan(self):\n        pass\n"
+              "    def __post_init__(self):\n        self._used()\n"
+              "    def public(self):\n        pass\n")
+    read = read_names(source)
+    assert [d for d in private_definitions(source) if d[1] not in read] == [(4, "_orphan")]
 
 
 def test_every_private_helper_in_src_is_read():
