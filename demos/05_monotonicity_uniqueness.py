@@ -29,8 +29,8 @@ problem = make_model("cap1d_monotone")
 coupling = problem.hamiltonian.coupling
 rep = monotonicity_check(coupling, trials=500, seed=1)
 print("shipped coupling:", rep.label)
-print("  min pairing over %d pairs: %.3e  (3 se = %.3e)"
-      % (rep.trials, rep.min_pairing, 3 * rep.min_stderr))
+print("  min pairing over %d pairs: %.3e  (floor %.3e)"
+      % (rep.trials, rep.min_pairing, rep.floor))
 print("  closed-form identity gap: %.2e   verdict: %s"
       % (rep.identity_gap, "monotone" if rep.passed else "NOT monotone"))
 

@@ -55,10 +55,9 @@ mesh time the plan, built once per grid, holds each mode's operators of
 its n nodes, stacked by one bincount and applied by a sweep in one matmul,
 and the nodes' gradient reads by _mixes, the one slice-mix rule.  A solve
 asks MeasurePath.index_at once per mesh time which measure m(s) its n
-nodes read, fixes each measure read once (H.at_measure: every term free
-of p, the coupling F(x, m(s)) of a separated H, on the grid nodes up
-front), and each sweep evaluates the stored function once per run of
-consecutive nodes that read one measure, on their stacked gradient tables.
+nodes read and fixes H on the path once (H.at_measures: a separated H
+tabulates F(x, m_i) on the grid nodes for every measure of the path), and
+a sweep makes one H call per mesh time, on the nodes' stacked gradients.
 
 The nonlinear solve iterates v^{(0)} = R_{T-t} G and
 v^{(j+1)} = RHS(v^{(j)}), stopping when the weighted gradient change
@@ -178,7 +177,9 @@ def _interp(corners, table):
 
 def _bracket(times, t):
     """Mesh interval j and weight w = (t - t_j) / (t_{j+1} - t_j) of t, or
-    of each entry of an array t, clipped to [0, T]."""
+    of each entry of an array t, clipped to [0, T]; a NaN is refused."""
+    if np.isnan(t).any():
+        raise ValueError("time is NaN")
     t = np.clip(t, 0.0, times[-1])
     j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     return j, (t - times[j]) / (times[j + 1] - times[j])
@@ -316,14 +317,13 @@ class GeneralHamiltonian:
     lip_mu: float = None
     label: str = ""
 
-    def at_measure(self, X, mu):
-        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), X
-        broadcast to P's shape as a view; value_fn fixes nothing."""
-        return lambda P: np.asarray(self.value_fn(np.broadcast_to(X, P.shape), P, mu),
-                                    dtype=float)
+    def at_measures(self, X, measures):
+        """(P, idx) -> H(X, P[a], measures[idx[a]]) stacked over a, P stacked
+        (n, *X.shape): one value call per node, X broadcast to P[a] as a view."""
+        return lambda P, idx: np.stack([self.value(X, p, measures[i]) for p, i in zip(P, idx)])
 
     def value(self, X, P, mu):
-        return self.at_measure(X, mu)(P)
+        return np.asarray(self.value_fn(np.broadcast_to(X, P.shape), P, mu), dtype=float)
 
     def grad_p(self, X, P, mu):
         return np.asarray(self.grad_p_fn(X, P, mu), dtype=float)
@@ -344,14 +344,16 @@ class SeparatedHamiltonian:
     lip_mu: float = None
     label: str = ""
 
-    def at_measure(self, X, mu):
-        """P -> H(X, P, mu) for P of X's shape or stacked (n, *X.shape), the
-        coupling F(X, mu) fixed once; h0 reads X as given."""
-        coupling = np.asarray(self.coupling(X, mu), dtype=float)
-        return lambda P: np.asarray(self.h0(X, P), dtype=float) - coupling
+    def at_measures(self, X, measures):
+        """(P, idx) -> H(X, P[a], measures[idx[a]]) stacked over a, P stacked
+        (n, *X.shape): one h0 call on the stack less the coupling table, row
+        i F(X, measures[i]) on X's points, built once per path."""
+        table = np.stack([np.broadcast_to(np.asarray(self.coupling(X, mu), dtype=float),
+                                          X.shape[:-1]) for mu in measures])
+        return lambda P, idx: np.asarray(self.h0(X, P), dtype=float) - table[idx]
 
     def value(self, X, P, mu):
-        return self.at_measure(X, mu)(P)
+        return self.at_measures(X, (mu,))(np.asarray(P)[None], [0])[0]
 
     def grad_p(self, X, P, mu):
         return np.asarray(self.h0_p(X, P), dtype=float)
@@ -514,9 +516,9 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     the measure path at its nearest mesh point.  Per mesh time the solve
     asks m.index_at once for the indices of all n nodes, from m.times (they
     may differ from the grid's by rounding that same_mesh admits, and some
-    nodes are ties), fixes H once per index read by H.at_measure, and cuts
-    the nodes into runs where the index changes: a sweep makes one H call
-    per run.  Stops on the weighted gradient change; a run that exhausts
+    nodes are ties), and fixes H on the path once by H.at_measures (one
+    coupling table for a separated H): a sweep makes one H call per mesh
+    time.  Stops on the weighted gradient change; a run that exhausts
     the iteration budget is returned with status "max-iterations" and the
     full change history.  grid is a ValueGrid.build(spec, config) to share,
     with its plan, across solves; by default the solve builds its own.
@@ -531,11 +533,8 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
 
     base = _terminal_sweep(grid, terminal)
-    # per mesh time the runs of nodes that read one measure, H fixed once at each
     idx = [m.index_at(s) for _, s, _, _ in grid.plan]
-    fixed = {i: H.at_measure(grid.nodes, m.measures[i]) for i in np.unique(np.concatenate(idx))}
-    cuts = [[*np.flatnonzero(np.diff(per, prepend=-1)), len(per)] for per in idx]
-    runs = [[(a, b, fixed[per[a]]) for a, b in zip(c, c[1:])] for per, c in zip(idx, cuts)]
+    H_path = H.at_measures(grid.nodes, m.measures)
     current = grid.field(*base)
     history = []
     status = "max-iterations"
@@ -546,8 +545,7 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
             lo, hi, mix, w = grid.plan[j][2]
             P = prev.grads[lo]
             P[mix] = (1.0 - w) * P[mix] + w * prev.grads[hi]
-            P = P.reshape((len(s),) + grid.nodes.shape)
-            return np.concatenate([h(P[a:b]) for a, b, h in runs[j]])
+            return H_path(P.reshape((len(s),) + grid.nodes.shape), idx[j])
 
         current = grid.field(*_mild_sweep(grid, base, integrand))
         history.append(_weighted_sup(grid.times, current.grads - prev.grads))
@@ -567,10 +565,9 @@ def hjb_residual(v, H, G, m, samples, spec, config):
     terminal = lambda X: np.asarray(G(X, mT), dtype=float)
     worst = 0.0
     for t, x in samples:
-        t = float(t)
-        if not 0.0 <= t < v.T:
-            raise ValueError("residual samples need 0 <= t < T")
-        x = np.asarray(x, dtype=float)
+        t, x = float(t), np.asarray(x, dtype=float)
+        if not (0.0 <= t < v.T and np.all(np.isfinite(x))):
+            raise ValueError("residual samples need 0 <= t < T and a finite x")
         horizon = v.T - t
         rhs = kernel.apply_Rt(terminal, horizon, x)
         taus = np.linspace(0.0, np.sqrt(horizon), tau_nodes)

@@ -126,7 +126,9 @@ class MeasurePath:
         return self.points.shape[2]
 
     def index_at(self, t):
-        """Nearest mesh index of t or of each entry of t, the earlier at a tie."""
+        """Nearest mesh index of t or of each entry of t, the earlier at a tie; NaN refused."""
+        if np.isnan(t).any():
+            raise ValueError("time is NaN")
         return np.argmin(np.abs(self.times - np.asarray(t)[..., None]), axis=-1)
 
     def at_time(self, t):

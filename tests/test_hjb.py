@@ -8,11 +8,10 @@ quadrature.
 """
 
 import gc
-import math
 import os
 import subprocess
 import sys
-from itertools import groupby
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +70,18 @@ def tanh_hamiltonian(coupling=1.0):
         lip_mu=coupling,
         label="tanh",
     )
+
+
+def tanh_separated(coupling=1.0):
+    """tanh_hamiltonian split as H0(x, p) - F(x, mu), each written as the
+    same arithmetic, so both forms give the same bits."""
+    def F(X, mu):
+        return coupling * np.tanh(X[..., 0]) * float(np.mean(np.tanh(mu.points[:, 0])))
+
+    H = tanh_hamiltonian(coupling)
+    return SeparatedHamiltonian(h0=lambda X, P: 0.8 * np.tanh(P[..., 0]),
+                                h0_p=lambda X, P: H.grad_p(X, P, None), coupling=F,
+                                bound_Hp=H.bound_Hp, label="tanh-separated")
 
 
 def cos_terminal(X, mu):
@@ -211,6 +222,33 @@ def test_residual_refuses_a_sample_outside_the_horizon(t):
     with pytest.raises(ValueError, match=r"residual samples need 0 <= t < T"):
         hjb_residual(v, zero_hamiltonian(1), cos_terminal, ou_path(cfg),
                      [(t, np.zeros(1))], SPEC1, cfg)
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+def test_residual_refuses_a_sample_that_is_not_finite(x):
+    # the field read clips x to the box face, so an infinite sample would
+    # report the defect at the face as if it were the defect at x
+    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=50, seed=1)
+    v = GridValueField(times=cfg.mesh(), axes=(np.linspace(-2.0, 2.0, 5),),
+                       values=np.zeros((5, 5)), grads=np.zeros((4, 5, 1)))
+    with pytest.raises(ValueError, match=r"and a finite x"):
+        hjb_residual(v, zero_hamiltonian(1), cos_terminal, ou_path(cfg),
+                     [(0.5, np.array([x]))], SPEC1, cfg)
+
+
+def test_field_reads_refuse_a_nan_time():
+    """value_at and grad_at refuse a NaN time, which no clip places, rather
+    than read slice J - 1 or the last gradient slice; _bracket refuses it
+    alone or among finite times."""
+    cfg = SolverConfig(horizon=1.0, dt=0.25, particles=1, seed=0)
+    v = GridValueField(times=cfg.mesh(), axes=(np.linspace(-2.0, 2.0, 5),),
+                       values=np.arange(25.0).reshape(5, 5), grads=np.ones((4, 5, 1)))
+    assert v.value_at(1.0, np.zeros(1)) == 22.0
+    for read in (v.value_at, v.grad_at):
+        with pytest.raises(ValueError, match="time is NaN"):
+            read(float("nan"), np.zeros(1))
+    with pytest.raises(ValueError, match="time is NaN"):
+        _bracket(v.times, np.array([0.1, np.nan]))
 
 
 def test_gradient_matches_finite_differences_of_values():
@@ -588,12 +626,16 @@ def one_mode_solve():
     return tanh_hamiltonian(), cos_terminal, ou_path(cfg), SPEC1, cfg
 
 
-def two_mode_solve():
-    prob = make_model("cap2d_f2")
+def model_solve(name):
+    prob = make_model(name)
     cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
                        quad_nodes=5, tau_nodes=7)
-    path = propagate(DriftField.zero(2), prob.m0, prob.spectrum, cfg)
+    path = propagate(DriftField.zero(prob.spectrum.N), prob.m0, prob.spectrum, cfg)
     return prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg
+
+
+def two_mode_solve():
+    return model_solve("cap2d_f2")
 
 
 def rounding(n_modes, table):
@@ -667,38 +709,35 @@ def test_mode_operators_average(n_modes):
             assert np.all(np.abs(K.sum(axis=-1) - 1.0) <= 4 * np.finfo(float).eps)
 
 
-def measure_runs(grid, m):
-    """Per mesh time of the grid's plan, the (length, measure id) of each
-    run of consecutive tau nodes that read one measure of the path m."""
-    runs = []
-    for _, s, _, _ in grid.plan:
-        ids = [id(m.at_time(x)) for x in s]
-        runs.append([(len(list(group)), key) for key, group in groupby(ids)])
-    return runs
-
-
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
 def test_value_solve_evaluates_the_hamiltonian_once_per_node_on_the_grid(case):
     """Each sweep evaluates H once at every (t_j, tau) node, on the G^N grid
-    nodes only, in one call per run of consecutive nodes of a mesh time
-    that read one measure, with X and P stacked (run length, G^N, N)."""
+    nodes only: a separated H by one h0 call per mesh time, on the grid
+    nodes and the gradients of its n nodes stacked (n, G^N, N); a general H
+    by one call per node, X and P of shape (G^N, N), at the node's measure.
+    The two forms of one H solve to the same bytes."""
     H, G, m, spec, cfg = case()
-    calls = []
+    sep = H if isinstance(H, SeparatedHamiltonian) else tanh_separated()
+    h0_calls, calls = [], []
+
+    def h0(X, P):
+        h0_calls.append((X.shape, P.shape))
+        return sep.h0(X, P)
 
     def value(X, P, mu):
         calls.append((X.shape, P.shape, id(mu)))
         return H.value(X, P, mu)
 
-    counting = GeneralHamiltonian(value_fn=value, grad_p_fn=H.grad_p, bound_Hp=H.bound_Hp)
-    v = solve_hjb_mild(counting, G, m, spec, cfg)
+    split = solve_hjb_mild(replace(sep, h0=h0), G, m, spec, cfg)
+    v = solve_hjb_mild(GeneralHamiltonian(value_fn=value, grad_p_fn=H.grad_p,
+                                          bound_Hp=H.bound_Hp), G, m, spec, cfg)
     grid = ValueGrid.build(spec, cfg)
-    runs = [run for per_time in measure_runs(grid, m) for run in per_time]
-    assert sum(length for length, _ in runs) == (len(grid.times) - 1) * (cfg.tau_nodes - 1)
-    assert len(runs) < (len(grid.times) - 1) * (cfg.tau_nodes - 1)
-    want = [((n,) + grid.nodes.shape, (n,) + grid.nodes.shape, key) for n, key in runs]
+    n, X = cfg.tau_nodes - 1, grid.nodes.shape
+    assert h0_calls == [(X, (n,) + X)] * len(grid.plan) * len(split.history)
+    want = [(X, X, id(m.at_time(x))) for _, s, _, _ in grid.plan for x in s]
+    assert len(want) == len(grid.plan) * n
     assert calls == want * len(v.history)
-    points = sum(math.prod(shape[:-1]) for shape, _, _ in calls)
-    assert points == len(v.history) * sum(n for n, _ in runs) * len(grid.nodes)
+    assert np.array_equal(split.values, v.values) and np.array_equal(split.grads, v.grads)
 
 
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])
@@ -792,10 +831,12 @@ def test_cell_equals_searchsorted_bit_for_bit():
             assert np.array_equal(y, want_y)
 
 
-def test_value_solve_hands_the_hamiltonian_x_and_p_of_one_shape():
+@pytest.mark.parametrize("name", ["cap1d_monotone", "cap2d_f2"])
+def test_value_solve_hands_the_hamiltonian_x_and_p_of_one_shape(name):
     """A Hamiltonian that refuses X and P of different shapes still solves,
-    to the numbers of one that does not check."""
-    H, G, m, spec, cfg = two_mode_solve()
+    one node at a time, to the numbers of the preset's coupling table read:
+    per-node H.value equals the table read bit for bit."""
+    H, G, m, spec, cfg = model_solve(name)
 
     def strict(X, P, mu):
         assert X.shape == P.shape
@@ -810,17 +851,16 @@ def test_value_solve_hands_the_hamiltonian_x_and_p_of_one_shape():
 
 
 def test_value_solve_evaluates_b0_on_the_grid_nodes_once_per_hamiltonian_call(monkeypatch):
-    """On the bench mfg-2d numerics each H call of a solve evaluates
-    cap2d_f2's drift offset b0 once, on the G^N grid nodes as given, not on
-    one copy of them per stacked tau node."""
+    """On the bench mfg-2d numerics each H call of a solve, one per mesh
+    time per sweep, evaluates cap2d_f2's drift offset b0 once, on the G^N
+    grid nodes as given, not on one copy of them per stacked tau node."""
     H, G, m, spec, cfg = two_mode_solve()
     cap, shapes = H.h0.__self__, []
     b0 = cap.b0
     monkeypatch.setattr(cap, "b0", lambda X: shapes.append(X.shape) or b0(X))
     v = solve_hjb_mild(H, G, m, spec, cfg)
     grid = ValueGrid.build(spec, cfg)
-    calls = len(v.history) * sum(len(per_time) for per_time in measure_runs(grid, m))
-    assert shapes == [grid.nodes.shape] * calls
+    assert shapes == [grid.nodes.shape] * (len(v.history) * len(grid.plan))
 
 
 @pytest.mark.parametrize("name", ["cap1d_monotone", "cap2d_f2"])
@@ -954,22 +994,34 @@ def hamiltonian_cases():
 @pytest.mark.parametrize("label, H, formula, n", hamiltonian_cases(),
                          ids=[case[0] for case in hamiltonian_cases()])
 def test_hamiltonian_at_a_fixed_measure_equals_its_value_bit_for_bit(label, H, formula, n):
-    """H.at_measure(X, mu) is P -> H.value(X, P, mu) bit for bit, on grid
-    nodes and on particle clouds, and one stored function serves every P."""
+    """H.at_measures(X, ms) is (P, idx) -> the stack of
+    H.value(X, P[a], ms[idx[a]]) bit for bit, on grid nodes and on particle
+    clouds, and one stored function serves every stack and index read."""
     g = np.random.default_rng(7)
-    mu = ParticleMeasure(g.normal(0.3, 0.8, (500, n)))
+    ms = [ParticleMeasure(g.normal(c, 0.8, (500, n))) for c in (0.3, -0.5, 1.1)]
     spec = SpectrumSpec(eigenvalues=(-1.0, -4.0)[:n])
     nodes = ValueGrid.build(spec, SolverConfig(dt=0.5, grid_points=9, quad_nodes=4)).nodes
     for X in (nodes, g.normal(0.0, 1.5, (200, n)), g.normal(0.0, 1.5, (3, 40, n))):
-        at_mu = H.at_measure(X, mu)
-        for scale in (0.5, 4.0):
-            P = g.normal(0.0, scale, X.shape)
-            got = at_mu(P)
-            assert got.dtype == float and got.shape == X.shape[:-1]
-            assert np.array_equal(got, H.value(X, P, mu))
-            assert np.array_equal(got, formula(X, P, mu))
-        stack = g.normal(0.0, 1.0, (3,) + X.shape)
-        assert np.array_equal(at_mu(stack), np.stack([at_mu(P) for P in stack]))
+        at_ms = H.at_measures(X, ms)
+        for scale, idx in ((0.5, [0]), (4.0, [2, 2, 0, 1, 1])):
+            P = g.normal(0.0, scale, (len(idx),) + X.shape)
+            got = at_ms(P, np.array(idx))
+            assert got.dtype == float and got.shape == (len(idx),) + X.shape[:-1]
+            assert np.array_equal(got, np.stack([H.value(X, p, ms[i]) for p, i in zip(P, idx)]))
+            assert np.array_equal(got, np.stack([formula(X, p, ms[i]) for p, i in zip(P, idx)]))
+
+
+def test_a_scalar_coupling_solves_to_the_bytes_of_a_zero_table():
+    """A coupling that returns the scalar 0.0 is broadcast to a row of the
+    coupling table and solves to the same bytes as one that returns zeros
+    on the grid nodes."""
+    H, G, m, spec, cfg = model_solve("cap1d_monotone")
+    scalar = solve_hjb_mild(replace(H, coupling=lambda X, mu: 0.0), G, m, spec, cfg)
+    table = solve_hjb_mild(replace(H, coupling=lambda X, mu: np.zeros(X.shape[:-1])),
+                           G, m, spec, cfg)
+    assert scalar.status == "converged" and scalar.history == table.history
+    assert np.array_equal(scalar.values, table.values)
+    assert np.array_equal(scalar.grads, table.grads)
 
 
 @pytest.mark.parametrize("case", [one_mode_solve, two_mode_solve], ids=["1", "2"])

@@ -120,6 +120,18 @@ def test_measure_path_refuses_non_finite_times(times):
         MeasurePath(times=times, points=np.zeros((3, 2, 1)))
 
 
+def test_measure_path_refuses_a_nan_time():
+    """A NaN time is nearest to no mesh point: index_at and at_time refuse
+    it, alone or among finite times, rather than read the t = 0 measure."""
+    path = MeasurePath(times=[0.0, 0.5, 1.0], points=np.arange(3.0).reshape(3, 1, 1))
+    assert path.at_time(0.9) is path.measures[2]
+    for t in (float("nan"), np.array([0.2, np.nan, 0.9])):
+        with pytest.raises(ValueError, match="time is NaN"):
+            path.index_at(t)
+    with pytest.raises(ValueError, match="time is NaN"):
+        path.at_time(float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # sliced W1
 

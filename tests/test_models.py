@@ -141,7 +141,7 @@ def test_monotonicity_f1_identity_and_sign():
     coupling = make_model("cap1d_monotone").hamiltonian.coupling
     rep = monotonicity_check(coupling, trials=1000, seed=0)
     assert rep.passed
-    assert rep.identity_gap < 1e-12
+    assert rep.identity_ok
     assert rep.min_pairing >= -1e-9
     assert rep.zero_nondegenerate == 0
 
@@ -163,7 +163,7 @@ def test_monotonicity_f2_identity():
     coupling = make_model("cap2d_f2").hamiltonian.coupling
     rep = monotonicity_check(coupling, trials=300, seed=1, n_modes=2)
     assert rep.passed
-    assert rep.identity_gap < 1e-12
+    assert rep.identity_ok
 
 
 def test_monotonicity_negative_control_fails():

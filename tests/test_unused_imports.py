@@ -1,5 +1,6 @@
-"""No module imports a name it never uses, no private helper is orphaned,
-and no defaulted parameter is a knob that no caller sets.
+"""No module imports a name it never uses, no private helper or public
+method is orphaned, and no defaulted parameter is a knob that no caller
+sets.
 
 No linter ships with the project, so this walks the syntax tree of every
 module in src/, tests/ and demos/.  A renamed or deleted export can hide
@@ -8,11 +9,14 @@ imports are its exports.  A module-level private function, class or
 constant of src/ (a leading underscore, dunders exempt), and each private
 method of a module-level class, must be read somewhere in src/, so a
 helper, a constant or a method that a refactor leaves without readers
-shows here.  A parameter
-with a default in a src/ function must be given, by keyword or by
-position, by some call in src/, tests/ or demos/; calls are matched by the
-called name alone, so a parameter that only a same-named function's
-caller sets passes too.  No module of src/ imports scipy when it is
+shows here.  Each public method of a module-level class of src/ must be
+read somewhere in src/, tests/, demos/ or perfbench/, as an attribute, a
+name or a string (the bench wraps methods it names by string), so a
+method that a redesign replaces does not linger beside its successor.
+A parameter with a default in a src/ function must be given, by keyword
+or by position, by some call in src/, tests/ or demos/; calls are
+matched by the called name alone, so a parameter that only a same-named
+function's caller sets passes too.  No module of src/ imports scipy when it is
 imported: only a function body may, so that the one caller that needs it
 (exact W1 on N >= 2 modes) pays for it.
 """
@@ -101,6 +105,37 @@ def test_every_private_helper_in_src_is_read():
     read = set().union(*(read_names(text) for text in sources.values()))
     orphans = [(str(p.relative_to(ROOT)), line, name) for p, text in sorted(sources.items())
                for line, name in private_definitions(text) if name not in read]
+    assert orphans == []
+
+
+def public_methods(source):
+    """(line, name) of each public method of a module-level class."""
+    return [(f.lineno, f.name) for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
+def read_strings(source):
+    """Every string constant in source."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_the_scan_sees_read_and_orphaned_public_methods():
+    source = ("class K:\n    def used(self):\n        pass\n"
+              "    def named(self):\n        pass\n"
+              "    def orphan(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
+              "def public():\n    return K().used, getattr(K, 'named')\n")
+    read = read_names(source) | read_strings(source)
+    assert [d for d in public_methods(source) if d[1] not in read] == [(6, "orphan")]
+
+
+def test_every_public_method_in_src_is_read():
+    readers = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    read = set().union(*(read_names(text) | read_strings(text)
+                         for text in (p.read_text() for p in readers)))
+    orphans = [(str(p.relative_to(ROOT)), line, name) for p in sorted((ROOT / "src").rglob("*.py"))
+               for line, name in public_methods(p.read_text()) if name not in read]
     assert orphans == []
 
 
