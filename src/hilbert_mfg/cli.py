@@ -17,6 +17,11 @@ validate_spectrum; the parser names the section.
 The commands only lay out rows: tables.write_rows formats every float cell,
 and each threshold and verdict a row prints is read from its report.
 
+`solve-mfg` makes one value solve per fixed-point pass, the last one
+serving the certificate, and every outcome leaves the same files: after an
+inner stall `v/` is the stalled field (its metadata carries the sweep
+history) and `m/` the path it was solved against.
+
 Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
 value-solve stall included), 4 audit failure, 1 internal error.  Heavy
 imports happen after the `--threads` cap is exported so BLAS pools honor
@@ -130,7 +135,7 @@ def _drift(text, n_modes):
     from .fp_particles import DriftField
     toks = text.split()
     if toks == ["zero"]:
-        return DriftField.zero(n_modes)
+        return DriftField.zero()
     if toks[:1] == ["const"]:
         return DriftField.constant(list(_floats(" ".join(toks[1:]), n_modes)), label="const")
     raise ValueError("expected 'zero' or 'const c_1 ... c_N'")
@@ -244,13 +249,13 @@ def parse_run_config(path, command, seed_override=None, out_override=None):
     if keyed:
         spectrum = _spectrum(get)
         try:
-            problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(spectrum.N),
+            problem = MFGProblem(spectrum=spectrum, hamiltonian=zero_hamiltonian(),
                                  terminal=lambda X, mu: np.cos(X[..., 0]),
                                  m0=_m0(get, spectrum.N), horizon=horizon)
         except ValueError as exc:  # an m0 whose fourth moment overflows
             raise ConfigError("[problem] m0: %s" % exc)
     spectrum = problem.spectrum
-    drift = DriftField.zero(spectrum.N)
+    drift = DriftField.zero()
     if command == "solve-fp":
         drift = get("problem", "drift", partial(_drift, n_modes=spectrum.N), default=drift)
 
@@ -408,16 +413,11 @@ def cmd_solve_mfg(cfg, cp):
                ["iteration", "rho_inf_change", "psi_residual", "wallclock"],
                [[r.index, r.rho_change, r.psi_residual, "%.3f" % r.wallclock]
                 for r in sol.iterations])
-    if sol.status == "value-solve-stalled":  # iterations.csv holds the iterations done
-        _write_csv(d / "summary.csv", ["key", "value"],
-                   [["status", sol.status], ["iterations", len(sol.iterations)]])
-        print("solve-mfg: no convergence: %s" % stall_message(sol.v), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    sol.v.to_dir(d / "v")
+    sol.v.to_dir(d / "v")  # after a stall its metadata holds the stalled sweep history
     path_to_dir(sol.m, d / "m")
     _write_csv(d / "audit.csv",
                ["op", "mode", "bound", "observed", "stderr3", "result"],
-               _audit_rows(sol.audit))
+               [] if sol.audit is None else _audit_rows(sol.audit))  # none after a stall
     _write_csv(d / "summary.csv", ["key", "value"], [
         ["status", sol.status],
         ["iterations", len(sol.iterations)],
@@ -425,10 +425,13 @@ def cmd_solve_mfg(cfg, cp):
         ["psi_residual_stderr", sol.psi_residual_stderr],
         ["certificate_budget", sol.certificate_budget],
         ["certified", "yes" if sol.certified else "no"],
-        ["audit", "pass" if sol.audit.ok else "FAIL"],
+        ["audit", None if sol.audit is None else "pass" if sol.audit.ok else "FAIL"],
         ["w1_method", sol.w1_method],
     ])
-    if sol.status != "converged":
+    if sol.status == "value-solve-stalled":
+        print("solve-mfg: no convergence: %s" % stall_message(sol.v), file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    if not sol.converged:
         print("solve-mfg: no convergence in %d iterations" % len(sol.iterations),
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -92,7 +92,7 @@ class DriftField:
         return cls(fn=lambda t, X: np.broadcast_to(vec, X.shape), bound=float(np.linalg.norm(vec)), label=label)
 
     @classmethod
-    def zero(cls, n_modes):
+    def zero(cls):
         return cls(fn=lambda t, X: np.zeros_like(X), bound=0.0, label="zero")
 
 
@@ -331,7 +331,7 @@ def residual_audit_cases():
         ResidualCase(
             label="stationary",
             spec=spec,
-            w=DriftField.zero(1),
+            w=DriftField.zero(),
             m0=ProductGaussian(mean=[0.0], var=[alpha]),
             phi=FourierTestFunction(h=[1.3], theta=0.4),
             seed=4,

@@ -359,7 +359,7 @@ class SeparatedHamiltonian:
         return np.asarray(self.h0_p(X, P), dtype=float)
 
 
-def zero_hamiltonian(n_modes):
+def zero_hamiltonian():
     return GeneralHamiltonian(
         value_fn=lambda X, P, mu: np.zeros(X.shape[:-1]),
         grad_p_fn=lambda X, P, mu: np.zeros(X.shape[:-1] + (X.shape[-1],)),

@@ -155,17 +155,18 @@ def fixed_point_iterate(problem, config, initial=None):
     consecutive damped iterates drops below config.fp_tol on two
     iterations in a row (a single sub-tolerance step can be a noise
     fluke while the undamped residual still carries signal), otherwise
-    "max-iterations" with the full diagnostic history; either way the
-    value field is solved once against the final law path, and that one
-    solve is both the returned value field and the value behind the three
-    repeat best responses (fresh transport seeds) that certify the
-    fixed-point residual; the moment audit runs on the final path.  Every
-    value solve of the run shares one ValueGrid, so the plan of the time
-    integral is built once.  A value solve that does not converge ends the
-    run with status "value-solve-stalled": the solution then holds the
-    iterations completed so far, the stalled value field and the law path
-    it was solved against, NaN for the psi residual, its stderr and the
-    budget, and no audit.
+    "max-iterations" with the full diagnostic history.  Each pass starts
+    with the run's one value solve against the current law path; the pass
+    after the last iteration stops right after it, so that last solve is
+    both the returned value field and the value behind the three repeat
+    best responses (fresh transport seeds) that certify the fixed-point
+    residual; the moment audit runs on the final path.  Every value solve
+    of the run shares one ValueGrid, so the plan of the time integral is
+    built once.  A value solve that does not converge ends the run with
+    status "value-solve-stalled": the solution then holds the iterations
+    completed so far, the stalled value field and the law path it was
+    solved against, NaN for the psi residual, its stderr and the budget,
+    and no audit.
 
     Each iteration takes the psi residual and the change in one
     `path_sup_distances` call from m_j, and the certificate takes its three
@@ -178,7 +179,7 @@ def fixed_point_iterate(problem, config, initial=None):
     seed = int(config.seed)
     N = problem.spectrum.N
     if initial is None:
-        m = propagate(DriftField.zero(N), problem.m0, problem.spectrum,
+        m = propagate(DriftField.zero(), problem.m0, problem.spectrum,
                       config.with_(seed=rng.derive_seed(seed, _TAG_INIT)))
     else:
         if not same_mesh(initial.times, config.mesh()):
@@ -192,25 +193,20 @@ def fixed_point_iterate(problem, config, initial=None):
     method = w1_method(N, m.M, config.exact_w1_budget)
     theta = float(config.damping)
     records = []
-
-    def value(m):
-        return solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum,
-                              config, grid=grid)
-
-    def stalled(v, m):
-        return MFGSolution(v=v, m=m, status="value-solve-stalled", iterations=tuple(records),
-                           psi_residual=math.nan, psi_residual_stderr=math.nan,
-                           certificate_budget=math.nan, audit=None, w1_method=method)
-
-    status = "max-iterations"
     prev_change = None
     increases = 0
     quiet = 0
-    for j in range(1, config.fp_max + 1):
+    for j in range(1, config.fp_max + 2):  # the pass after the last iteration only solves
         t0 = time.perf_counter()
-        v = value(m)
+        v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum, config,
+                           grid=grid)
         if v.status != "converged":
-            return stalled(v, m)
+            return MFGSolution(v=v, m=m, status="value-solve-stalled",
+                               iterations=tuple(records), psi_residual=math.nan,
+                               psi_residual_stderr=math.nan, certificate_budget=math.nan,
+                               audit=None, w1_method=method)
+        if quiet >= 2 or j > config.fp_max:
+            break
         psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
         m_next = mixture_paths(m, psi_j, 1.0 - theta,
                                seed=rng.derive_seed(seed, _TAG_MIX, j))
@@ -230,13 +226,7 @@ def fixed_point_iterate(problem, config, initial=None):
         prev_change = change
         m = m_next
         quiet = quiet + 1 if change < config.fp_tol else 0
-        if quiet >= 2:
-            status = "converged"
-            break
 
-    v = value(m)
-    if v.status != "converged":
-        return stalled(v, m)
     psis = [_transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
             for r in range(3)]
     repeats = path_sup_distances(m, psis, config.exact_w1_budget, config.sliced_projections,
@@ -244,7 +234,8 @@ def fixed_point_iterate(problem, config, initial=None):
     psi_residual = float(np.mean(repeats))
     psi_stderr = float(np.std(repeats) / math.sqrt(len(repeats)))
     audit = moment_bound_audit(problem, m, config)
-    return MFGSolution(v=v, m=m, status=status, iterations=tuple(records),
+    return MFGSolution(v=v, m=m, status="converged" if quiet >= 2 else "max-iterations",
+                       iterations=tuple(records),
                        psi_residual=psi_residual, psi_residual_stderr=psi_stderr,
                        certificate_budget=config.fp_tol + 3.0 * psi_stderr,
                        audit=audit, w1_method=method)

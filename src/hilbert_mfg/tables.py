@@ -11,18 +11,10 @@ FLOAT_FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 
 
 def write_table(path, header, table):
-    """Write a float array as CSV under a one-line header.
-
-    The bytes are those of np.savetxt(path, table, fmt=FLOAT_FMT,
-    delimiter=",", header=header, comments=""), a 1-D table being one
-    column, but every row is formatted in a single % pass rather than
-    one call per row.
-    """
-    ncol = 1 if table.ndim == 1 else table.shape[1]
-    row = ",".join([FLOAT_FMT] * ncol) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    """Write a float array as CSV under a one-line header, a 1-D table
+    being one column; numpy is imported here, not at module load."""
+    import numpy as np
+    np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
 def write_rows(path, header, rows):

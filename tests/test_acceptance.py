@@ -121,7 +121,7 @@ ODE_MEAN_ORACLE = 0.3103705727798336  # int_0^1 1.5 cos(2s) e^{-(1-s)} ds
 
 def test_criterion_04_fp_law_correctness():
     cfg = SolverConfig(horizon=1.0, dt=0.05, particles=100_000, seed=41)
-    path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
     var_ok = True
     for j, t in enumerate(path.times):
         if t == 0.0:
@@ -148,7 +148,7 @@ def test_criterion_04_fp_law_correctness():
     for h in (0.1, 0.05):
         c1 = SolverConfig(horizon=1.0, dt=h, particles=1, seed=7)
         drifted = propagate(w, Dirac([0.0]), SPEC1, c1)
-        plain = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, c1)
+        plain = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, c1)
         mean = float(drifted.measures[-1].points[0, 0] - plain.measures[-1].points[0, 0])
         errs[h] = abs(mean - ODE_MEAN_ORACLE)
     ratio = errs[0.1] / errs[0.05]
@@ -190,7 +190,7 @@ def test_criterion_06_moment_bound_audit():
     for name, cfg in runs:
         prob = make_model(name)
         N = prob.spectrum.N
-        m_in = propagate(DriftField.zero(N), prob.m0, prob.spectrum,
+        m_in = propagate(DriftField.zero(), prob.m0, prob.spectrum,
                          cfg.with_(seed=16))
         psi = psi_map(prob, m_in, cfg, fp_seed=26)
         bounds = mode_bounds(prob)
@@ -271,9 +271,9 @@ def test_criterion_08_mfg_fixed_point(tmp_path):
 def test_criterion_09_uniqueness():
     prob = make_model("cap1d_monotone")
     cfg = SolverConfig(seed=0)
-    start_a = propagate(DriftField.zero(1), prob.m0, prob.spectrum,
+    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum,
                         cfg.with_(seed=rng.derive_seed(7, 1)))
-    start_b = propagate(DriftField.zero(1), ProductGaussian([0.0], [0.5]),
+    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
                         prob.spectrum, cfg.with_(seed=rng.derive_seed(7, 2)))
     rep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg)
     two_start_ok = (rep.both_converged and rep.rho_between < 2e-2
@@ -282,8 +282,8 @@ def test_criterion_09_uniqueness():
     anti = make_model("cap1d_antimonotone")
     small = SolverConfig(dt=0.1, particles=2000, grid_points=32, quad_nodes=8,
                          tau_nodes=17, fp_max=5, seed=0)
-    sa = propagate(DriftField.zero(1), anti.m0, anti.spectrum, small.with_(seed=1))
-    sb = propagate(DriftField.zero(1), ProductGaussian([0.0], [0.5]),
+    sa = propagate(DriftField.zero(), anti.m0, anti.spectrum, small.with_(seed=1))
+    sb = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
                    anti.spectrum, small.with_(seed=2))
     neg, _, _ = uniqueness_experiment(anti, sa, sb, small)
     neg_ok = np.isfinite(neg.rho_between) and neg.status_a in (
@@ -300,6 +300,7 @@ def test_criterion_10_monotonicity_identity():
     f2 = make_model("cap2d_f2").hamiltonian.coupling
     r1 = monotonicity_check(f1, trials=1000, seed=0, n_modes=1)
     r2 = monotonicity_check(f2, trials=1000, seed=1, n_modes=2)
+    assert r1.identity_gap is not None and r2.identity_gap is not None
     ok = (r1.identity_ok and r1.min_pairing >= -1e-9
           and r2.identity_ok and r2.min_pairing >= -1e-9)
     assert report(10, "monotonicity_identity", ok,

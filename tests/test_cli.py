@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -418,23 +418,7 @@ def test_inner_value_stall_exits_3_with_iterations_file(tmp_path, capsys):
     assert head == "iteration,rho_inf_change,psi_residual,wallclock"
 
 
-def test_inner_value_stall_writes_a_summary_with_its_status(tmp_path, monkeypatch):
-    """A value solve that stalls after one completed outer iteration leaves
-    summary.csv naming the stall and counting that iteration."""
-    import hilbert_mfg.mfg as mfg_mod
-    from hilbert_mfg.hjb import solve_hjb_mild
-
-    solves = []
-
-    def stall_second(*args, **kwargs):
-        solves.append(None)
-        v = solve_hjb_mild(*args, **kwargs)
-        if len(solves) == 2:
-            v.status = "max-iterations"
-        return v
-
-    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_second)
-    ini = """
+SMALL_MFG_INI = """
 [problem]
 model = cap1d_monotone
 
@@ -449,13 +433,94 @@ fp_max = 3
 [run]
 seed = 1
 """
+
+SUMMARY_KEYS = ["status", "iterations", "psi_residual", "psi_residual_stderr",
+                "certificate_budget", "certified", "audit", "w1_method"]
+
+
+def stall_solve(monkeypatch, n):
+    """Make the n-th value solve of a run report a stall; returns the list
+    that counts the solves."""
+    import hilbert_mfg.mfg as mfg_mod
+    from hilbert_mfg.hjb import solve_hjb_mild
+
+    solves = []
+
+    def stall_nth(*args, **kwargs):
+        solves.append(None)
+        v = solve_hjb_mild(*args, **kwargs)
+        if len(solves) == n:
+            v.status = "max-iterations"
+        return v
+
+    monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_nth)
+    return solves
+
+
+def test_inner_value_stall_writes_a_summary_with_its_status(tmp_path, monkeypatch):
+    """A value solve that stalls after one completed outer iteration leaves
+    the eight summary rows naming the stall and counting that iteration,
+    with no psi residual, no certificate and no audit verdict."""
+    solves = stall_solve(monkeypatch, 2)
     out = tmp_path / "r"
-    code = main(["solve-mfg", "--config", write_ini(tmp_path, ini), "--out", str(out)])
+    code = main(["solve-mfg", "--config", write_ini(tmp_path, SMALL_MFG_INI), "--out", str(out)])
     assert code == EXIT_NO_CONVERGENCE
     assert len(solves) == 2
     assert [r["iteration"] for r in read_rows(out / "iterations.csv")] == ["1"]
     summary = {r["key"]: r["value"] for r in read_rows(out / "summary.csv")}
-    assert summary == {"status": "value-solve-stalled", "iterations": "1"}
+    assert summary == {"status": "value-solve-stalled", "iterations": "1",
+                       "psi_residual": "nan", "psi_residual_stderr": "nan",
+                       "certificate_budget": "nan", "certified": "no", "audit": "",
+                       "w1_method": "exact"}
+
+
+def run_files(out):
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("outcome, code, status", [
+    pytest.param(outcome, code, status, id=outcome) for outcome, code, status in (
+        ("converged", EXIT_OK, "converged"),
+        ("first-pass-stall", EXIT_NO_CONVERGENCE, "value-solve-stalled"),
+        ("later-stall", EXIT_NO_CONVERGENCE, "value-solve-stalled"),
+        ("max-iterations", EXIT_NO_CONVERGENCE, "max-iterations"),
+        ("audit-failure", EXIT_AUDIT, "converged"))])
+def test_every_solve_mfg_outcome_leaves_one_run_directory_layout(tmp_path, monkeypatch, outcome,
+                                                                 code, status):
+    """Each outcome leaves the files of a converged run and a summary with
+    the same eight keys; a stall leaves the stalled field, whose metadata
+    carries its sweep history, and the path it was solved against."""
+    import hilbert_mfg.mfg as mfg_mod
+
+    ini = SMALL_MFG_INI.replace("fp_max = 3", "fp_max = 3\nfp_tol = 1")  # two quiet passes
+    if outcome == "first-pass-stall":
+        ini = ini.replace("fp_max = 3", "fp_max = 3\npicard_max = 1")
+    elif outcome == "later-stall":
+        stall_solve(monkeypatch, 2)
+    elif outcome == "max-iterations":
+        ini = ini.replace("fp_max = 3", "fp_max = 1")
+    elif outcome == "audit-failure":
+        audit = mfg_mod.moment_bound_audit
+        monkeypatch.setattr(mfg_mod, "moment_bound_audit",
+                            lambda *args: replace(audit(*args), fourth_pass=False))
+    out = tmp_path / "r"
+    assert main(["solve-mfg", "--config", write_ini(tmp_path, ini), "--out", str(out)]) == code
+    assert run_files(out) == [
+        "audit.csv", "config.echo", "iterations.csv", "m/points.npy", "m/times.csv",
+        "summary.csv", "v/axes.csv", "v/grads.npy", "v/metadata.csv", "v/times.csv",
+        "v/values.npy"]
+    summary = read_rows(out / "summary.csv")
+    assert [r["key"] for r in summary] == SUMMARY_KEYS
+    assert summary[0]["value"] == status
+    audit_rows = read_rows(out / "audit.csv")
+    metadata = {r["key"]: r["value"] for r in read_rows(out / "v" / "metadata.csv")}
+    if status == "value-solve-stalled":
+        assert audit_rows == [] and summary[6]["value"] == ""
+        assert metadata["status"] == "max-iterations" and metadata["history"]
+        assert np.load(out / "m" / "points.npy").shape == (5, 200, 1)
+    else:
+        assert audit_rows and summary[6]["value"] == ("FAIL" if code == EXIT_AUDIT else "pass")
+        assert metadata["status"] == "converged"
 
 
 def test_check_reports_a_stalled_uniqueness_leg_and_exits_by_its_gates(tmp_path):

@@ -47,7 +47,7 @@ def test_same_mesh_compares_length_then_times():
 
 CALLERS = {
     "solve_hjb_mild": lambda: solve_hjb_mild(
-        zero_hamiltonian(1), lambda X, mu: np.zeros(X.shape[:-1]), path(3),
+        zero_hamiltonian(), lambda X, mu: np.zeros(X.shape[:-1]), path(3),
         make_model("cap1d_monotone").spectrum, CFG),
     "weighted_gradient_change": lambda: weighted_gradient_change(
         value_field(3), value_field(5)),

@@ -33,7 +33,7 @@ Q_AT_1 = 0.43233235838169365  # (1 - e^{-2}) / 2, mode variance at t = 1
 
 def test_zero_drift_variance_matches_mode_covariance():
     cfg = SolverConfig(horizon=1.0, dt=0.02, particles=100_000, seed=0)
-    path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
     for t, q in ((0.5, -np.expm1(-1.0) / 2.0), (1.0, Q_AT_1)):
         x = path.at_time(t).points[:, 0]
         se = q * np.sqrt(2.0 / (len(x) - 1))
@@ -57,7 +57,7 @@ def test_drift_superposition_is_exact():
     driftless path is the deterministic drift response, to rounding."""
     c = 0.7
     cfg = SolverConfig(horizon=1.0, dt=0.05, particles=500, seed=3)
-    path0 = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    path0 = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
     pathc = propagate(DriftField.constant([c]), Dirac([0.0]), SPEC1, cfg)
     for j, t in enumerate(path0.times):
         diff = pathc.measures[j].points - path0.measures[j].points
@@ -77,7 +77,7 @@ def test_time_dependent_drift_bias_is_first_order():
         cfg = SolverConfig(horizon=T, dt=h, particles=1, seed=9)
         w = DriftField(fn=lambda t, X: np.full_like(X, c * np.cos(om * t)), bound=c)
         pathw = propagate(w, Dirac([0.0]), SPEC1, cfg)
-        path0 = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+        path0 = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
         response = pathw.measures[-1].points[0, 0] - path0.measures[-1].points[0, 0]
         return abs(response - exact)
 
@@ -118,9 +118,9 @@ def test_fourier_test_function_l0_matches_manual():
 
 def test_weak_residual_zero_at_initial_time():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=200, seed=1)
-    path = propagate(DriftField.zero(1), Dirac([0.4]), SPEC1, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.4]), SPEC1, cfg)
     phi = FourierTestFunction(h=[1.0])
-    prof = weak_residual_profile(path, DriftField.zero(1), [phi], 0.0, SPEC1)[0]
+    prof = weak_residual_profile(path, DriftField.zero(), [phi], 0.0, SPEC1)[0]
     assert np.all(prof == 0.0)
 
 
@@ -261,7 +261,7 @@ def test_weak_residual_evaluates_the_drift_once_per_mesh_time():
 
     spec = SpectrumSpec(eigenvalues=(-1.0, -2.0, -3.0))
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=40, seed=0)
-    path = propagate(DriftField.zero(3), Dirac([0.0, 0.0, 0.0]), spec, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.0, 0.0, 0.0]), spec, cfg)
     phis = [FourierTestFunction(h=h) for h in np.eye(3)]
     weak_residual_profile(path, DriftField(fn=fn, bound=0.0), phis, 0.3, spec)
     assert calls == list(path.times[:7])
@@ -372,7 +372,7 @@ def test_moment_bounds_hold_across_drift_sizes():
     alphas = np.array([0.5, 0.25])
     betas = np.array([m0.mode_second_moment(k) for k in (1, 2)])
     for R in (0.0, 1.0, 2.0, 4.0):
-        w = DriftField.constant([R, 0.0]) if R else DriftField.zero(2)
+        w = DriftField.constant([R, 0.0]) if R else DriftField.zero()
         path = propagate(w, m0, spec, cfg)
         bound = 3.0 * (betas + alphas + alphas * R * R)
         for m in path.measures:
@@ -458,7 +458,7 @@ def test_drift_breaking_its_bound_on_one_row_is_fatal():
 
 def test_non_finite_drift_in_the_weak_residual_is_fatal():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=10, seed=0)
-    path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
     w = DriftField(fn=lambda t, X: np.full_like(X, np.nan), bound=1.0, label="broken")
     with pytest.raises(FloatingPointError, match="'broken'"):
         weak_form_residual(path, w, FourierTestFunction(h=[1.0]), 0.5, SPEC1)
@@ -466,13 +466,13 @@ def test_non_finite_drift_in_the_weak_residual_is_fatal():
 
 def test_off_mesh_time_rejected():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=50, seed=0)
-    path = propagate(DriftField.zero(1), Dirac([0.0]), SPEC1, cfg)
+    path = propagate(DriftField.zero(), Dirac([0.0]), SPEC1, cfg)
     phi = FourierTestFunction(h=[1.0])
     with pytest.raises(ValueError, match="mesh"):
-        weak_form_residual(path, DriftField.zero(1), phi, 0.123, SPEC1)
+        weak_form_residual(path, DriftField.zero(), phi, 0.123, SPEC1)
 
 
 def test_mode_mismatch_rejected():
     cfg = SolverConfig(horizon=0.5, dt=0.05, particles=50, seed=0)
     with pytest.raises(ValueError, match="modes"):
-        propagate(DriftField.zero(2), Dirac([0.0]), SpectrumSpec(eigenvalues=(-1.0, -2.0)), cfg)
+        propagate(DriftField.zero(), Dirac([0.0]), SpectrumSpec(eigenvalues=(-1.0, -2.0)), cfg)

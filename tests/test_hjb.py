@@ -89,7 +89,7 @@ def cos_terminal(X, mu):
 
 
 def ou_path(cfg, seed=0):
-    return propagate(DriftField.zero(1), Dirac([0.0]), SPEC1,
+    return propagate(DriftField.zero(), Dirac([0.0]), SPEC1,
                      cfg.with_(seed=seed))
 
 
@@ -137,7 +137,7 @@ def test_kolmogorov_cosine_closed_form():
 def test_zero_hamiltonian_is_single_sweep_semigroup():
     cfg = SolverConfig(horizon=1.0, dt=0.1, particles=50, seed=1, grid_points=33)
     path = ou_path(cfg)
-    v = solve_hjb_mild(zero_hamiltonian(1), cos_terminal, path, SPEC1, cfg)
+    v = solve_hjb_mild(zero_hamiltonian(), cos_terminal, path, SPEC1, cfg)
     assert v.status == "converged"
     assert len(v.history) == 1
     u = solve_kolmogorov(None, lambda X: cos_terminal(X, None), SPEC1, cfg)
@@ -205,10 +205,10 @@ def test_residual_pure_quadrature_for_zero_hamiltonian():
     # grid nodes and mesh times removes interpolation from the budget
     cfg = SolverConfig(horizon=1.0, dt=0.1, particles=50, seed=1, grid_points=33)
     path = ou_path(cfg)
-    v = solve_hjb_mild(zero_hamiltonian(1), cos_terminal, path, SPEC1, cfg)
+    v = solve_hjb_mild(zero_hamiltonian(), cos_terminal, path, SPEC1, cfg)
     ax = v.axes[0]
     samples = [(t, np.array([x])) for t in (0.0, 0.5) for x in (ax[5], ax[16], ax[27])]
-    res = hjb_residual(v, zero_hamiltonian(1), cos_terminal, path, samples, SPEC1, cfg)
+    res = hjb_residual(v, zero_hamiltonian(), cos_terminal, path, samples, SPEC1, cfg)
     assert res < 1e-6
 
 
@@ -220,7 +220,7 @@ def test_residual_refuses_a_sample_outside_the_horizon(t):
     v = GridValueField(times=cfg.mesh(), axes=(np.linspace(-2.0, 2.0, 5),),
                        values=np.zeros((5, 5)), grads=np.zeros((4, 5, 1)))
     with pytest.raises(ValueError, match=r"residual samples need 0 <= t < T"):
-        hjb_residual(v, zero_hamiltonian(1), cos_terminal, ou_path(cfg),
+        hjb_residual(v, zero_hamiltonian(), cos_terminal, ou_path(cfg),
                      [(t, np.zeros(1))], SPEC1, cfg)
 
 
@@ -232,7 +232,7 @@ def test_residual_refuses_a_sample_that_is_not_finite(x):
     v = GridValueField(times=cfg.mesh(), axes=(np.linspace(-2.0, 2.0, 5),),
                        values=np.zeros((5, 5)), grads=np.zeros((4, 5, 1)))
     with pytest.raises(ValueError, match=r"and a finite x"):
-        hjb_residual(v, zero_hamiltonian(1), cos_terminal, ou_path(cfg),
+        hjb_residual(v, zero_hamiltonian(), cos_terminal, ou_path(cfg),
                      [(0.5, np.array([x]))], SPEC1, cfg)
 
 
@@ -340,7 +340,7 @@ def test_field_serialization_round_trip(tmp_path, n_modes):
 
 def test_terminal_layer_and_box_clipping():
     cfg = SolverConfig(horizon=1.0, dt=0.1, particles=50, seed=1, grid_points=33)
-    v = solve_hjb_mild(zero_hamiltonian(1), cos_terminal, ou_path(cfg), SPEC1, cfg)
+    v = solve_hjb_mild(zero_hamiltonian(), cos_terminal, ou_path(cfg), SPEC1, cfg)
     x = np.array([0.4])
     last = v.grad_at(v.times[-2], x)
     assert np.allclose(v.grad_at(v.T - 1e-9, x), last)
@@ -354,7 +354,7 @@ def test_mesh_mismatch_and_bad_shapes_rejected():
     cfg = SolverConfig(horizon=1.0, dt=0.1, particles=50, seed=1, grid_points=17)
     other = cfg.with_(dt=0.2)
     with pytest.raises(ValueError, match="mesh"):
-        solve_hjb_mild(zero_hamiltonian(1), cos_terminal, ou_path(other), SPEC1, cfg)
+        solve_hjb_mild(zero_hamiltonian(), cos_terminal, ou_path(other), SPEC1, cfg)
     with pytest.raises(ValueError, match="shape"):
         GridValueField(times=[0.0, 1.0], axes=(np.linspace(-1, 1, 5),),
                        values=np.zeros((2, 4)), grads=np.zeros((1, 5, 1)))
@@ -630,7 +630,7 @@ def model_solve(name):
     prob = make_model(name)
     cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
                        quad_nodes=5, tau_nodes=7)
-    path = propagate(DriftField.zero(prob.spectrum.N), prob.m0, prob.spectrum, cfg)
+    path = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg)
     return prob.hamiltonian, prob.terminal, path, prob.spectrum, cfg
 
 
@@ -871,7 +871,7 @@ def test_value_solve_computes_the_coupling_statistic_once_per_measure(name, monk
     prob = make_model(name)
     cfg = SolverConfig(horizon=prob.horizon, dt=0.2, particles=300, seed=4, grid_points=14,
                        quad_nodes=5, tau_nodes=7)
-    path = propagate(DriftField.zero(prob.spectrum.N), prob.m0, prob.spectrum, cfg)
+    path = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg)
     statistic, calls = RankOneCoupling.statistic, []
 
     def counting(self, mu):
@@ -985,7 +985,7 @@ def hamiltonian_cases():
         H = prob.hamiltonian
         cases.append((name, H, lambda X, P, mu, H=H: np.asarray(H.h0(X, P), dtype=float)
                       - np.asarray(H.coupling(X, mu), dtype=float), prob.spectrum.N))
-    for label, H, n in (("tanh", tanh_hamiltonian(), 1), ("zero", zero_hamiltonian(2), 2)):
+    for label, H, n in (("tanh", tanh_hamiltonian(), 1), ("zero", zero_hamiltonian(), 2)):
         cases.append((label, H, lambda X, P, mu, H=H: np.asarray(H.value_fn(X, P, mu),
                                                                     dtype=float), n))
     return cases

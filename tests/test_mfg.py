@@ -64,7 +64,7 @@ def test_psi_is_constant_map_when_measure_never_enters():
     # same inner seed, different input paths: identical best responses
     prob = mu_free_problem()
     spec = prob.spectrum
-    m_a = propagate(DriftField.zero(1), Dirac([0.0]), spec, CFG.with_(seed=101))
+    m_a = propagate(DriftField.zero(), Dirac([0.0]), spec, CFG.with_(seed=101))
     m_b = propagate(DriftField.constant([0.5], 1), ProductGaussian([0.3], [0.2]),
                     spec, CFG.with_(seed=202))
     pa = psi_map(prob, m_a, CFG, fp_seed=77)
@@ -192,7 +192,7 @@ def test_moment_routine_and_audits_equal_the_per_time_per_mode_loop(points):
 
 def test_moment_audit_tail_rows_use_spectrum_family():
     prob = make_model("cap1d_monotone")  # family lambda_k = -k^3
-    m = propagate(DriftField.zero(1), prob.m0, prob.spectrum, CFG)
+    m = propagate(DriftField.zero(), prob.m0, prob.spectrum, CFG)
     rep = moment_bound_audit(prob, m, CFG)
     tails = [r for r in rep.rows if not r.sampled]
     assert [r.mode for r in tails] == [2, 3, 4]
@@ -235,7 +235,7 @@ def test_calibrated_fourth_moment_constant_is_sane():
     prob = make_model("cap1d_monotone")
     c0 = calibrate_c0(prob, CFG)
     assert 0.0 < c0 < 50.0
-    m = propagate(DriftField.zero(1), prob.m0, prob.spectrum, CFG)
+    m = propagate(DriftField.zero(), prob.m0, prob.spectrum, CFG)
     rep = moment_bound_audit(prob, m, CFG)
     assert rep.fourth_pass
     assert rep.fourth_bound >= 1.0 + c0  # chat = 1 + c0 (1 + m0 moment + R^4)
@@ -270,7 +270,7 @@ def test_c0_is_the_closed_form_that_propagate_samples(model, dt):
     sup = 0.0
     for i, sign in enumerate((0.0, 1.0, -1.0)):
         u = np.full(N, sign * R / math.sqrt(N))
-        drift = DriftField.constant(u) if sign else DriftField.zero(N)
+        drift = DriftField.constant(u) if sign else DriftField.zero()
         path = propagate(drift, prob.m0, spec, cfg.with_(seed=40 + i))
         exact = ou_fourth_moments(spec, prob.m0, u, path.times)
         mom = moments(path.points)
@@ -285,7 +285,7 @@ def test_c0_of_a_driftless_point_mass_is_three_q_squared():
     # zero drift from the origin: X_t ~ N(0, q(t)), so E X_t^4 = 3 q(t)^2,
     # largest at T, over a normalizer 1 + 0 + 0
     spec = SpectrumSpec(eigenvalues=(-2.0,))
-    prob = MFGProblem(spectrum=spec, hamiltonian=zero_hamiltonian(1),
+    prob = MFGProblem(spectrum=spec, hamiltonian=zero_hamiltonian(),
                       terminal=lambda X, mu: np.cos(X[..., 0]),
                       m0=Dirac([0.0]), horizon=1.0)
     q = covariance_qk(spec, 1, 1.0)
@@ -314,7 +314,7 @@ def test_the_moment_audit_runs_no_transport(monkeypatch):
     import hilbert_mfg.mfg as mfg_mod
 
     prob = make_model("cap2d_f2")
-    m = propagate(DriftField.zero(2), prob.m0, prob.spectrum, CFG.with_(particles=500))
+    m = propagate(DriftField.zero(), prob.m0, prob.spectrum, CFG.with_(particles=500))
     monkeypatch.setattr(mfg_mod, "propagate",
                         lambda *args, **kwargs: pytest.fail("the audit ran a transport"))
     rep = moment_bound_audit(prob, m, CFG.with_(particles=500))
@@ -348,7 +348,7 @@ def test_uniqueness_identical_legs_are_bit_equal():
     """Two legs from one start under one seed give the same path and value
     field bit for bit."""
     prob = make_model("cap1d_monotone")
-    start = propagate(DriftField.zero(1), prob.m0, prob.spectrum,
+    start = propagate(DriftField.zero(), prob.m0, prob.spectrum,
                       CFG.with_(seed=55))
     cfg = CFG.with_(seed=42)
     sa = fixed_point_iterate(prob, cfg, initial=start)
@@ -362,9 +362,9 @@ def test_uniqueness_identical_legs_are_bit_equal():
 def test_uniqueness_negative_control_reports_without_raising():
     prob = make_model("cap1d_antimonotone")
     cfg = CFG.with_(fp_max=4)  # keep it short; outcome is reported either way
-    start_a = propagate(DriftField.zero(1), prob.m0, prob.spectrum,
+    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum,
                         cfg.with_(seed=1))
-    start_b = propagate(DriftField.zero(1), ProductGaussian([0.0], [0.5]),
+    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
                         prob.spectrum, cfg.with_(seed=2))
     rep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg)
     assert np.isfinite(rep.rho_between)
@@ -390,7 +390,7 @@ def test_problem_validation():
 def test_initial_path_must_live_on_config_mesh():
     prob = make_model("cap1d_monotone")
     other = CFG.with_(dt=0.2)
-    start = propagate(DriftField.zero(1), prob.m0, prob.spectrum, other)
+    start = propagate(DriftField.zero(), prob.m0, prob.spectrum, other)
     with pytest.raises(ValueError):
         fixed_point_iterate(prob, CFG, initial=start)
 
@@ -404,7 +404,7 @@ def test_initial_path_must_hold_config_particles(monkeypatch):
     monkeypatch.setattr(mfg_mod, "solve_hjb_mild",
                         lambda *args, **kwargs: pytest.fail("value solve ran"))
     prob = make_model("cap1d_monotone")
-    start = propagate(DriftField.zero(1), prob.m0, prob.spectrum, CFG.with_(particles=50))
+    start = propagate(DriftField.zero(), prob.m0, prob.spectrum, CFG.with_(particles=50))
     with pytest.raises(ValueError, match="initial path has 50 particles"):
         fixed_point_iterate(prob, CFG, initial=start)
 
@@ -542,7 +542,7 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
 def test_psi_map_raises_on_a_stalled_value_solve():
     prob = make_model("cap1d_monotone")
     cfg = SMALL.with_(picard_max=1)
-    m = propagate(DriftField.zero(1), prob.m0, prob.spectrum, cfg)
+    m = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg)
     with pytest.raises(RuntimeError, match="stalled"):
         psi_map(prob, m, cfg)
 
@@ -551,8 +551,8 @@ def test_uniqueness_reports_a_stalled_value_solve_without_raising():
     prob = make_model("cap1d_monotone")
     cfg = SolverConfig(dt=0.25, particles=200, grid_points=9, quad_nodes=4, tau_nodes=5,
                        picard_max=1, picard_tol=1e-12, fp_max=2, seed=1)
-    start_a = propagate(DriftField.zero(1), prob.m0, prob.spectrum, cfg.with_(seed=2))
-    start_b = propagate(DriftField.zero(1), ProductGaussian([0.0], [0.5]),
+    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg.with_(seed=2))
+    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
                         prob.spectrum, cfg.with_(seed=3))
     rep, sol_a, sol_b = uniqueness_experiment(prob, start_a, start_b, cfg)
     assert (rep.status_a, rep.status_b) == ("value-solve-stalled",) * 2

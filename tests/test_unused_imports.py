@@ -1,6 +1,6 @@
 """No module imports a name it never uses, no private helper or public
-method is orphaned, and no defaulted parameter is a knob that no caller
-sets.
+method is orphaned, no defaulted parameter is a knob that no caller sets,
+and no parameter goes unread.
 
 No linter ships with the project, so this walks the syntax tree of every
 module in src/, tests/ and demos/.  A renamed or deleted export can hide
@@ -16,9 +16,12 @@ method that a redesign replaces does not linger beside its successor.
 A parameter with a default in a src/ function must be given, by keyword
 or by position, by some call in src/, tests/ or demos/; calls are
 matched by the called name alone, so a parameter that only a same-named
-function's caller sets passes too.  No module of src/ imports scipy when it is
-imported: only a function body may, so that the one caller that needs it
-(exact W1 on N >= 2 modes) pays for it.
+function's caller sets passes too.  Each parameter of a src/ function or
+method must be read by its body (self, cls and lambdas exempt), unless a
+same-named method of another src/ class reads it: a parameter that an
+interface fixes need not be used by every implementation.  No module of
+src/ imports scipy when it is imported: only a function body may, so that
+the one caller that needs it (exact W1 on N >= 2 modes) pays for it.
 """
 
 import ast
@@ -206,6 +209,59 @@ def test_every_defaulted_parameter_in_src_is_given_by_some_call():
     unset = [(str(p.relative_to(ROOT)),) + knob for p in sorted((ROOT / "src").rglob("*.py"))
              for knob in never_given(defaulted_parameters(p.read_text()), given)]
     assert unset == []
+
+
+def parameters(source):
+    """(line, class, function, parameter, read) of each parameter of every
+    function and method in source, self and cls left out; class is None
+    outside a class body, and read says whether the body reads it (a
+    nested function or lambda that reads it counts)."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend((child.lineno, cls, child.name, a.arg, a.arg in read)
+                             for a in args.posonlyargs + args.args + args.kwonlyargs
+                             + [a for a in (args.vararg, args.kwarg) if a is not None]
+                             if a.arg not in ("self", "cls"))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else
+                  None if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def unread_parameters(found):
+    """(where, function, parameter) of each unread parameter in found, whose
+    entries lead with where they are (a line, or a file and a line); a
+    method's is exempt when a same-named method of another class reads it."""
+    readers = {}
+    for _, cls, name, param, read in found:
+        if read and cls is not None:
+            readers.setdefault((name, param), set()).add(cls)
+    return [(where, name, param) for where, cls, name, param, read in found
+            if not read and (cls is None or not readers.get((name, param), set()) - {cls})]
+
+
+def test_the_scan_sees_read_and_unread_parameters():
+    source = ("def f(a, b, *args, c, **kw):\n    g = lambda x, y: x\n    return a + g(c, 0)\n"
+              "def outer(d):\n    def inner(e):\n        return d\n    return inner\n"
+              "class A:\n    def grad(self, x, mu):\n        return x\n"
+              "    @classmethod\n    def make(cls, n):\n        return cls()\n"
+              "class B:\n    def grad(self, x, mu, z):\n        return mu\n")
+    assert unread_parameters(parameters(source)) == [
+        (1, "f", "b"), (1, "f", "args"), (1, "f", "kw"), (5, "inner", "e"), (12, "make", "n"),
+        (15, "grad", "z")]
+
+
+def test_every_parameter_in_src_is_read():
+    found = [((str(p.relative_to(ROOT)), line), *rest) for p in sorted((ROOT / "src").rglob("*.py"))
+             for line, *rest in parameters(p.read_text())]
+    assert unread_parameters(found) == []
 
 
 def import_time_imports(source):
