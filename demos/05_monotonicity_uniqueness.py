@@ -8,8 +8,6 @@
 # different starting flows.  A sign-flipped coupling serves as the
 # negative control for both checks.
 
-import numpy as np
-
 from hilbert_mfg import (
     RankOneCoupling,
     SolverConfig,
@@ -18,8 +16,6 @@ from hilbert_mfg import (
     monotonicity_check,
     uniqueness_experiment,
 )
-from hilbert_mfg.measures import ProductGaussian
-from hilbert_mfg.fp_particles import DriftField, propagate
 
 problem = make_model("cap1d_monotone")
 
@@ -47,17 +43,13 @@ print("assumption audit: |H_p| worst %.3f <= %.3f, p-Lipschitz worst %.3f <= %.3
       % (ar.hp_worst, ar.hp_declared, ar.lip_p_worst, ar.lip_p_declared))
 
 # Two-start experiment.  Start A: everyone sits at the initial point mass
-# and drifts freely.  Start B: a wide stationary Gaussian.  Under the
-# monotone coupling both runs must land on the same flow and value field.
+# and drifts freely.  Start B: the wide stationary Gaussian of the
+# driftless dynamics.  The library builds both starts and their seeds.
+# Under the monotone coupling both runs must land on the same flow and
+# value field.
 config = SolverConfig(horizon=1.0, dt=0.1, particles=4000, grid_points=32,
                       quad_nodes=8, tau_nodes=17, fp_tol=4e-2, seed=5)
-spec = problem.spectrum
-zero = DriftField(lambda t, X: np.zeros_like(X), bound=0.0, label="zero")
-start_a = propagate(zero, problem.m0, spec, config)
-start_b = propagate(zero, ProductGaussian(np.array([0.0]), np.array([0.5])),
-                    spec, config)
-
-rep, _, _ = uniqueness_experiment(problem, start_a, start_b, config)
+rep, _, _ = uniqueness_experiment(problem, config)
 print("uniqueness: flow distance %.4f, value sup distance %.4f (%s / %s)"
       % (rep.rho_between, rep.value_sup_distance, rep.status_a, rep.status_b))
 
@@ -66,9 +58,6 @@ print("uniqueness: flow distance %.4f, value sup distance %.4f (%s / %s)"
 anti = make_model("cap1d_antimonotone")
 small = SolverConfig(horizon=1.0, dt=0.2, particles=2000, grid_points=24,
                      quad_nodes=6, tau_nodes=9, fp_tol=4e-2, fp_max=4, seed=5)
-start_a = propagate(zero, anti.m0, spec, small)
-start_b = propagate(zero, ProductGaussian(np.array([0.0]), np.array([0.5])),
-                    spec, small)
-rep, _, _ = uniqueness_experiment(anti, start_a, start_b, small)
+rep, _, _ = uniqueness_experiment(anti, small)
 print("antimonotone control: flow distance %.4f, value sup distance %.4f"
       % (rep.rho_between, rep.value_sup_distance))

@@ -5,7 +5,8 @@ Four subcommands wire the library pipelines: `solve-hjb` (value field
 against a frozen measure path), `solve-fp` (particle transport plus weak
 residual diagnostics), `solve-mfg` (damped fixed point with the moment
 audit), `check` (coupling monotonicity, declared-bound spot checks, and
-the two-start experiment).  parse_run_config alone decides which keys a
+the two-start experiment from m0 and the stationary law, whose starts and
+seeds the library builds).  parse_run_config alone decides which keys a
 command reads and resolves them into the objects the command runs, so each
 command is straight-line code; an entry of the file it does not read is a
 config error, never dropped.  Every run echoes its resolved config and
@@ -19,8 +20,9 @@ and each threshold and verdict a row prints is read from its report.
 
 `solve-mfg` makes one value solve per fixed-point pass, the last one
 serving the certificate, and every outcome leaves the same files: after an
-inner stall `v/` is the stalled field (its metadata carries the sweep
-history) and `m/` the path it was solved against.
+inner stall `v/` is the stalled field (its metadata reads status
+`stalled` and carries the sweep history) and `m/` the path it was solved
+against.
 
 Exit codes: 0 success, 2 config error, 3 non-convergence (an inner
 value-solve stall included), 4 audit failure, 1 internal error.  Heavy
@@ -445,14 +447,12 @@ def cmd_solve_mfg(cfg, cp):
 
 def cmd_check(cfg, cp):
     """Assumption gate: coupling monotonicity, declared-bound spot checks,
-    and (optionally) the two-start uniqueness experiment, all reported to
-    check.csv with the threshold and verdict of each report; the run exits
-    4 iff a row of check.csv reads FAIL."""
-    from .fp_particles import propagate
-    from .measures import ProductGaussian
+    and (optionally) the two-start uniqueness experiment from m0 and the
+    stationary law, all reported to check.csv with the threshold and
+    verdict of each report; the run exits 4 iff a row of check.csv reads
+    FAIL."""
     from .mfg import uniqueness_experiment
     from .models import assumption_check, monotonicity_check
-    from .spectrum import stationary_variances
 
     prob, spec = cfg.problem, cfg.problem.spectrum
     d = _make_run_dir(cfg, cp)
@@ -476,14 +476,7 @@ def cmd_check(cfg, cp):
                  "pass" if arep.lip_mu_ok else "FAIL"])
 
     if cfg.uniqueness:
-        from . import rng
-        start_a = propagate(cfg.drift, prob.m0, spec,
-                            cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xA1)))
-        stat = ProductGaussian(mean=[0.0] * spec.N,
-                               var=list(stationary_variances(spec)))
-        start_b = propagate(cfg.drift, stat, spec,
-                            cfg.solver.with_(seed=rng.derive_seed(cfg.seed, 0xB1)))
-        urep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg.solver)
+        urep, _, _ = uniqueness_experiment(prob, cfg.solver)
         # reported, never gating: the negative control runs through here too
         rows.append(["uniqueness_experiment", "rho_between", urep.rho_between, "", "info"])
         rows.append(["uniqueness_experiment", "value_sup_distance", urep.value_sup_distance,

@@ -519,8 +519,8 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     nodes are ties), and fixes H on the path once by H.at_measures (one
     coupling table for a separated H): a sweep makes one H call per mesh
     time.  Stops on the weighted gradient change; a run that exhausts
-    the iteration budget is returned with status "max-iterations" and the
-    full change history.  grid is a ValueGrid.build(spec, config) to share,
+    the iteration budget is returned with status "stalled" and the full
+    change history.  grid is a ValueGrid.build(spec, config) to share,
     with its plan, across solves; by default the solve builds its own.
     """
     if m.N != spec.N:
@@ -537,7 +537,7 @@ def solve_hjb_mild(H, G, m, spec, config, grid=None):
     H_path = H.at_measures(grid.nodes, m.measures)
     current = grid.field(*base)
     history = []
-    status = "max-iterations"
+    status = "stalled"
     for _ in range(config.picard_max):
         prev = current
 

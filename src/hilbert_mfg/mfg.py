@@ -5,8 +5,9 @@ value equation against it, reads the feedback drift off the gradient grid,
 
     w(t, x) = H_p(x, Dv(t, x), m(t)),
 
-and transports the initial law forward.  A fixed point of that map,
-together with its value field, is an equilibrium of the coupled system.
+and transports the initial law forward: psi_map, the one place the map
+is written.  A fixed point of that map, together with its value field, is
+an equilibrium of the coupled system.
 
 Plain iteration of a compact-valued map need not settle, so the update is
 damped by particle pooling,
@@ -16,8 +17,9 @@ damped by particle pooling,
 with theta halved when the sup-distance change grows twice in a row.  The
 per-iteration noise seeds derive from (run seed, iteration index), making
 every iterate a deterministic function of the configuration.  A run's
-outcome is its status, never an exception: "converged", "max-iterations",
-or "value-solve-stalled" when an inner value solve does not converge.
+outcome is its status, never an exception: "converged", "max-iterations"
+when fp_max iterations ran out, or "value-solve-stalled" when an inner
+value solve ends with its own status "stalled".
 
 The audit quantifies what membership in the iteration's invariant set
 means concretely: per-mode second moments below a_k = 3 (beta_k + alpha_k
@@ -32,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .config import same_mesh
 from .fp_particles import DriftField, propagate
 from .hjb import ValueGrid, solve_hjb_mild
 from .measures import (
     MeasurePath,
+    ProductGaussian,
     gaussian_norm_fourth_moment,
     mixture_paths,
     moments,
@@ -131,42 +133,41 @@ def stall_message(v):
             % ", ".join("%.3g" % h for h in v.history))
 
 
-def _transport(problem, v, m, config, fp_seed):
-    """m0 carried forward under the feedback drift read off v."""
-    w = drift_from_gradient(v, problem.hamiltonian, m)
-    return propagate(w, problem.m0, problem.spectrum, config.with_(seed=fp_seed))
-
-
-def psi_map(problem, m, config, fp_seed=None):
-    """One best response: value solve against m, then transport of m0 under
-    the feedback drift.  Deterministic given (config, fp_seed)."""
+def psi_map(problem, m, config, seeds, grid=None):
+    """The best response to the law path m: the value solve against m and,
+    unless it stalled, one transport of m0 under the feedback drift read
+    off it per seed.  Returns (v, paths), with paths == [] after a stall:
+    the stall is v.status, never an exception.  grid is a
+    ValueGrid.build(spectrum, config) to share across calls."""
     _check_config(problem, config)
-    seed = config.seed if fp_seed is None else fp_seed
-    v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum, config)
+    v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum, config,
+                       grid=grid)
     if v.status != "converged":
-        raise RuntimeError(stall_message(v))
-    return _transport(problem, v, m, config, seed)
+        return v, []
+    w = drift_from_gradient(v, problem.hamiltonian, m)
+    return v, [propagate(w, problem.m0, problem.spectrum, config.with_(seed=s)) for s in seeds]
 
 
-def fixed_point_iterate(problem, config, initial=None):
-    """Damped iteration of the best-response map.
+def fixed_point_iterate(problem, config, start=None):
+    """Damped iteration of the best-response map from the zero-drift flow
+    of the start law (m0 by default).
 
     Returns status "converged" once the sup-distance change between
-    consecutive damped iterates drops below config.fp_tol on two
-    iterations in a row (a single sub-tolerance step can be a noise
-    fluke while the undamped residual still carries signal), otherwise
-    "max-iterations" with the full diagnostic history.  Each pass starts
-    with the run's one value solve against the current law path; the pass
-    after the last iteration stops right after it, so that last solve is
-    both the returned value field and the value behind the three repeat
-    best responses (fresh transport seeds) that certify the fixed-point
-    residual; the moment audit runs on the final path.  Every value solve
-    of the run shares one ValueGrid, so the plan of the time integral is
-    built once.  A value solve that does not converge ends the run with
-    status "value-solve-stalled": the solution then holds the iterations
-    completed so far, the stalled value field and the law path it was
-    solved against, NaN for the psi residual, its stderr and the budget,
-    and no audit.
+    consecutive damped iterates drops below config.fp_tol on two iterations
+    in a row (a single sub-tolerance step can be a noise fluke while the
+    undamped residual still carries signal), otherwise "max-iterations"
+    with the full diagnostic history.  Each pass makes one psi_map call
+    against the current law path, so one value solve; the pass after the
+    last iteration asks it for three repeat best responses (fresh
+    transport seeds) instead of one, so its value solve is both the
+    returned value field and the value behind the repeats that certify
+    the fixed-point residual; the moment audit runs on the final path.
+    Every value solve of the run shares one ValueGrid, so the plan of the
+    time integral is built once.  A value solve that does not converge
+    ends the run with status "value-solve-stalled": the solution then
+    holds the iterations completed so far, the stalled value field and the
+    law path it was solved against, NaN for the psi residual, its stderr
+    and the budget, and no audit.
 
     Each iteration takes the psi residual and the change in one
     `path_sup_distances` call from m_j, and the certificate takes its three
@@ -177,41 +178,32 @@ def fixed_point_iterate(problem, config, initial=None):
     """
     _check_config(problem, config)
     seed = int(config.seed)
-    N = problem.spectrum.N
-    if initial is None:
-        m = propagate(DriftField.zero(), problem.m0, problem.spectrum,
-                      config.with_(seed=rng.derive_seed(seed, _TAG_INIT)))
-    else:
-        if not same_mesh(initial.times, config.mesh()):
-            raise ValueError("initial path does not live on the config mesh")
-        if initial.M != config.particles:
-            raise ValueError("initial path has %d particles, config.particles is %d"
-                             % (initial.M, config.particles))
-        m = initial
-
+    m = propagate(DriftField.zero(), problem.m0 if start is None else start, problem.spectrum,
+                  config.with_(seed=rng.derive_seed(seed, _TAG_INIT)))
     grid = ValueGrid.build(problem.spectrum, config)
-    method = w1_method(N, m.M, config.exact_w1_budget)
+    method = w1_method(problem.spectrum.N, m.M, config.exact_w1_budget)
     theta = float(config.damping)
     records = []
     prev_change = None
     increases = 0
     quiet = 0
-    for j in range(1, config.fp_max + 2):  # the pass after the last iteration only solves
+    for j in range(1, config.fp_max + 2):  # the pass after the last iteration certifies
         t0 = time.perf_counter()
-        v = solve_hjb_mild(problem.hamiltonian, problem.terminal, m, problem.spectrum, config,
-                           grid=grid)
-        if v.status != "converged":
+        final = quiet >= 2 or j > config.fp_max
+        seeds = ([rng.derive_seed(seed, _TAG_CERT, r) for r in range(3)] if final
+                 else [rng.derive_seed(seed, _TAG_ITER, j)])
+        v, psis = psi_map(problem, m, config, seeds, grid)
+        if not psis:  # the value solve stalled
             return MFGSolution(v=v, m=m, status="value-solve-stalled",
                                iterations=tuple(records), psi_residual=math.nan,
                                psi_residual_stderr=math.nan, certificate_budget=math.nan,
                                audit=None, w1_method=method)
-        if quiet >= 2 or j > config.fp_max:
+        if final:
             break
-        psi_j = _transport(problem, v, m, config, rng.derive_seed(seed, _TAG_ITER, j))
-        m_next = mixture_paths(m, psi_j, 1.0 - theta,
+        m_next = mixture_paths(m, psis[0], 1.0 - theta,
                                seed=rng.derive_seed(seed, _TAG_MIX, j))
         psi_res, change = path_sup_distances(
-            m, [psi_j, m_next], config.exact_w1_budget, config.sliced_projections,
+            m, [psis[0], m_next], config.exact_w1_budget, config.sliced_projections,
             rng.derive_seed(seed, _TAG_DIST, j))
         records.append(IterationRecord(index=j, rho_change=change,
                                        psi_residual=psi_res, theta=theta,
@@ -227,8 +219,6 @@ def fixed_point_iterate(problem, config, initial=None):
         m = m_next
         quiet = quiet + 1 if change < config.fp_tol else 0
 
-    psis = [_transport(problem, v, m, config, rng.derive_seed(seed, _TAG_CERT, r))
-            for r in range(3)]
     repeats = path_sup_distances(m, psis, config.exact_w1_budget, config.sliced_projections,
                                  rng.derive_seed(seed, _TAG_DIST, 0))
     psi_residual = float(np.mean(repeats))
@@ -350,15 +340,18 @@ class UniquenessReport:
         return self.status_a == "converged" and self.status_b == "converged"
 
 
-def uniqueness_experiment(problem, start_a, start_b, config):
-    """Run the damped iteration from two starts with independent seed
-    streams and report how far apart the answers land.  Non-convergence of
-    either run is part of the report, never an exception: the statuses are
-    the two solutions' own, and if either inner value solve stalled the two
-    distances are NaN."""
+def uniqueness_experiment(problem, config):
+    """Run the damped iteration from two starts, m0 and the stationary law
+    of the driftless dynamics, with independent seed streams and report
+    how far apart the answers land.  Non-convergence of either run is part
+    of the report, never an exception: the statuses are the two solutions'
+    own, and if either inner value solve stalled the two distances are
+    NaN."""
+    stationary = ProductGaussian(mean=np.zeros(problem.spectrum.N),
+                                 var=stationary_variances(problem.spectrum))
     sol_a, sol_b = (fixed_point_iterate(
-        problem, config.with_(seed=rng.derive_seed(config.seed, tag)), initial=start)
-        for tag, start in ((_TAG_START_A, start_a), (_TAG_START_B, start_b)))
+        problem, config.with_(seed=rng.derive_seed(config.seed, tag)), start=start)
+        for tag, start in ((_TAG_START_A, None), (_TAG_START_B, stationary)))
     rho = vsup = math.nan
     if "value-solve-stalled" not in (sol_a.status, sol_b.status):
         rho = path_sup_distance(sol_a.m, sol_b.m, config.exact_w1_budget,

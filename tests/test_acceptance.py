@@ -25,7 +25,6 @@ from hilbert_mfg.measures import (
     Dirac,
     MeasurePath,
     ParticleMeasure,
-    ProductGaussian,
     wasserstein1,
     wasserstein1_sliced,
 )
@@ -192,7 +191,7 @@ def test_criterion_06_moment_bound_audit():
         N = prob.spectrum.N
         m_in = propagate(DriftField.zero(), prob.m0, prob.spectrum,
                          cfg.with_(seed=16))
-        psi = psi_map(prob, m_in, cfg, fp_seed=26)
+        _, [psi] = psi_map(prob, m_in, cfg, [26])
         bounds = mode_bounds(prob)
         for j in range(len(psi.times)):
             mu = psi.measures[j]
@@ -270,22 +269,14 @@ def test_criterion_08_mfg_fixed_point(tmp_path):
 
 def test_criterion_09_uniqueness():
     prob = make_model("cap1d_monotone")
-    cfg = SolverConfig(seed=0)
-    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum,
-                        cfg.with_(seed=rng.derive_seed(7, 1)))
-    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
-                        prob.spectrum, cfg.with_(seed=rng.derive_seed(7, 2)))
-    rep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg)
+    rep, _, _ = uniqueness_experiment(prob, SolverConfig(seed=0))
     two_start_ok = (rep.both_converged and rep.rho_between < 2e-2
                     and rep.value_sup_distance < 2e-2)
 
     anti = make_model("cap1d_antimonotone")
     small = SolverConfig(dt=0.1, particles=2000, grid_points=32, quad_nodes=8,
                          tau_nodes=17, fp_max=5, seed=0)
-    sa = propagate(DriftField.zero(), anti.m0, anti.spectrum, small.with_(seed=1))
-    sb = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
-                   anti.spectrum, small.with_(seed=2))
-    neg, _, _ = uniqueness_experiment(anti, sa, sb, small)
+    neg, _, _ = uniqueness_experiment(anti, small)
     neg_ok = np.isfinite(neg.rho_between) and neg.status_a in (
         "converged", "max-iterations")
     ok = two_start_ok and neg_ok

@@ -450,7 +450,7 @@ def stall_solve(monkeypatch, n):
         solves.append(None)
         v = solve_hjb_mild(*args, **kwargs)
         if len(solves) == n:
-            v.status = "max-iterations"
+            v.status = "stalled"
         return v
 
     monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_nth)
@@ -516,7 +516,7 @@ def test_every_solve_mfg_outcome_leaves_one_run_directory_layout(tmp_path, monke
     metadata = {r["key"]: r["value"] for r in read_rows(out / "v" / "metadata.csv")}
     if status == "value-solve-stalled":
         assert audit_rows == [] and summary[6]["value"] == ""
-        assert metadata["status"] == "max-iterations" and metadata["history"]
+        assert metadata["status"] == "stalled" and metadata["history"]
         assert np.load(out / "m" / "points.npy").shape == (5, 200, 1)
     else:
         assert audit_rows and summary[6]["value"] == ("FAIL" if code == EXIT_AUDIT else "pass")

@@ -17,7 +17,6 @@ from hilbert_mfg.hjb import (
     zero_hamiltonian,
 )
 from hilbert_mfg.measures import MeasurePath, mixture_paths, path_sup_distance
-from hilbert_mfg.mfg import fixed_point_iterate
 from hilbert_mfg.models import make_model
 
 # five mesh times on [0, 1]; the paths and fields below have three
@@ -53,8 +52,6 @@ CALLERS = {
         value_field(3), value_field(5)),
     "path_sup_distance": lambda: path_sup_distance(path(3), path(5)),
     "mixture_paths": lambda: mixture_paths(path(3), path(5), 0.5),
-    "fixed_point_iterate": lambda: fixed_point_iterate(
-        make_model("cap1d_monotone"), CFG, initial=path(3)),
 }
 
 

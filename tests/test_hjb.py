@@ -617,7 +617,7 @@ def cloud_solve(H, G, m, spec, cfg):
         history.append(weighted_gradient_change(current, prev))
         if history[-1] < cfg.picard_tol:
             return current, "converged", history
-    return current, "max-iterations", history
+    return current, "stalled", history
 
 
 def one_mode_solve():

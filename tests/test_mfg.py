@@ -67,8 +67,8 @@ def test_psi_is_constant_map_when_measure_never_enters():
     m_a = propagate(DriftField.zero(), Dirac([0.0]), spec, CFG.with_(seed=101))
     m_b = propagate(DriftField.constant([0.5], 1), ProductGaussian([0.3], [0.2]),
                     spec, CFG.with_(seed=202))
-    pa = psi_map(prob, m_a, CFG, fp_seed=77)
-    pb = psi_map(prob, m_b, CFG, fp_seed=77)
+    _, [pa] = psi_map(prob, m_a, CFG, [77])
+    _, [pb] = psi_map(prob, m_b, CFG, [77])
     assert path_sup_distance(pa, pb) == 0.0
 
 
@@ -210,7 +210,7 @@ def test_psi_outputs_pass_moment_bounds_on_random_inputs():
                            bound=abs(c) + 1e-9, label="const")
         m_in = propagate(drift, ProductGaussian([0.0], [float(g.uniform(0.05, 0.5))]),
                          prob.spectrum, CFG.with_(seed=1000 + i))
-        psi = psi_map(prob, m_in, CFG, fp_seed=2000 + i)
+        _, [psi] = psi_map(prob, m_in, CFG, [2000 + i])
         rep = moment_bound_audit(prob, psi, CFG)
         assert rep.ok, rep
 
@@ -226,7 +226,7 @@ def test_psi_modulus_constant_uniform_over_input_paths():
         m_in = propagate(drift, ProductGaussian([float(g.uniform(-0.5, 0.5))],
                                                 [float(g.uniform(0.05, 0.6))]),
                          prob.spectrum, CFG.with_(seed=1000 + i))
-        psi = psi_map(prob, m_in, CFG, fp_seed=2000 + i)
+        _, [psi] = psi_map(prob, m_in, CFG, [2000 + i])
         consts.append(path_modulus(psi, seed=i))
     assert max(consts) / min(consts) < 1.5
 
@@ -329,7 +329,7 @@ def test_fixed_point_smoke_run_reports_certificate_and_audit():
     assert len(sol.iterations) <= CFG.fp_max
     assert sol.psi_residual > 0 and np.isfinite(sol.psi_residual_stderr)
     assert sol.audit.ok
-    assert sol.v.status in ("converged", "max-iterations")
+    assert sol.v.status == "converged"
     # iteration records carry the damping trace
     assert all(r.theta <= CFG.damping for r in sol.iterations)
 
@@ -345,14 +345,13 @@ def test_feedback_drift_respects_declared_bound():
 
 
 def test_uniqueness_identical_legs_are_bit_equal():
-    """Two legs from one start under one seed give the same path and value
-    field bit for bit."""
+    """Two legs from one start law under one seed give the same path and
+    value field bit for bit."""
     prob = make_model("cap1d_monotone")
-    start = propagate(DriftField.zero(), prob.m0, prob.spectrum,
-                      CFG.with_(seed=55))
+    start = ProductGaussian([0.0], [0.5])
     cfg = CFG.with_(seed=42)
-    sa = fixed_point_iterate(prob, cfg, initial=start)
-    sb = fixed_point_iterate(prob, cfg, initial=start)
+    sa = fixed_point_iterate(prob, cfg, start=start)
+    sb = fixed_point_iterate(prob, cfg, start=start)
     assert np.array_equal(sa.m.points, sb.m.points)
     assert np.array_equal(sa.v.values, sb.v.values)
     assert np.array_equal(sa.v.grads, sb.v.grads)
@@ -362,11 +361,7 @@ def test_uniqueness_identical_legs_are_bit_equal():
 def test_uniqueness_negative_control_reports_without_raising():
     prob = make_model("cap1d_antimonotone")
     cfg = CFG.with_(fp_max=4)  # keep it short; outcome is reported either way
-    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum,
-                        cfg.with_(seed=1))
-    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
-                        prob.spectrum, cfg.with_(seed=2))
-    rep, _, _ = uniqueness_experiment(prob, start_a, start_b, cfg)
+    rep, _, _ = uniqueness_experiment(prob, cfg)
     assert np.isfinite(rep.rho_between)
     assert rep.status_a in ("converged", "max-iterations")
     assert rep.status_b in ("converged", "max-iterations")
@@ -387,26 +382,16 @@ def test_problem_validation():
         fixed_point_iterate(prob, CFG.with_(horizon=2.0))
 
 
-def test_initial_path_must_live_on_config_mesh():
-    prob = make_model("cap1d_monotone")
-    other = CFG.with_(dt=0.2)
-    start = propagate(DriftField.zero(), prob.m0, prob.spectrum, other)
-    with pytest.raises(ValueError):
-        fixed_point_iterate(prob, CFG, initial=start)
-
-
-
-def test_initial_path_must_hold_config_particles(monkeypatch):
-    """An initial path of another particle count is refused before the
-    first value solve, not in the pooling after a solve and a transport."""
+def test_a_start_law_of_another_mode_count_is_refused_before_any_value_solve(monkeypatch):
+    """The start's zero-drift flow refuses a law whose mode count is not the
+    spectrum's before the first value solve."""
     import hilbert_mfg.mfg as mfg_mod
 
     monkeypatch.setattr(mfg_mod, "solve_hjb_mild",
                         lambda *args, **kwargs: pytest.fail("value solve ran"))
-    prob = make_model("cap1d_monotone")
-    start = propagate(DriftField.zero(), prob.m0, prob.spectrum, CFG.with_(particles=50))
-    with pytest.raises(ValueError, match="initial path has 50 particles"):
-        fixed_point_iterate(prob, CFG, initial=start)
+    with pytest.raises(ValueError, match="initial law has 2 modes, spectrum has 1"):
+        fixed_point_iterate(make_model("cap1d_monotone"), CFG,
+                            start=ProductGaussian([0.0, 0.0], [0.5, 0.5]))
 
 SMALL = CFG.with_(particles=1000, grid_points=16, tau_nodes=9, fp_max=3)
 
@@ -525,7 +510,7 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
         calls.append(None)
         v = solve_hjb_mild(*args, **kwargs)
         if len(calls) == 2:
-            v.status = "max-iterations"
+            v.status = "stalled"
         return v
 
     monkeypatch.setattr(mfg_mod, "solve_hjb_mild", stall_second)
@@ -533,28 +518,46 @@ def test_stalled_value_solve_carries_completed_iterations(monkeypatch):
     assert len(calls) == 2
     assert sol.status == "value-solve-stalled" and not sol.converged
     assert [r.index for r in sol.iterations] == [1]
-    assert sol.v.status == "max-iterations" and sol.m.M == SMALL.particles
+    assert sol.v.status == "stalled" and sol.m.M == SMALL.particles
     assert math.isnan(sol.psi_residual) and math.isnan(sol.psi_residual_stderr)
     assert math.isnan(sol.certificate_budget) and not sol.certified
     assert sol.audit is None and sol.w1_method == "exact"
 
 
-def test_psi_map_raises_on_a_stalled_value_solve():
+def test_psi_map_returns_a_stalled_field_and_no_paths():
     prob = make_model("cap1d_monotone")
     cfg = SMALL.with_(picard_max=1)
     m = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg)
-    with pytest.raises(RuntimeError, match="stalled"):
-        psi_map(prob, m, cfg)
+    v, paths = psi_map(prob, m, cfg, [1, 2, 3])
+    assert v.status == "stalled" and len(v.history) == 1
+    assert paths == []
+
+
+@pytest.mark.parametrize("picard_max, stalls", [(SMALL.picard_max, False), (1, True)],
+                         ids=["completed", "first-pass-stall"])
+def test_the_fixed_point_reaches_psi_only_through_psi_map(monkeypatch, picard_max, stalls):
+    """Each pass asks psi_map for one best response, the pass after the last
+    iteration for the three certificate repeats; a first-pass stall ends
+    the run after one call."""
+    import hilbert_mfg.mfg as mfg_mod
+
+    asked = []
+
+    def recording(problem, m, config, seeds, grid=None):
+        asked.append(len(seeds))
+        return psi_map(problem, m, config, seeds, grid)
+
+    monkeypatch.setattr(mfg_mod, "psi_map", recording)
+    sol = fixed_point_iterate(make_model("cap1d_monotone"), SMALL.with_(picard_max=picard_max))
+    assert (sol.status == "value-solve-stalled") == stalls
+    assert asked == ([1] if stalls else [1] * len(sol.iterations) + [3])
 
 
 def test_uniqueness_reports_a_stalled_value_solve_without_raising():
     prob = make_model("cap1d_monotone")
     cfg = SolverConfig(dt=0.25, particles=200, grid_points=9, quad_nodes=4, tau_nodes=5,
                        picard_max=1, picard_tol=1e-12, fp_max=2, seed=1)
-    start_a = propagate(DriftField.zero(), prob.m0, prob.spectrum, cfg.with_(seed=2))
-    start_b = propagate(DriftField.zero(), ProductGaussian([0.0], [0.5]),
-                        prob.spectrum, cfg.with_(seed=3))
-    rep, sol_a, sol_b = uniqueness_experiment(prob, start_a, start_b, cfg)
+    rep, sol_a, sol_b = uniqueness_experiment(prob, cfg)
     assert (rep.status_a, rep.status_b) == ("value-solve-stalled",) * 2
     assert (sol_a.status, sol_b.status) == ("value-solve-stalled",) * 2
     assert sol_a.iterations == () and sol_b.iterations == ()

@@ -22,6 +22,8 @@ same-named method of another src/ class reads it: a parameter that an
 interface fixes need not be used by every implementation.  No module of
 src/ imports scipy when it is imported: only a function body may, so that
 the one caller that needs it (exact W1 on N >= 2 modes) pays for it.
+cli.py owns no seed rule: it never imports rng and never calls
+derive_seed, so every seed a command runs under is derived in the library.
 """
 
 import ast
@@ -297,3 +299,32 @@ def test_no_src_module_imports_scipy_at_import_time():
              for line, name in import_time_imports(p.read_text())
              if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def seed_rules(source):
+    """(line, name) of each import of the rng module and each derive_seed
+    call in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rng":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.split(".")[-1] == "rng")
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name == "derive_seed":
+                found.append((node.lineno, name))
+    return found
+
+
+def test_the_scan_sees_seed_rules():
+    source = ("from . import rng\nimport hilbert_mfg.rng as r\nfrom .rng import generator\n"
+              "from .mfg import uniqueness_experiment\n"
+              "def f(seed):\n    return rng.derive_seed(seed, 1) + derive_seed(seed)\n")
+    assert seed_rules(source) == [(1, "rng"), (2, "hilbert_mfg.rng"), (3, "rng"),
+                                  (6, "derive_seed"), (6, "derive_seed")]
+
+
+def test_the_cli_owns_no_seed_rule():
+    assert seed_rules((ROOT / "src" / "hilbert_mfg" / "cli.py").read_text()) == []
